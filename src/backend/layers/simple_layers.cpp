@@ -239,13 +239,19 @@ class DenseLayer : public Layer
           alpha_(init.node->attrs().get_float("alpha", 1.0f)),
           beta_(init.node->attrs().get_float("beta", 1.0f)),
           has_c_(init.node->has_input(2)),
-          variant_(variant)
+          variant_(variant),
+          node_name_(init.node->name()),
+          const_b_(init.constant(1))
     {
         const Shape &a = init.input(0).shape;
         const Shape &b = init.input(1).shape;
         m_ = trans_a_ ? a.dim(1) : a.dim(0);
         k_ = trans_a_ ? a.dim(0) : a.dim(1);
         n_ = trans_b_ ? b.dim(0) : b.dim(1);
+        // Only a transposed constant weight is prepacked; a mismatched
+        // one keeps the per-call path, whose shape check reports it.
+        if (!trans_b_ || b.rank() != 2 || b.dim(1) != k_)
+            const_b_ = nullptr;
     }
 
     void
@@ -254,9 +260,27 @@ class DenseLayer : public Layer
         if (trans_a_)
             a_trans_offset_ = ctx.reserve(
                 static_cast<std::size_t>(m_ * k_) * sizeof(float));
-        if (trans_b_)
+        if (const_b_ != nullptr) {
+            // A constant weight is transposed once into the (possibly
+            // replica-shared) pack cache instead of on every request;
+            // forward() then multiplies it untransposed.
+            b_t_pack_ = ctx.pack_f32(node_name_ + "/dense/b_t", [&] {
+                std::vector<float> b_t(static_cast<std::size_t>(k_ * n_));
+                const float *b = const_b_->data<float>();
+                for (std::int64_t j = 0; j < n_; ++j) {
+                    for (std::int64_t p = 0; p < k_; ++p)
+                        b_t[p * n_ + j] = b[j * k_ + p];
+                }
+                return b_t;
+            });
+            // Read-only view: dense() never writes its B operand.
+            b_t_ = Tensor(Shape({k_, n_}), DataType::kFloat32,
+                          Buffer::wrap(const_cast<float *>(b_t_pack_->data()),
+                                       b_t_pack_->size() * sizeof(float)));
+        } else if (trans_b_) {
             b_trans_offset_ = ctx.reserve(
                 static_cast<std::size_t>(k_ * n_) * sizeof(float));
+        }
         // dense() always calls gemm_general with beta = 0 (it broadcasts
         // C itself), so staging is only needed for a non-unit alpha.
         if (alpha_ != 1.0f)
@@ -281,8 +305,10 @@ class DenseLayer : public Layer
             const std::vector<Tensor *> &outputs) override
     {
         const Tensor *c = has_c_ ? inputs[2] : nullptr;
-        dense(*inputs[0], *inputs[1], c, trans_a_, trans_b_, alpha_, beta_,
-              *outputs[0], variant_, prepared_ ? &scratch_ : nullptr);
+        const bool prepacked_b = b_t_pack_ != nullptr;
+        dense(*inputs[0], prepacked_b ? b_t_ : *inputs[1], c, trans_a_,
+              trans_b_ && !prepacked_b, alpha_, beta_, *outputs[0],
+              variant_, prepared_ ? &scratch_ : nullptr);
     }
 
   private:
@@ -291,7 +317,7 @@ class DenseLayer : public Layer
     {
         if (trans_a_)
             scratch_.a_trans = workspace_.at<float>(a_trans_offset_);
-        if (trans_b_)
+        if (trans_b_ && b_t_pack_ == nullptr)
             scratch_.b_trans = workspace_.at<float>(b_trans_offset_);
         if (alpha_ != 1.0f)
             scratch_.product = workspace_.at<float>(product_offset_);
@@ -305,11 +331,15 @@ class DenseLayer : public Layer
     float beta_;
     bool has_c_;
     GemmVariant variant_;
+    std::string node_name_;
+    const Tensor *const_b_;
     std::int64_t m_ = 0;
     std::int64_t k_ = 0;
     std::int64_t n_ = 0;
     Workspace workspace_;
     GemmScratch scratch_;
+    ConstantPackCache::FloatPack b_t_pack_;
+    Tensor b_t_;
     std::size_t a_trans_offset_ = 0;
     std::size_t b_trans_offset_ = 0;
     std::size_t product_offset_ = 0;

@@ -58,7 +58,10 @@ struct ActivationSpec {
 
     bool is_identity() const { return kind == ActivationKind::kNone; }
 
-    /** Applies the activation to a single value. */
+    /**
+     * Applies the activation to a single value: the scalar definition
+     * of every bulk path below, which must match it bit for bit.
+     */
     float
     apply(float value) const
     {
@@ -81,6 +84,15 @@ struct ActivationSpec {
 
     /** Applies the activation over a contiguous array in place. */
     void apply_inplace(float *data, std::int64_t count) const;
+
+    /**
+     * Fused conv epilogue: output[i] = apply(input[i] + bias). The
+     * pointers may be equal (in-place over the output tile). The bias is
+     * always added, even when zero, exactly as the per-element form
+     * would (it turns -0.0 into +0.0).
+     */
+    void apply_bias(const float *input, float bias, float *output,
+                    std::int64_t count) const;
 };
 
 /** Elementwise y = activation(x); shapes must match. */

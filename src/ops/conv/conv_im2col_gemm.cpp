@@ -92,10 +92,8 @@ conv2d_im2col_gemm(const Conv2dArgs &args, const Conv2dScratch *scratch)
                 const float bias =
                     args.bias != nullptr ? args.bias[g * group_out_c + oc]
                                          : 0.0f;
-                if (bias != 0.0f || !args.activation.is_identity()) {
-                    for (std::int64_t i = 0; i < gemm_n; ++i)
-                        row[i] = args.activation.apply(row[i] + bias);
-                }
+                if (bias != 0.0f || !args.activation.is_identity())
+                    args.activation.apply_bias(row, bias, row, gemm_n);
             }
         }
     }

@@ -268,9 +268,8 @@ conv2d_spatial_pack(const Conv2dArgs &args, const Conv2dScratch *scratch)
                             ((n * args.out_c + oc) * args.out_h + oh) *
                                 args.out_w +
                             ow0;
-                        for (std::int64_t i = 0; i < ow_count; ++i)
-                            out_row[i] = args.activation.apply(
-                                accumulators[r][i] + bias);
+                        args.activation.apply_bias(accumulators[r], bias,
+                                                   out_row, ow_count);
                     }
                 }
             }

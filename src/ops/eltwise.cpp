@@ -18,6 +18,36 @@ apply(EltwiseOp op, float x, float y)
     return 0.0f;
 }
 
+/** Same-shape fast path: one switch per call, then a branch-free loop
+ *  over exactly the expression apply() evaluates. */
+template <typename Fn>
+void
+zip(const float *a, const float *b, float *out, std::int64_t count, Fn fn)
+{
+    for (std::int64_t i = 0; i < count; ++i)
+        out[i] = fn(a[i], b[i]);
+}
+
+void
+eltwise_same_shape(EltwiseOp op, const float *a, const float *b, float *out,
+                   std::int64_t count)
+{
+    switch (op) {
+      case EltwiseOp::kAdd:
+        zip(a, b, out, count, [](float x, float y) { return x + y; });
+        return;
+      case EltwiseOp::kSub:
+        zip(a, b, out, count, [](float x, float y) { return x - y; });
+        return;
+      case EltwiseOp::kMul:
+        zip(a, b, out, count, [](float x, float y) { return x * y; });
+        return;
+      case EltwiseOp::kDiv:
+        zip(a, b, out, count, [](float x, float y) { return x / y; });
+        return;
+    }
+}
+
 } // namespace
 
 Shape
@@ -55,9 +85,7 @@ eltwise(EltwiseOp op, const Tensor &a, const Tensor &b, Tensor &output)
 
     // Fast path: identical shapes, pure contiguous loop.
     if (a.shape() == b.shape()) {
-        const std::int64_t count = output.numel();
-        for (std::int64_t i = 0; i < count; ++i)
-            po[i] = apply(op, pa[i], pb[i]);
+        eltwise_same_shape(op, pa, pb, po, output.numel());
         return;
     }
 

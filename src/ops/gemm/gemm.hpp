@@ -113,8 +113,10 @@ void gemm(GemmVariant variant, std::int64_t m, std::int64_t n,
  * General BLAS-like entry used by the Gemm (dense) operator:
  * C = alpha * op(A) * op(B) + beta * C, where op transposes when the
  * corresponding flag is set. Transposed operands are materialised into a
- * contiguous scratch copy, then the selected kernel runs; dense-layer
- * weights are small relative to the multiply so the copy is noise.
+ * contiguous scratch copy, then the selected kernel runs. At batch 1 that
+ * strided copy costs more than the multiply, so the Gemm layer
+ * pre-transposes constant weights once at plan time and passes them
+ * untransposed; only runtime operands are transposed here, per call.
  * @p scratch (optional) supplies the transpose/product staging buffers.
  */
 void gemm_general(GemmVariant variant, bool trans_a, bool trans_b,

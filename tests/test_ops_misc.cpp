@@ -1,6 +1,12 @@
 /** @file Unit tests for pooling, softmax, eltwise, concat, pad,
  *  batchnorm, dense, reduce and standalone activations. */
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -408,6 +414,147 @@ TEST(Activation, TensorForwardAndInplace)
     EXPECT_FLOAT_EQ(data[0], 0.0f);
     EXPECT_FLOAT_EQ(data[1], 0.5f);
     EXPECT_FLOAT_EQ(data[2], 1.0f);
+}
+
+// --- Bulk paths vs the scalar oracle, bit for bit ---------------------------
+
+std::uint32_t
+bits(float value)
+{
+    std::uint32_t pattern;
+    std::memcpy(&pattern, &value, sizeof(pattern));
+    return pattern;
+}
+
+/** Signed zeros, NaNs, infinities, denormals and random values. */
+std::vector<float>
+edge_values()
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    std::vector<float> values = {0.0f,    -0.0f,   nan,    -nan,
+                                 inf,     -inf,    denorm, -denorm,
+                                 1e-39f,  -1e-39f, 6.0f,   -1.0f};
+    const Tensor random = make_random(Shape({21}), 0x5a, -8.0f, 8.0f);
+    values.insert(values.end(), random.data<float>(),
+                  random.data<float>() + random.numel());
+    return values;
+}
+
+/** Every window of @p length over the edge values (wrapping), so each
+ *  special value lands in every vector lane and in the scalar tail. */
+template <typename Check>
+void
+for_each_window(std::int64_t length, Check check)
+{
+    const std::vector<float> values = edge_values();
+    for (std::size_t start = 0; start < values.size(); ++start) {
+        std::vector<float> window(static_cast<std::size_t>(length));
+        for (std::size_t i = 0; i < window.size(); ++i)
+            window[i] = values[(start + i) % values.size()];
+        check(window);
+    }
+}
+
+TEST(Activation, BulkPathsMatchScalarOracleBitwise)
+{
+    const std::vector<ActivationSpec> specs = {
+        ActivationSpec::none(),
+        ActivationSpec::relu(),
+        ActivationSpec::leaky_relu(0.1f),
+        ActivationSpec::clip(-1.0f, 6.0f),
+        {ActivationKind::kSigmoid, 0, 0, 0},
+        {ActivationKind::kTanh, 0, 0, 0},
+    };
+    for (const ActivationSpec &spec : specs) {
+        for (const std::int64_t length : {1, 7, 33}) {
+            for_each_window(length, [&](const std::vector<float> &x) {
+                const std::string where = std::string(to_string(spec.kind)) +
+                                          " length " +
+                                          std::to_string(length);
+
+                std::vector<float> inplace = x;
+                spec.apply_inplace(inplace.data(), length);
+
+                Tensor input(Shape({length}));
+                std::copy(x.begin(), x.end(), input.data<float>());
+                Tensor forward(Shape({length}));
+                activation_forward(spec, input, forward);
+
+                for (std::int64_t i = 0; i < length; ++i) {
+                    const std::uint32_t expected = bits(spec.apply(x[i]));
+                    ASSERT_EQ(bits(inplace[i]), expected)
+                        << where << " apply_inplace at " << i;
+                    ASSERT_EQ(bits(forward.data<float>()[i]), expected)
+                        << where << " activation_forward at " << i;
+                }
+
+                for (const float bias : {0.0f, -0.0f, 0.75f}) {
+                    std::vector<float> out(x.size());
+                    spec.apply_bias(x.data(), bias, out.data(), length);
+                    std::vector<float> aliased = x;
+                    spec.apply_bias(aliased.data(), bias, aliased.data(),
+                                    length);
+                    for (std::int64_t i = 0; i < length; ++i) {
+                        const std::uint32_t expected =
+                            bits(spec.apply(x[i] + bias));
+                        ASSERT_EQ(bits(out[i]), expected)
+                            << where << " apply_bias " << bias << " at "
+                            << i;
+                        ASSERT_EQ(bits(aliased[i]), expected)
+                            << where << " in-place apply_bias " << bias
+                            << " at " << i;
+                    }
+                }
+            });
+        }
+    }
+}
+
+TEST(Eltwise, SameShapePathMatchesScalarBitwise)
+{
+    const auto scalar = [](EltwiseOp op, float x, float y) {
+        switch (op) {
+          case EltwiseOp::kAdd: return x + y;
+          case EltwiseOp::kSub: return x - y;
+          case EltwiseOp::kMul: return x * y;
+          case EltwiseOp::kDiv: return x / y;
+        }
+        return 0.0f;
+    };
+    const std::vector<float> others = edge_values();
+    for (const EltwiseOp op : {EltwiseOp::kAdd, EltwiseOp::kSub,
+                               EltwiseOp::kMul, EltwiseOp::kDiv}) {
+        for (const std::int64_t length : {1, 7, 33}) {
+            for_each_window(length, [&](const std::vector<float> &x) {
+                Tensor a(Shape({length})), b(Shape({length}));
+                Tensor out(Shape({length}));
+                for (std::int64_t i = 0; i < length; ++i) {
+                    a.data<float>()[i] = x[i];
+                    // A different pairing than a's window.
+                    b.data<float>()[i] =
+                        others[(others.size() - 1 - i) % others.size()];
+                }
+                eltwise(op, a, b, out);
+                for (std::int64_t i = 0; i < length; ++i) {
+                    const float x = a.data<float>()[i];
+                    const float y = b.data<float>()[i];
+                    const float got = out.data<float>()[i];
+                    // With two NaN operands IEEE 754 leaves open which
+                    // payload survives, and the compiler may commute +
+                    // and *: only NaN-ness is defined there.
+                    if (std::isnan(x) && std::isnan(y)) {
+                        ASSERT_TRUE(std::isnan(got));
+                        continue;
+                    }
+                    ASSERT_EQ(bits(got), bits(scalar(op, x, y)))
+                        << "op " << static_cast<int>(op) << " length "
+                        << length << " at " << i;
+                }
+            });
+        }
+    }
 }
 
 TEST(Activation, FusedAttrsRoundTrip)

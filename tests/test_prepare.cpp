@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "models/builder.hpp"
@@ -346,6 +347,108 @@ TEST(Prepare, WorkspaceIsCountedInRequestFootprint)
     EXPECT_EQ(prepared.request_footprint_bytes(),
               unprepared.request_footprint_bytes() +
                   prepared.workspace_bytes());
+}
+
+// --- Plan-time Gemm weight transpose ----------------------------------------
+
+constexpr std::uint64_t kGemmWeightSeed = 0xc1;
+
+/** One transB=1 Gemm with bias: Y[m, n] = A[m, k] * B[n, k]^T + C. B is
+ *  an initializer, or with @p runtime_b a second graph input that the
+ *  caller feeds with gemm_weight(). */
+Graph
+gemm_graph(std::int64_t m, std::int64_t k, std::int64_t n, bool runtime_b)
+{
+    Graph graph("gemm-net");
+    graph.add_input("a", Shape({m, k}));
+    if (runtime_b)
+        graph.add_input("b", Shape({n, k}));
+    else
+        graph.add_initializer("b",
+                              make_random(Shape({n, k}), kGemmWeightSeed));
+    graph.add_initializer("c", make_random(Shape({n}), 0xc2));
+    AttributeMap attrs;
+    attrs.set("transB", std::int64_t{1});
+    graph.add_node(op_names::kGemm, {"a", "b", "c"}, {"y"},
+                   std::move(attrs));
+    graph.add_output("y");
+    return graph;
+}
+
+Tensor
+gemm_weight(std::int64_t k, std::int64_t n)
+{
+    return make_random(Shape({n, k}), kGemmWeightSeed);
+}
+
+bool
+bitwise_equal(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape() &&
+           std::memcmp(x.data<float>(), y.data<float>(),
+                       static_cast<std::size_t>(x.numel()) *
+                           sizeof(float)) == 0;
+}
+
+constexpr std::int64_t kGemmM = 3, kGemmK = 40, kGemmN = 24;
+constexpr std::size_t kGemmTransposeBytes = kGemmK * kGemmN * sizeof(float);
+
+TEST(Prepare, ConstantGemmWeightTransposedOnceAtPlanTime)
+{
+    set_global_num_threads(1);
+    const Graph graph = gemm_graph(kGemmM, kGemmK, kGemmN, false);
+    const Tensor a = make_random(Shape({kGemmM, kGemmK}), 0xc3);
+
+    EngineOptions unprepared_options;
+    unprepared_options.prepare_kernels = false;
+    Engine prepared(Graph(graph), EngineOptions{});
+    Engine unprepared(Graph(graph), unprepared_options);
+    EXPECT_TRUE(bitwise_equal(prepared.run(a), unprepared.run(a)));
+
+    // The transpose moved out of the per-request workspace into the
+    // constant packs: the same Gemm over a runtime B still reserves it.
+    Engine runtime_b(gemm_graph(kGemmM, kGemmK, kGemmN, true),
+                     EngineOptions{});
+    EXPECT_LE(prepared.workspace_bytes() + kGemmTransposeBytes,
+              runtime_b.workspace_bytes());
+    EXPECT_EQ(prepared.constant_pack_bytes(), kGemmTransposeBytes);
+    EXPECT_EQ(runtime_b.constant_pack_bytes(), 0u);
+}
+
+TEST(Prepare, RuntimeGemmWeightKeepsPerCallTranspose)
+{
+    set_global_num_threads(1);
+    const Tensor a = make_random(Shape({kGemmM, kGemmK}), 0xc4);
+    Engine constant_b(gemm_graph(kGemmM, kGemmK, kGemmN, false),
+                      EngineOptions{});
+    const Tensor expected = constant_b.run(a);
+
+    // A runtime B is transposed on every call, so a changed B must show.
+    Engine runtime_b(gemm_graph(kGemmM, kGemmK, kGemmN, true),
+                     EngineOptions{});
+    Tensor b = gemm_weight(kGemmK, kGemmN);
+    EXPECT_TRUE(bitwise_equal(runtime_b.run({{"a", a}, {"b", b}}).at("y"),
+                              expected));
+    b.data<float>()[0] += 1.0f;
+    EXPECT_GT(max_abs_diff(runtime_b.run({{"a", a}, {"b", b}}).at("y"),
+                           expected),
+              0.0f);
+}
+
+TEST(Prepare, SharedPackCacheTransposesGemmWeightOnce)
+{
+    set_global_num_threads(1);
+    const Graph graph = gemm_graph(kGemmM, kGemmK, kGemmN, false);
+    const Tensor a = make_random(Shape({kGemmM, kGemmK}), 0xc5);
+
+    EngineOptions options;
+    options.pack_cache = std::make_shared<ConstantPackCache>();
+    Engine first(Graph(graph), options);
+    Engine second(Graph(graph), options);
+    EXPECT_EQ(options.pack_cache->misses(), 1);
+    EXPECT_EQ(options.pack_cache->hits(), 1);
+    EXPECT_EQ(options.pack_cache->bytes(), kGemmTransposeBytes);
+    EXPECT_TRUE(bitwise_equal(first.run(a), second.run(a)));
 }
 
 // --- Demotion / restore with prepared state ---------------------------------
