@@ -5,13 +5,16 @@
  * convolution."
  *
  * Times MobileNet's depthwise 3x3 layers under (a) the specialised
- * depthwise kernel (Orpheus / TVM behaviour) and (b) the generic
- * grouped im2col+GEMM lowering (the PyTorch-like path). The grouped
- * lowering degenerates into C tiny GEMMs whose packing overhead dwarfs
- * the arithmetic, so a large slowdown is the expected shape.
+ * scalar depthwise kernel (Orpheus / TVM behaviour), (b) the generic
+ * grouped im2col+GEMM lowering (the PyTorch-like path) and (c) the
+ * runtime-dispatched SIMD depthwise kernel the engine selects when the
+ * CPU has it (the scalar kernel otherwise). The grouped lowering
+ * degenerates into C tiny GEMMs whose packing overhead dwarfs the
+ * arithmetic, so a large slowdown is the expected shape.
  */
 #include "bench_util.hpp"
 
+#include "core/cpu_features.hpp"
 #include "graph/op_params.hpp"
 #include "ops/conv/conv.hpp"
 
@@ -85,7 +88,8 @@ main(int argc, char **argv)
         for (const auto &[algo, column] :
              {std::pair<ConvAlgo, std::string>{
                   ConvAlgo::kDepthwiseDirect, "depthwise_direct"},
-              {ConvAlgo::kIm2colGemm, "grouped_gemm"}}) {
+              {ConvAlgo::kIm2colGemm, "grouped_gemm"},
+              {ConvAlgo::kDepthwiseSimd, "depthwise_simd"}}) {
             const std::string name =
                 "depthwise/C" + std::to_string(config.channels) + "s" +
                 std::to_string(config.stride) + "/" + column;
@@ -109,18 +113,26 @@ main(int argc, char **argv)
                 "(the paper's PyTorch explanation)",
                 "layer");
 
-    double total_fast = 0.0, total_slow = 0.0;
+    double total_fast = 0.0, total_slow = 0.0, total_simd = 0.0;
     for (const Cell &cell : cells()) {
         if (cell.column == "depthwise_direct")
             total_fast += cell.mean_ms;
-        else
+        else if (cell.column == "grouped_gemm")
             total_slow += cell.mean_ms;
+        else
+            total_simd += cell.mean_ms;
     }
     if (total_fast > 0.0)
         std::printf("\nacross all MobileNetV1 depthwise layers, the "
                     "grouped-GEMM path is %.1fx slower "
                     "(%.2f ms vs %.2f ms)\n",
                     total_slow / total_fast, total_slow, total_fast);
+    if (total_simd > 0.0)
+        std::printf("the SIMD depthwise kernel (%s) is %.1fx faster than "
+                    "the scalar one (%.2f ms vs %.2f ms)\n",
+                    conv2d_depthwise_simd_available() ? simd_isa_compiled()
+                                                      : "scalar fallback",
+                    total_fast / total_simd, total_simd, total_fast);
     print_csv("layer", "path");
     write_json("depthwise");
     return status;

@@ -166,11 +166,16 @@ void conv2d_depthwise_direct(const Conv2dArgs &args);
 bool conv2d_depthwise_simd_available();
 
 /**
- * Depthwise convolution through the runtime-dispatched SIMD tier: the
- * same per-tap loop structure as conv2d_depthwise_direct with the
- * unit-stride output span vectorised (results within a few ULP, from
- * FMA contraction only). Falls back to the scalar kernel when the tier
- * is unavailable or disabled.
+ * Depthwise convolution through the runtime-dispatched SIMD tier. On
+ * AVX2, 3x3 dilation-1 stride-1/2 convs stage blocks of four output
+ * rows' input on the stack and compute each output vector once in
+ * registers (bias, nine FMAs in tap order, activation, one store);
+ * other shapes keep a vectorised per-tap loop. NEON keeps the per-tap
+ * loop for every shape. Each output accumulates its taps in the scalar
+ * kernel's order, so results are within a few ULP (FMA contraction and
+ * the sign of an exact zero), and fused activations match
+ * ActivationSpec::apply() bit for bit. Falls back to the scalar kernel
+ * when the tier is unavailable or disabled.
  */
 void conv2d_depthwise_simd(const Conv2dArgs &args);
 

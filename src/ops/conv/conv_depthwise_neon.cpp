@@ -1,8 +1,8 @@
 /**
  * @file
  * NEON depthwise convolution inner loop (AArch64). Mirrors the AVX2
- * variant: scalar kernel structure, 4-wide vfmaq over the unit-stride
- * output span, scalar everywhere else. Tap order per output element is
+ * variant's per-tap path: scalar kernel structure, 4-wide vfmaq over
+ * the unit-stride output span, scalar everywhere else. Tap order per output element is
  * identical to the scalar kernel, so results differ only by FMA
  * contraction (a few ULP).
  */

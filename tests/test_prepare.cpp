@@ -507,6 +507,42 @@ TEST(Prepare, SteadyStateKernelStepsDoNotAllocate)
     }
 }
 
+TEST(Prepare, SteadyStateDepthwiseStepsDoNotAllocate)
+{
+    // tiny_cnn has no depthwise step: cover the depthwise kernels (whose
+    // row staging lives on the stack) at stride 1 and 2 with fused Relu.
+    set_global_num_threads(1);
+    GraphBuilder b("depthwise-net", 0xd3);
+    std::string x = b.input("input", Shape({1, 16, 56, 56}));
+    x = b.relu(b.conv_k(x, 16, 3, 1, 1, /*group=*/16, /*bias=*/true));
+    x = b.relu(b.conv_k(x, 16, 3, 2, 1, /*group=*/16, /*bias=*/true));
+    b.output(x);
+    Engine engine(b.take());
+    const Tensor input = make_random(Shape({1, 16, 56, 56}), 0xaa);
+    (void)engine.run(input);
+
+    int depthwise_steps = 0;
+    for (std::size_t i = 0; i < engine.steps().size(); ++i) {
+        const PlanStep &step = engine.steps()[i];
+        EXPECT_NE(step.op_type, op_names::kRelu) << "Relu was not fused";
+        if (step.op_type != op_names::kConv)
+            continue;
+        EXPECT_NE(step.layer->impl_name().find("depthwise"),
+                  std::string::npos)
+            << step.layer->impl_name();
+        ++depthwise_steps;
+        g_alloc_count.store(0);
+        g_counting.store(true);
+        engine.run_step(i);
+        g_counting.store(false);
+        EXPECT_EQ(g_alloc_count.load(), 0)
+            << "depthwise step " << i << " (" << step.node_name
+            << " via " << step.layer->impl_name()
+            << ") allocated in the steady state";
+    }
+    EXPECT_EQ(depthwise_steps, 2);
+}
+
 TEST(Prepare, SteadyStateQuantizedConvDoesNotAllocate)
 {
     set_global_num_threads(1);

@@ -107,6 +107,67 @@ TEST(PropertyConv, AllAlgorithmsAgreeOnRandomConfigs)
     }
 }
 
+/** Property: the SIMD depthwise kernel computes the scalar depthwise
+ *  kernel's function on random 3x3, dilation-1 configurations (the
+ *  shapes its row-blocked path covers), under every fused activation. */
+TEST(PropertyConv, DepthwiseSimdAgreesOnRandom3x3)
+{
+    Rng rng(0x99e2);
+    const ActivationSpec activations[] = {
+        ActivationSpec::none(),
+        ActivationSpec::relu(),
+        ActivationSpec::leaky_relu(0.1f),
+        ActivationSpec::clip(-0.5f, 0.5f),
+        ActivationSpec{ActivationKind::kSigmoid, 0, 0, 0},
+        ActivationSpec{ActivationKind::kTanh, 0, 0, 0},
+    };
+    for (int trial = 0; trial < 60; ++trial) {
+        Conv2dParams p;
+        p.kernel_h = p.kernel_w = 3;
+        p.stride_h = rng.uniform_int(1, 2);
+        p.stride_w = rng.uniform_int(1, 2);
+        p.pad_top = rng.uniform_int(0, 2);
+        p.pad_left = rng.uniform_int(0, 2);
+        p.pad_bottom = rng.uniform_int(0, 2);
+        p.pad_right = rng.uniform_int(0, 2);
+        const std::int64_t batch = rng.uniform_int(1, 2);
+        const std::int64_t in_c = rng.uniform_int(2, 6);
+        const std::int64_t out_c = in_c * rng.uniform_int(1, 2);
+        p.group = in_c;
+        // At least one output row and column.
+        const std::int64_t in_h = std::max(rng.uniform_int(1, 40),
+                                           3 - p.pad_top - p.pad_bottom);
+        const std::int64_t in_w = std::max(rng.uniform_int(1, 40),
+                                           3 - p.pad_left - p.pad_right);
+        const ActivationSpec &activation =
+            activations[rng.uniform_int(0, 5)];
+
+        Tensor input{Shape({batch, in_c, in_h, in_w})};
+        fill_uniform(input, rng);
+        Tensor weight{Shape({out_c, 1, 3, 3})};
+        fill_uniform(weight, rng);
+        Tensor bias{Shape({out_c})};
+        fill_uniform(bias, rng);
+
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": s=" +
+                     std::to_string(p.stride_h) + "/" +
+                     std::to_string(p.stride_w) + " c=" +
+                     std::to_string(in_c) + "->" + std::to_string(out_c) +
+                     " n=" + std::to_string(batch) + " hw=" +
+                     std::to_string(in_h) + "x" + std::to_string(in_w) +
+                     " act=" + to_string(activation.kind));
+
+        const Shape out_shape(
+            {batch, out_c, p.out_h(in_h), p.out_w(in_w)});
+        Tensor reference(out_shape), candidate(out_shape);
+        conv2d(ConvAlgo::kDepthwiseDirect, input, weight, &bias, p,
+               activation, reference);
+        conv2d(ConvAlgo::kDepthwiseSimd, input, weight, &bias, p,
+               activation, candidate);
+        expect_close(candidate, reference, 1e-5f, 1e-5f);
+    }
+}
+
 /** Builds a random conv/pool/activation/residual network. */
 Graph
 random_network(Rng &rng, int trial)

@@ -12,7 +12,9 @@
  */
 #include "core/cpu_features.hpp"
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "core/tensor.hpp"
@@ -292,8 +294,47 @@ TEST(SimdQconv, SimdFlagProducesBitwiseIdenticalOutput)
 
 struct DepthwiseCase {
     std::string label;
-    std::int64_t channels, hw, multiplier, kernel, stride, pad, dilation;
+    std::int64_t channels, h, w, multiplier, kernel, stride;
+    std::int64_t pad_top, pad_left, pad_bottom, pad_right, dilation, batch;
 };
+
+/** Square input, symmetric pad, batch 1. */
+DepthwiseCase
+square(std::string label, std::int64_t channels, std::int64_t hw,
+       std::int64_t multiplier, std::int64_t kernel, std::int64_t stride,
+       std::int64_t pad, std::int64_t dilation)
+{
+    return {std::move(label), channels, hw, hw, multiplier, kernel, stride,
+            pad, pad, pad, pad, dilation, 1};
+}
+
+/** The depthwise conv problem a case describes. */
+struct DepthwiseProblem {
+    Conv2dParams params;
+    Tensor input, weight, bias;
+    Shape out_shape;
+};
+
+DepthwiseProblem
+depthwise_problem(const DepthwiseCase &c)
+{
+    DepthwiseProblem d;
+    Conv2dParams &p = d.params;
+    p.kernel_h = p.kernel_w = c.kernel;
+    p.stride_h = p.stride_w = c.stride;
+    p.pad_top = c.pad_top;
+    p.pad_left = c.pad_left;
+    p.pad_bottom = c.pad_bottom;
+    p.pad_right = c.pad_right;
+    p.dilation_h = p.dilation_w = c.dilation;
+    p.group = c.channels;
+    const std::int64_t out_c = c.channels * c.multiplier;
+    d.input = Tensor(Shape({c.batch, c.channels, c.h, c.w}));
+    d.weight = Tensor(Shape({out_c, 1, c.kernel, c.kernel}));
+    d.bias = Tensor(Shape({out_c}));
+    d.out_shape = Shape({c.batch, out_c, p.out_h(c.h), p.out_w(c.w)});
+    return d;
+}
 
 class SimdDepthwiseEquivalence
     : public ::testing::TestWithParam<DepthwiseCase>
@@ -305,32 +346,21 @@ TEST_P(SimdDepthwiseEquivalence, WithinFourUlps)
     if (!simd_enabled())
         GTEST_SKIP() << "SIMD tier unavailable on this host";
     const DepthwiseCase &c = GetParam();
-    Conv2dParams p;
-    p.kernel_h = p.kernel_w = c.kernel;
-    p.stride_h = p.stride_w = c.stride;
-    p.pad_top = p.pad_left = p.pad_bottom = p.pad_right = c.pad;
-    p.dilation_h = p.dilation_w = c.dilation;
-    p.group = c.channels;
-
-    const std::int64_t out_c = c.channels * c.multiplier;
-    Tensor input(Shape({1, c.channels, c.hw, c.hw}));
-    Tensor weight(Shape({out_c, 1, c.kernel, c.kernel}));
-    Tensor bias(Shape({out_c}));
+    DepthwiseProblem d = depthwise_problem(c);
     const auto in_vals = positive_values(
-        static_cast<std::size_t>(input.numel()), 0xdd1);
+        static_cast<std::size_t>(d.input.numel()), 0xdd1);
     const auto w_vals = positive_values(
-        static_cast<std::size_t>(weight.numel()), 0xdd2);
+        static_cast<std::size_t>(d.weight.numel()), 0xdd2);
     const auto b_vals = positive_values(
-        static_cast<std::size_t>(bias.numel()), 0xdd3);
-    std::copy(in_vals.begin(), in_vals.end(), input.data<float>());
-    std::copy(w_vals.begin(), w_vals.end(), weight.data<float>());
-    std::copy(b_vals.begin(), b_vals.end(), bias.data<float>());
+        static_cast<std::size_t>(d.bias.numel()), 0xdd3);
+    std::copy(in_vals.begin(), in_vals.end(), d.input.data<float>());
+    std::copy(w_vals.begin(), w_vals.end(), d.weight.data<float>());
+    std::copy(b_vals.begin(), b_vals.end(), d.bias.data<float>());
 
-    const Shape out_shape({1, out_c, p.out_h(c.hw), p.out_w(c.hw)});
-    Tensor expected(out_shape), actual(out_shape);
-    conv2d(ConvAlgo::kDepthwiseDirect, input, weight, &bias, p,
+    Tensor expected(d.out_shape), actual(d.out_shape);
+    conv2d(ConvAlgo::kDepthwiseDirect, d.input, d.weight, &d.bias, d.params,
            ActivationSpec::relu(), expected);
-    conv2d(ConvAlgo::kDepthwiseSimd, input, weight, &bias, p,
+    conv2d(ConvAlgo::kDepthwiseSimd, d.input, d.weight, &d.bias, d.params,
            ActivationSpec::relu(), actual);
     std::int64_t worst = 0;
     for (std::int64_t i = 0; i < expected.numel(); ++i)
@@ -342,16 +372,108 @@ TEST_P(SimdDepthwiseEquivalence, WithinFourUlps)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SimdDepthwiseEquivalence,
     ::testing::Values(
-        DepthwiseCase{"s1_3x3", 16, 14, 1, 3, 1, 1, 1},
-        DepthwiseCase{"s2_3x3", 16, 14, 1, 3, 2, 1, 1},
-        DepthwiseCase{"s1_5x5", 6, 12, 1, 5, 1, 2, 1},
-        DepthwiseCase{"multiplier2", 8, 10, 2, 3, 1, 1, 1},
-        DepthwiseCase{"dilated", 8, 13, 1, 3, 1, 2, 2},
-        DepthwiseCase{"narrow", 4, 5, 1, 3, 1, 1, 1},
-        DepthwiseCase{"no_pad", 8, 9, 1, 3, 1, 0, 1}),
+        square("s1_3x3", 16, 14, 1, 3, 1, 1, 1),
+        square("s2_3x3", 16, 14, 1, 3, 2, 1, 1),
+        square("s1_5x5", 6, 12, 1, 5, 1, 2, 1),
+        square("multiplier2", 8, 10, 2, 3, 1, 1, 1),
+        square("dilated", 8, 13, 1, 3, 1, 2, 2),
+        square("narrow", 4, 5, 1, 3, 1, 1, 1),
+        square("no_pad", 8, 9, 1, 3, 1, 0, 1),
+        // MobileNetV1's depthwise widths, few channels.
+        square("w112_s1", 2, 112, 1, 3, 1, 1, 1),
+        square("w56_s1", 3, 56, 1, 3, 1, 1, 1),
+        square("w28_s1", 3, 28, 1, 3, 1, 1, 1),
+        square("w14_s1", 4, 14, 1, 3, 1, 1, 1),
+        square("w7_s1", 4, 7, 1, 3, 1, 1, 1),
+        square("w112_s2", 2, 112, 1, 3, 2, 1, 1),
+        square("w56_s2", 3, 56, 1, 3, 2, 1, 1),
+        square("w28_s2", 3, 28, 1, 3, 2, 1, 1),
+        square("w14_s2", 4, 14, 1, 3, 2, 1, 1),
+        // Odd widths at stride 2: the last odd column is never read.
+        square("w13_s2", 4, 13, 1, 3, 2, 1, 1),
+        square("w15_s2", 4, 15, 1, 3, 2, 1, 1),
+        // TF-SAME stride 2: padding only at the bottom/right.
+        DepthwiseCase{"tf_same_s2", 4, 14, 14, 1, 3, 2, 0, 0, 1, 1, 1, 1},
+        // out_h % 4 != 0 at both strides (leftover single rows).
+        square("rows_mod4_s1", 4, 10, 1, 3, 1, 1, 1),
+        square("rows_mod4_s2", 4, 11, 1, 3, 2, 1, 1),
+        DepthwiseCase{"h_ne_w", 4, 9, 30, 1, 3, 1, 1, 1, 1, 1, 1, 1},
+        DepthwiseCase{"h_ne_w_s2", 4, 21, 10, 1, 3, 2, 1, 1, 1, 1, 1, 1},
+        DepthwiseCase{"batch2", 4, 14, 14, 1, 3, 1, 1, 1, 1, 1, 1, 2},
+        DepthwiseCase{"batch2_s2", 4, 14, 14, 2, 3, 2, 1, 1, 1, 1, 1, 2},
+        square("multiplier2_s2", 4, 12, 2, 3, 2, 1, 1),
+        // A staged row block past the 16 KB stack bound: per-tap path.
+        DepthwiseCase{"wider_than_stack", 2, 6, 1500, 1, 3, 1, 1, 1, 1, 1,
+                      1, 1}),
     [](const ::testing::TestParamInfo<DepthwiseCase> &info) {
         return info.param.label;
     });
+
+/** Bit pattern of a float (distinguishes -0 from +0, NaN payloads). */
+std::uint32_t
+bits_of(float value)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+TEST(SimdDepthwiseActivation, FusedMatchesScalarApplyBitwise)
+{
+    // The row-blocked kernel activates in register; the result must be
+    // ActivationSpec::apply() over its own un-activated output, bit for
+    // bit — including -0, an exact-zero tap sum and a NaN pixel.
+    if (!simd_enabled())
+        GTEST_SKIP() << "SIMD tier unavailable on this host";
+    DepthwiseProblem d = depthwise_problem(
+        square("activation", 4, 13, 1, 3, 1, 1, 1));
+    Rng rng(0xac7);
+    fill_uniform(d.input, rng, -1.0f, 1.0f);
+    fill_uniform(d.weight, rng, -1.0f, 1.0f);
+    fill_uniform(d.bias, rng, -0.5f, 0.5f);
+    float *in = d.input.data<float>();
+    float *w = d.weight.data<float>();
+    float *bias = d.bias.data<float>();
+    // Channel 0: a constant plane, cancelling weights and a zero bias,
+    // so every interior output sums to exactly 0.
+    std::fill(in, in + 13 * 13, 0.75f);
+    const float cancelling[9] = {1, -1, 0, 2, -2, 0, 0.5f, -0.5f, 0};
+    std::copy(cancelling, cancelling + 9, w);
+    bias[0] = 0.0f;
+    // Channel 1: a -0 bias, negative weights and a zero plane keep every
+    // output at -0 (each tap adds -w * 0 == -0).
+    std::fill(w + 9, w + 18, -0.5f);
+    std::fill(in + 13 * 13, in + 2 * 13 * 13, 0.0f);
+    bias[1] = -0.0f;
+    // Channel 2: one NaN pixel.
+    in[2 * 13 * 13 + 6 * 13 + 6] = std::nanf("");
+
+    Tensor raw(d.out_shape);
+    conv2d(ConvAlgo::kDepthwiseSimd, d.input, d.weight, &d.bias, d.params,
+           ActivationSpec::none(), raw);
+    bool saw_nan = false, saw_zero = false, saw_negative_zero = false;
+    for (std::int64_t i = 0; i < raw.numel(); ++i) {
+        const float v = raw.data<float>()[i];
+        saw_nan |= std::isnan(v);
+        saw_zero |= bits_of(v) == bits_of(0.0f);
+        saw_negative_zero |= bits_of(v) == bits_of(-0.0f);
+    }
+    ASSERT_TRUE(saw_nan && saw_zero && saw_negative_zero);
+    for (const ActivationSpec &spec :
+         {ActivationSpec::none(), ActivationSpec::relu(),
+          ActivationSpec::clip(0.0f, 6.0f), ActivationSpec::leaky_relu(0.1f),
+          ActivationSpec{ActivationKind::kSigmoid, 0, 0, 0}}) {
+        Tensor fused(d.out_shape);
+        conv2d(ConvAlgo::kDepthwiseSimd, d.input, d.weight, &d.bias,
+               d.params, spec, fused);
+        for (std::int64_t i = 0; i < raw.numel(); ++i) {
+            const float expected = spec.apply(raw.data<float>()[i]);
+            ASSERT_EQ(bits_of(fused.data<float>()[i]), bits_of(expected))
+                << to_string(spec.kind) << " at " << i << ": "
+                << fused.data<float>()[i] << " vs " << expected;
+        }
+    }
+}
 
 // --- engine dispatch --------------------------------------------------------
 
