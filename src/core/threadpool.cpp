@@ -191,7 +191,9 @@ ThreadPool::worker_loop(int worker_index)
 namespace {
 
 std::mutex g_pool_mutex;
-std::unique_ptr<ThreadPool> g_pool;
+/** Shared, not unique: a resize swaps in a new pool while callers that
+ *  already hold the old one finish their parallel_for on it. */
+std::shared_ptr<ThreadPool> g_pool;
 int g_num_threads = 0; // 0 -> not yet initialised
 
 int
@@ -202,17 +204,24 @@ initial_num_threads()
     return env_int("ORPHEUS_NUM_THREADS", 1);
 }
 
-} // namespace
-
-ThreadPool &
-global_thread_pool()
+/** The current global pool, (re)built at the configured size. */
+std::shared_ptr<ThreadPool>
+current_global_pool()
 {
     std::lock_guard<std::mutex> lock(g_pool_mutex);
     if (g_num_threads == 0)
         g_num_threads = initial_num_threads();
     if (!g_pool || g_pool->num_threads() != g_num_threads)
-        g_pool = std::make_unique<ThreadPool>(g_num_threads);
-    return *g_pool;
+        g_pool = std::make_shared<ThreadPool>(g_num_threads);
+    return g_pool;
+}
+
+} // namespace
+
+ThreadPool &
+global_thread_pool()
+{
+    return *current_global_pool();
 }
 
 int
@@ -238,7 +247,10 @@ set_global_num_threads(int num_threads)
 void
 parallel_for(std::int64_t count, LoopBody body)
 {
-    global_thread_pool().parallel_for(count, body);
+    // Keep this call's pool alive for the whole loop, even if another
+    // thread resizes the global pool meanwhile.
+    const std::shared_ptr<ThreadPool> pool = current_global_pool();
+    pool->parallel_for(count, body);
 }
 
 } // namespace orpheus

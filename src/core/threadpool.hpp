@@ -163,7 +163,9 @@ class ThreadPool
 /**
  * Returns the process-wide pool, creating it on first use with
  * default_num_threads() workers. The pool is rebuilt if
- * set_global_num_threads() changes the size.
+ * set_global_num_threads() changes the size; the returned reference is
+ * valid until then. parallel_for() holds its own reference for the
+ * whole call, so a concurrent resize never destroys a pool mid-loop.
  */
 ThreadPool &global_thread_pool();
 

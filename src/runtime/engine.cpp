@@ -77,40 +77,41 @@ Engine::compile()
         }
     }
 
-    // --- Batch gather/scatter plans ---------------------------------------
-    if (batch_capacity_ > 1) {
-        for (const auto &[name, base_dim0] : carrying_base_dim0_) {
-            auto it = values_.find(name);
-            if (it != values_.end())
-                batch_bindings_.push_back({&it->second, base_dim0});
-        }
-        for (const ValueInfo &input : request_inputs_) {
+    // --- Gather/scatter plans ----------------------------------------------
+    // Built at every capacity: a single request is a batch of one. Every
+    // non-initializer output carries the batch (attempt_batch_rewrite
+    // rejects graphs where one does not); at capacity 1 its base shape
+    // is simply its compiled shape.
+    for (const auto &[name, base_dim0] : carrying_base_dim0_) {
+        auto it = values_.find(name);
+        if (it != values_.end())
+            batch_bindings_.push_back({&it->second, base_dim0});
+    }
+    for (const ValueInfo &input : request_inputs_) {
+        std::uint64_t bytes = 0;
+        ORPHEUS_CHECK(input.shape.checked_byte_size(dtype_size(input.dtype),
+                                                    bytes),
+                      "input " << input.name << " byte size overflows");
+        batch_inputs_.push_back({input.name, static_cast<std::size_t>(bytes)});
+    }
+    for (const ValueInfo &output : request_outputs_) {
+        BatchOutput out;
+        out.name = output.name;
+        out.carrying = !graph_.has_initializer(output.name);
+        if (out.carrying) {
+            const ValueInfo &info = infos_.at(output.name);
+            out.dtype = info.dtype;
+            out.base_shape = info.shape;
+            auto base = carrying_base_dim0_.find(output.name);
+            if (base != carrying_base_dim0_.end())
+                out.base_shape.set_dim(0, base->second);
             std::uint64_t bytes = 0;
-            ORPHEUS_CHECK(input.shape.checked_byte_size(
-                              dtype_size(input.dtype), bytes),
-                          "input " << input.name << " byte size overflows");
-            batch_inputs_.push_back(
-                {input.name, static_cast<std::size_t>(bytes)});
+            ORPHEUS_CHECK(out.base_shape.checked_byte_size(
+                              dtype_size(out.dtype), bytes),
+                          "output " << output.name << " byte size overflows");
+            out.sample_bytes = static_cast<std::size_t>(bytes);
         }
-        for (const ValueInfo &output : request_outputs_) {
-            BatchOutput out;
-            out.name = output.name;
-            out.carrying = carrying_base_dim0_.count(output.name) > 0;
-            if (out.carrying) {
-                const ValueInfo &info = infos_.at(output.name);
-                out.dtype = info.dtype;
-                out.base_shape = info.shape;
-                out.base_shape.set_dim(
-                    0, carrying_base_dim0_.at(output.name));
-                std::uint64_t bytes = 0;
-                ORPHEUS_CHECK(out.base_shape.checked_byte_size(
-                                  dtype_size(out.dtype), bytes),
-                              "output " << output.name
-                                        << " byte size overflows");
-                out.sample_bytes = static_cast<std::size_t>(bytes);
-            }
-            batch_outputs_.push_back(std::move(out));
-        }
+        batch_outputs_.push_back(std::move(out));
     }
 
     // --- Kernel selection + layer instantiation ---------------------------
@@ -797,57 +798,37 @@ Engine::execute_plan(const DeadlineToken &deadline)
     }
 }
 
-std::map<std::string, Tensor>
-Engine::run(const std::map<std::string, Tensor> &inputs,
-            const DeadlineToken &deadline)
+Status
+Engine::validate_batch(
+    const std::vector<const std::map<std::string, Tensor> *> &requests) const
 {
-    if (batch_capacity_ > 1) {
-        // A batched plan stages requests through the gather/scatter
-        // path even for one request, so the carrying tensors shrink to
-        // the true run shape.
-        auto results = run_batch({&inputs}, deadline);
-        return std::move(results.front());
+    if (requests.empty())
+        return invalid_argument_error("run_batch needs at least one request");
+    if (static_cast<std::int64_t>(requests.size()) > batch_capacity_) {
+        std::ostringstream out;
+        out << "run_batch of " << requests.size()
+            << " requests exceeds capacity " << batch_capacity_
+            << " of graph " << graph_.name();
+        return invalid_argument_error(out.str());
     }
-    validate_inputs(inputs).throw_if_error();
-    for (const ValueInfo &declared : graph_.inputs())
-        value_tensor(declared.name)->copy_from(inputs.at(declared.name));
-
-    execute_plan(deadline);
-
-    std::map<std::string, Tensor> outputs;
-    for (const ValueInfo &output : graph_.outputs()) {
-        const Tensor &source = graph_.has_initializer(output.name)
-                                   ? graph_.initializer(output.name)
-                                   : *value_tensor(output.name);
-        outputs.emplace(output.name, source.clone());
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+        if (requests[r] == nullptr)
+            return invalid_argument_error("run_batch request " +
+                                          std::to_string(r) + " is null");
+        ORPHEUS_RETURN_IF_ERROR(validate_inputs(*requests[r]));
     }
-    return outputs;
+    return Status::ok();
 }
 
 std::vector<std::map<std::string, Tensor>>
-Engine::run_batch(
+Engine::run_validated_batch(
     const std::vector<const std::map<std::string, Tensor> *> &requests,
     const DeadlineToken &deadline)
 {
-    const auto n = static_cast<std::int64_t>(requests.size());
-    ORPHEUS_CHECK(n >= 1, "run_batch needs at least one request");
-    ORPHEUS_CHECK(n <= batch_capacity_,
-                  "run_batch of " << n << " requests exceeds capacity "
-                                  << batch_capacity_ << " of graph "
-                                  << graph_.name());
-    for (std::size_t r = 0; r < requests.size(); ++r) {
-        ORPHEUS_CHECK(requests[r] != nullptr,
-                      "run_batch request " << r << " is null");
-        validate_inputs(*requests[r]).throw_if_error();
-    }
-    if (batch_capacity_ == 1) {
-        std::vector<std::map<std::string, Tensor>> results;
-        results.push_back(run(*requests.front(), deadline));
-        return results;
-    }
-
-    set_active_batch(n);
+    set_active_batch(static_cast<std::int64_t>(requests.size()));
     for (const BatchInput &input : batch_inputs_) {
+        if (input.sample_bytes == 0)
+            continue;
         char *dest =
             static_cast<char *>(value_tensor(input.name)->raw_data());
         for (std::size_t r = 0; r < requests.size(); ++r)
@@ -870,13 +851,23 @@ Engine::run_batch(
             value_tensor(output.name)->raw_data());
         for (std::size_t r = 0; r < requests.size(); ++r) {
             Tensor slice(output.base_shape, output.dtype);
-            std::memcpy(slice.raw_data(),
-                        source + r * output.sample_bytes,
-                        output.sample_bytes);
+            if (output.sample_bytes > 0)
+                std::memcpy(slice.raw_data(),
+                            source + r * output.sample_bytes,
+                            output.sample_bytes);
             results[r].emplace(output.name, std::move(slice));
         }
     }
     return results;
+}
+
+std::vector<std::map<std::string, Tensor>>
+Engine::run_batch(
+    const std::vector<const std::map<std::string, Tensor> *> &requests,
+    const DeadlineToken &deadline)
+{
+    validate_batch(requests).throw_if_error();
+    return run_validated_batch(requests, deadline);
 }
 
 Status
@@ -885,11 +876,9 @@ Engine::try_run_batch(
     std::vector<std::map<std::string, Tensor>> &outputs,
     const DeadlineToken &deadline)
 {
-    for (const auto *request : requests)
-        if (request != nullptr)
-            ORPHEUS_RETURN_IF_ERROR(validate_inputs(*request));
+    ORPHEUS_RETURN_IF_ERROR(validate_batch(requests));
     try {
-        outputs = run_batch(requests, deadline);
+        outputs = run_validated_batch(requests, deadline);
         return Status::ok();
     } catch (const DeadlineExceededError &error) {
         return deadline_exceeded_error(error.what());
@@ -904,26 +893,23 @@ Engine::try_run_batch(
     }
 }
 
+std::map<std::string, Tensor>
+Engine::run(const std::map<std::string, Tensor> &inputs,
+            const DeadlineToken &deadline)
+{
+    return std::move(run_batch({&inputs}, deadline).front());
+}
+
 Status
 Engine::try_run(const std::map<std::string, Tensor> &inputs,
                 std::map<std::string, Tensor> &outputs,
                 const DeadlineToken &deadline)
 {
-    ORPHEUS_RETURN_IF_ERROR(validate_inputs(inputs));
-    try {
-        outputs = run(inputs, deadline);
-        return Status::ok();
-    } catch (const DeadlineExceededError &error) {
-        return deadline_exceeded_error(error.what());
-    } catch (const DataCorruptionError &error) {
-        return data_corruption_error(error.what());
-    } catch (const Error &error) {
-        return internal_error(std::string("inference failed: ") +
-                              error.what());
-    } catch (const std::exception &error) {
-        return internal_error(
-            std::string("inference failed unexpectedly: ") + error.what());
-    }
+    std::vector<std::map<std::string, Tensor>> results;
+    const Status status = try_run_batch({&inputs}, results, deadline);
+    if (status.is_ok())
+        outputs = std::move(results.front());
+    return status;
 }
 
 Tensor

@@ -10,8 +10,10 @@
  *   4. select one kernel implementation per node (heuristic, pinned or
  *      auto-tuned) and instantiate its Layer.
  *
- * run() then walks the plan copying nothing but the user's inputs and
- * the requested outputs.
+ * Execution has one path: a single request is a batch of one. run(),
+ * try_run() and try_run_batch() are thin wrappers over the run_batch()
+ * sequence, which gathers each request's inputs into its sample block,
+ * walks the plan once, and scatters private per-request output copies.
  */
 #pragma once
 
@@ -166,10 +168,11 @@ class Engine
     // --- Execution --------------------------------------------------------
 
     /**
-     * Runs one inference. @p inputs must provide a tensor of the
-     * declared shape and dtype for every graph input (validated up
-     * front; a mismatch throws orpheus::Error naming the offending
-     * input); returns one tensor (a private copy) per graph output.
+     * Runs one inference: run_batch() over the single request @p inputs.
+     * @p inputs must provide a tensor of the declared shape and dtype for
+     * every graph input (validated up front; a mismatch throws
+     * orpheus::Error naming the offending input); returns one tensor (a
+     * private copy) per graph output.
      *
      * @p deadline, when valid, is checked at every plan-step boundary
      * and threaded into parallel kernels, which cancel cooperatively at
@@ -180,16 +183,13 @@ class Engine
     run(const std::map<std::string, Tensor> &inputs,
         const DeadlineToken &deadline = {});
 
-    /** Single-input / single-output convenience overload. */
+    /** Single-input / single-output convenience overload of run(). */
     Tensor run(const Tensor &input);
 
     /**
-     * Non-throwing variant of run() for API boundaries that must not
-     * propagate exceptions: input-validation failures surface as
-     * kInvalidArgument, an expired deadline or cancelled request as
-     * kDeadlineExceeded, a confirmed guard trip as kDataCorruption,
-     * kernel failures that exhaust the fallback policy as kInternal.
-     * @p outputs is assigned only on success.
+     * Non-throwing run(): try_run_batch() over the single request
+     * @p inputs, with the same status mapping. @p outputs is assigned
+     * only on success.
      */
     Status try_run(const std::map<std::string, Tensor> &inputs,
                    std::map<std::string, Tensor> &outputs,
@@ -198,22 +198,29 @@ class Engine
     /**
      * Runs @p requests (1 ≤ n ≤ batch_capacity()) fused into a single
      * pass over the plan: request r's inputs are gathered into sample
-     * block r of each batch-carrying input tensor, the plan executes
-     * once at active batch n, and each request's outputs are scattered
-     * back as private per-request copies in its declared (per-request)
-     * shapes. Per-sample kernels make the fused result bitwise
-     * identical to n sequential run() calls. Requests are validated
-     * against the per-request signature up front. Throws like run();
-     * a failure is reported for the batch as a whole (callers split
-     * and re-dispatch to attribute it).
+     * block r of each input tensor, the plan executes once at active
+     * batch n, and each request's outputs are scattered back as private
+     * per-request copies in its declared (per-request) shapes.
+     * Per-sample kernels make the fused result bitwise identical to n
+     * sequential run() calls. The request list and every request's
+     * inputs are validated once, up front, against the per-request
+     * signature. Throws like run(); a failure is reported for the batch
+     * as a whole (callers split and re-dispatch to attribute it).
      */
     std::vector<std::map<std::string, Tensor>>
     run_batch(const std::vector<const std::map<std::string, Tensor> *>
                   &requests,
               const DeadlineToken &deadline = {});
 
-    /** Non-throwing run_batch with the same status mapping as
-     *  try_run(). @p outputs is assigned only on success. */
+    /**
+     * Non-throwing run_batch() for API boundaries that must not
+     * propagate exceptions: an empty, null-holding or over-capacity
+     * request list and input-validation failures surface as
+     * kInvalidArgument, an expired deadline or cancelled request as
+     * kDeadlineExceeded, a confirmed guard trip as kDataCorruption,
+     * kernel failures that exhaust the fallback policy as kInternal.
+     * @p outputs is assigned only on success.
+     */
     Status
     try_run_batch(const std::vector<const std::map<std::string, Tensor> *>
                       &requests,
@@ -373,8 +380,20 @@ class Engine
      *  batch_capacity_, so any n ≤ capacity fits in place). */
     void set_active_batch(std::int64_t n);
 
-    /** The monitor-wrapped step loop shared by run() and run_batch()
-     *  (inputs already staged in values_). */
+    /** The request-list and per-request input checks behind run_batch()
+     *  and try_run_batch(); failures are kInvalidArgument. */
+    Status validate_batch(
+        const std::vector<const std::map<std::string, Tensor> *> &requests)
+        const;
+
+    /** The one copy-in → execute_plan → copy-out sequence, over
+     *  requests validate_batch() already accepted. */
+    std::vector<std::map<std::string, Tensor>> run_validated_batch(
+        const std::vector<const std::map<std::string, Tensor> *> &requests,
+        const DeadlineToken &deadline);
+
+    /** The monitor-wrapped step loop (inputs already staged in
+     *  values_). */
     void execute_plan(const DeadlineToken &deadline);
 
     /**
@@ -458,13 +477,15 @@ class Engine
         std::int64_t base_dim0;
     };
     std::vector<BatchBinding> batch_bindings_;
-    /** Gather plan: one entry per declared input (all carrying). */
+    /** Gather plan: one entry per declared input (all carrying; built
+     *  at every capacity, since a single request is a batch of one). */
     struct BatchInput {
         std::string name;
         std::size_t sample_bytes;
     };
     std::vector<BatchInput> batch_inputs_;
-    /** Scatter plan: one entry per declared output. */
+    /** Scatter plan: one entry per declared output; every output but a
+     *  direct initializer carries the batch. */
     struct BatchOutput {
         std::string name;
         bool carrying;

@@ -282,19 +282,25 @@ InferenceService::estimated_wait_ms_locked(std::size_t lane) const
     // service (no history anywhere) still estimates 0.
     double borrowed_ms = 0;
     for (std::size_t c = 0; c < kPriorityClasses; ++c)
-        if (class_service_[c].count() > 0)
-            borrowed_ms = std::max(borrowed_ms,
-                                   class_service_[c].percentile(0.50));
+        borrowed_ms = std::max(borrowed_ms, lane_service_ms_locked(c));
     double wait_ms = 0;
     for (std::size_t c = 0; c <= lane; ++c) {
         if (lanes_[c].empty())
             continue;
         const double service_ms = class_service_[c].count() > 0
-                                      ? class_service_[c].percentile(0.50)
+                                      ? lane_service_ms_locked(c)
                                       : borrowed_ms;
         wait_ms += static_cast<double>(lanes_[c].size()) * service_ms;
     }
     return wait_ms / static_cast<double>(std::max(1, options_.workers));
+}
+
+double
+InferenceService::lane_service_ms_locked(std::size_t lane) const
+{
+    return class_service_[lane].count() > 0
+               ? class_service_[lane].percentile(0.50)
+               : 0.0;
 }
 
 std::size_t
@@ -368,12 +374,8 @@ InferenceService::worker_loop(std::size_t worker)
                 // typical service time) fails fast instead of burning
                 // a replica lease on a guaranteed miss. Real-time work
                 // is never vetted here — it always dispatches.
-                const double margin =
-                    class_service_[lane].count() > 0
-                        ? class_service_[lane].percentile(0.50)
-                        : 0.0;
-                infeasible_interactive =
-                    !leader.token.can_cover_ms(margin);
+                infeasible_interactive = !leader.token.can_cover_ms(
+                    lane_service_ms_locked(lane));
             } else if (!leader.token.expired()) {
                 // Dynamic batching: coalesce more same-lane work
                 // behind this leader before dispatching.
@@ -395,7 +397,23 @@ InferenceService::worker_loop(std::size_t worker)
                 "brownout: interactive request deferred past its "
                 "feasibility margin");
         } else {
-            dispatch_batch(lane, batch, responses, rng);
+            // Queue time is stamped at dispatch so it includes any
+            // batching window wait — the per-class histograms must show
+            // the true per-request price of coalescing. Members whose
+            // deadline lapsed while the batch assembled fail alone; the
+            // rest dispatch together.
+            std::vector<std::size_t> live;
+            live.reserve(batch.size());
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                responses[i].queue_ms = elapsed_ms_since(batch[i].enqueued);
+                if (batch[i].token.expired())
+                    responses[i].status = deadline_exceeded_error(
+                        "deadline expired while the request was queued");
+                else
+                    live.push_back(i);
+            }
+            if (!live.empty())
+                dispatch(batch, live, responses, rng);
         }
 
         {
@@ -421,9 +439,7 @@ InferenceService::assemble_batch_locked(std::unique_lock<std::mutex> &lock,
     // cover the window plus one typical service time dispatches
     // immediately (deadline-aware splitting). Both still coalesce
     // whatever is already queued.
-    const double service_ms = class_service_[lane].count() > 0
-                                  ? class_service_[lane].percentile(0.50)
-                                  : 0.0;
+    const double service_ms = lane_service_ms_locked(lane);
     const bool realtime =
         lane == priority_index(RequestPriority::kRealtime);
     double window_ms =
@@ -493,114 +509,6 @@ InferenceService::assemble_batch_locked(std::unique_lock<std::mutex> &lock,
 }
 
 void
-InferenceService::dispatch_batch(std::size_t lane,
-                                 std::vector<Request> &batch,
-                                 std::vector<InferenceResponse> &responses,
-                                 std::minstd_rand &rng)
-{
-    // Queue time is stamped at dispatch so it includes any batching
-    // window wait — the per-class histograms must show the true
-    // per-request price of coalescing.
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        responses[i].queue_ms = elapsed_ms_since(batch[i].enqueued);
-
-    // Members whose deadline lapsed while the batch assembled fail
-    // individually; the rest run fused.
-    std::vector<std::size_t> live;
-    live.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i].token.expired())
-            responses[i].status = deadline_exceeded_error(
-                "deadline expired while the request was queued");
-        else
-            live.push_back(i);
-    }
-    if (live.empty())
-        return;
-    if (live.size() == 1) {
-        dispatch_with_retries(batch[live.front()],
-                              responses[live.front()], rng);
-        return;
-    }
-
-    for (std::size_t i : live)
-        responses[i].batch_size = static_cast<int>(live.size());
-
-    // The fused run may take as long as its most patient member
-    // allows; each member is still judged against its own token once
-    // the run returns.
-    DeadlineToken fused = DeadlineToken::unlimited();
-    bool bounded = true;
-    std::chrono::steady_clock::time_point latest{};
-    for (std::size_t i : live) {
-        const auto point = batch[i].token.deadline_point();
-        if (!point.has_value()) {
-            bounded = false;
-            break;
-        }
-        latest = std::max(latest, *point);
-    }
-    if (bounded)
-        fused = DeadlineToken::at(latest);
-
-    const LeasePriority lease_priority =
-        lane == priority_index(RequestPriority::kRealtime)
-            ? LeasePriority::kRealtime
-            : LeasePriority::kNormal;
-    Status why = internal_error("pool acquire failed");
-    EnginePool::Lease lease = pool_->acquire(fused, EnginePool::kNoReplica,
-                                             &why, lease_priority);
-    if (!lease.valid()) {
-        for (std::size_t i : live)
-            responses[i].status = why;
-        return;
-    }
-    const std::size_t replica = lease.replica_id();
-    std::vector<const std::map<std::string, Tensor> *> request_inputs;
-    request_inputs.reserve(live.size());
-    for (std::size_t i : live)
-        request_inputs.push_back(&batch[i].inputs);
-    std::vector<std::map<std::string, Tensor>> outputs;
-    const auto started = std::chrono::steady_clock::now();
-    const Status status =
-        lease.engine().try_run_batch(request_inputs, outputs, fused);
-    const double attempt_ms = elapsed_ms_since(started);
-    for (std::size_t i : live)
-        responses[i].run_ms += attempt_ms;
-    pool_->release(std::move(lease), status, attempt_ms,
-                   static_cast<std::int64_t>(live.size()));
-
-    if (status.is_ok()) {
-        for (std::size_t k = 0; k < live.size(); ++k) {
-            responses[live[k]].status = Status::ok();
-            responses[live[k]].outputs = std::move(outputs[k]);
-        }
-        return;
-    }
-
-    // Mid-batch failure (guard/breaker fault, watchdog cancellation,
-    // deadline): a fused run has a single verdict, so attribution
-    // falls back to splitting — every live member re-dispatches
-    // individually on its own token, skipping the replica that
-    // failed. Only this batch pays; co-queued requests in other
-    // batches are untouched. The re-dispatch is a fresh solo
-    // dispatch, not a retry: it is not charged to the retry bucket.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.batch_splits;
-    }
-    for (std::size_t i : live) {
-        responses[i].batch_split = true;
-        if (batch[i].token.expired()) {
-            responses[i].status = deadline_exceeded_error(
-                "deadline expired in a failed fused run");
-            continue;
-        }
-        dispatch_with_retries(batch[i], responses[i], rng, replica);
-    }
-}
-
-void
 InferenceService::finish_request_locked(std::size_t lane, bool shed,
                                         const InferenceResponse &response)
 {
@@ -641,40 +549,96 @@ InferenceService::finish_request_locked(std::size_t lane, bool shed,
 }
 
 void
-InferenceService::dispatch_with_retries(Request &request,
-                                        InferenceResponse &response,
-                                        std::minstd_rand &rng,
-                                        std::size_t exclude_replica)
+InferenceService::dispatch(std::vector<Request> &batch,
+                           const std::vector<std::size_t> &members,
+                           std::vector<InferenceResponse> &responses,
+                           std::minstd_rand &rng, std::size_t exclude_replica)
 {
-    DeadlineToken token = request.token;
-    const auto wall_deadline = token.deadline_point();
-    std::size_t last_replica = exclude_replica;
+    const bool fused = members.size() > 1;
     const bool realtime =
-        request.priority == RequestPriority::kRealtime;
+        batch[members.front()].priority == RequestPriority::kRealtime;
     const LeasePriority lease_priority = realtime
                                              ? LeasePriority::kRealtime
                                              : LeasePriority::kNormal;
+    std::vector<const std::map<std::string, Tensor> *> inputs;
+    inputs.reserve(members.size());
+    for (std::size_t i : members)
+        inputs.push_back(&batch[i].inputs);
+    DeadlineToken token = batch[members.front()].token;
+    if (fused) {
+        // A fused run may take as long as its most patient member
+        // allows. It runs on a fresh token, so cancelling it leaves the
+        // members' own tokens intact: each member is still judged
+        // against its own token once the run returns.
+        std::chrono::steady_clock::time_point latest{};
+        bool bounded = true;
+        for (std::size_t i : members) {
+            responses[i].batch_size = static_cast<int>(members.size());
+            const auto point = batch[i].token.deadline_point();
+            bounded = bounded && point.has_value();
+            if (bounded)
+                latest = std::max(latest, *point);
+        }
+        token = bounded ? DeadlineToken::at(latest)
+                        : DeadlineToken::unlimited();
+    }
+    const auto wall_deadline = token.deadline_point();
+    std::size_t last_replica = exclude_replica;
     int attempt = 0;
 
     for (;;) {
-        Status why = internal_error("pool acquire failed");
+        Status status = internal_error("pool acquire failed");
         EnginePool::Lease lease =
-            pool_->acquire(token, last_replica, &why, lease_priority);
+            pool_->acquire(token, last_replica, &status, lease_priority);
         if (!lease.valid()) {
-            response.status = std::move(why);
+            for (std::size_t i : members)
+                responses[i].status = status;
             return;
         }
-        const std::size_t replica = lease.replica_id();
+        last_replica = lease.replica_id();
+        std::vector<std::map<std::string, Tensor>> outputs;
         const auto started = std::chrono::steady_clock::now();
-        response.status =
-            lease.engine().try_run(request.inputs, response.outputs, token);
+        status = lease.engine().try_run_batch(inputs, outputs, token);
         const double attempt_ms = elapsed_ms_since(started);
-        response.run_ms += attempt_ms;
-        pool_->release(std::move(lease), response.status, attempt_ms);
+        for (std::size_t i : members)
+            responses[i].run_ms += attempt_ms;
+        pool_->release(std::move(lease), status, attempt_ms,
+                       static_cast<std::int64_t>(members.size()));
 
-        if (response.status.is_ok())
+        if (status.is_ok()) {
+            for (std::size_t k = 0; k < members.size(); ++k) {
+                responses[members[k]].status = Status::ok();
+                responses[members[k]].outputs = std::move(outputs[k]);
+            }
             return;
+        }
 
+        if (fused) {
+            // Mid-batch failure (guard/breaker fault, watchdog
+            // cancellation, deadline): a fused run has a single verdict,
+            // so attribution falls back to splitting — every member
+            // re-dispatches alone on its own token, skipping the replica
+            // that failed. Only this batch pays; co-queued requests in
+            // other batches are untouched. The split is a fresh solo
+            // dispatch, not a retry: it is not charged to the retry
+            // bucket.
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                ++stats_.batch_splits;
+            }
+            for (std::size_t i : members) {
+                responses[i].batch_split = true;
+                if (batch[i].token.expired())
+                    responses[i].status = deadline_exceeded_error(
+                        "deadline expired in a failed fused run");
+                else
+                    dispatch(batch, {i}, responses, rng, last_replica);
+            }
+            return;
+        }
+
+        InferenceResponse &response = responses[members.front()];
+        response.status = std::move(status);
         bool retryable = is_retryable(response.status);
         if (response.status.code() == StatusCode::kDeadlineExceeded &&
             token.cancelled()) {
@@ -725,7 +689,6 @@ InferenceService::dispatch_with_retries(Request &request,
         }
         ++attempt;
         ++response.retries;
-        last_replica = replica;
     }
 }
 

@@ -512,24 +512,23 @@ class InferenceService
     void assemble_batch_locked(std::unique_lock<std::mutex> &lock,
                                std::size_t lane,
                                std::vector<Request> &batch);
-    /** Dispatches an assembled batch: stamps queue_ms (including any
-     *  window wait), fails already-expired members individually, runs
-     *  a single live member through the normal retry path, and runs
-     *  two or more fused — on a mid-batch failure the batch splits
-     *  and every live member re-dispatches individually, skipping the
-     *  replica that failed. */
-    void dispatch_batch(std::size_t lane, std::vector<Request> &batch,
-                        std::vector<InferenceResponse> &responses,
-                        std::minstd_rand &rng);
-    /** Runs @p request with failover + bounded backoff retries.
-     *  @p exclude_replica is avoided on the first acquire (used when
-     *  re-dispatching members of a failed batch away from the replica
-     *  that failed). */
-    void dispatch_with_retries(Request &request,
-                               InferenceResponse &response,
-                               std::minstd_rand &rng,
-                               std::size_t exclude_replica =
-                                   EnginePool::kNoReplica);
+    /**
+     * The one request path: runs @p members (indices into @p batch, all
+     * live, same lane) as one engine run on one leased replica. A fused
+     * run (two or more members) executes under the latest member
+     * deadline; if it fails it splits, and every member dispatches
+     * again alone, skipping the replica that failed — a split is not
+     * charged to the retry bucket. A solo run that fails retryably
+     * fails over to a different healthy replica with exponential
+     * backoff, inside its deadline and the retry budget (real-time work
+     * bypasses the bucket). @p exclude_replica is avoided on the first
+     * acquire.
+     */
+    void dispatch(std::vector<Request> &batch,
+                  const std::vector<std::size_t> &members,
+                  std::vector<InferenceResponse> &responses,
+                  std::minstd_rand &rng,
+                  std::size_t exclude_replica = EnginePool::kNoReplica);
     /** Completion accounting for one finished request (status
      *  counters, per-class histograms, retry-token earn, in_flight_).
      *  Caller holds mutex_. */
@@ -553,6 +552,9 @@ class InferenceService
      *  top when the request's budget would actually pay it. Caller
      *  holds mutex_. */
     double estimated_wait_ms_locked(std::size_t lane) const;
+    /** @p lane's recent service-time P50 (ms), 0 before it has any
+     *  history. Caller holds mutex_. */
+    double lane_service_ms_locked(std::size_t lane) const;
     /** Picks the next lane to pop (strict class priority + aging
      *  credit) and updates the credits. The caller pops the returned
      *  lane's front; every lane is nonempty-checked. Returns

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "models/builder.hpp"
 #include "models/model_zoo.hpp"
 #include "test_util.hpp"
@@ -162,6 +165,107 @@ TEST(Engine, GraphOutputFedDirectlyByInput)
         engine.run({{"x", Tensor::from_values(Shape({1, 2}), {-1, 3})}});
     EXPECT_FLOAT_EQ(outputs.at("y").data<float>()[1], 3.0f);
     EXPECT_FLOAT_EQ(outputs.at("const_out").data<float>()[0], 5.0f);
+}
+
+/** True when @p a and @p b have the same shape, dtype and bytes. */
+bool
+same_bytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() && a.dtype() == b.dtype() &&
+           std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()) == 0;
+}
+
+TEST(Engine, SingleRequestEntryPointsAgreeBytewise)
+{
+    // Every entry point is a batch of one over the same path, so all
+    // five return the same bytes at max_batch = 1.
+    Engine engine(models::tiny_cnn());
+    ASSERT_EQ(engine.batch_capacity(), 1);
+    const std::string in = engine.request_inputs().front().name;
+    const std::string out = engine.request_outputs().front().name;
+    const std::map<std::string, Tensor> request{
+        {in, make_random(Shape({1, 3, 8, 8}), 0xe17)}};
+
+    const Tensor expected = engine.run(request).at(out);
+    EXPECT_TRUE(same_bytes(engine.run(request.at(in)), expected));
+
+    std::map<std::string, Tensor> tried;
+    ASSERT_TRUE(engine.try_run(request, tried).is_ok());
+    EXPECT_TRUE(same_bytes(tried.at(out), expected));
+
+    const auto batched = engine.run_batch({&request});
+    ASSERT_EQ(batched.size(), 1u);
+    EXPECT_TRUE(same_bytes(batched.front().at(out), expected));
+
+    std::vector<std::map<std::string, Tensor>> tried_batch;
+    ASSERT_TRUE(engine.try_run_batch({&request}, tried_batch).is_ok());
+    ASSERT_EQ(tried_batch.size(), 1u);
+    EXPECT_TRUE(same_bytes(tried_batch.front().at(out), expected));
+}
+
+TEST(Engine, OutputsAliasingInputsAndInitializersAtEveryCapacity)
+{
+    // A graph output may be a graph input or an initializer outright;
+    // both come back as private copies, at capacity 1 and when fused.
+    for (const int max_batch : {1, 3}) {
+        Graph graph("aliases");
+        graph.add_input("x", Shape({1, 2}));
+        graph.add_initializer("c", Tensor::from_values(Shape({2}), {5, 6}));
+        graph.add_node(op_names::kRelu, {"x"}, {"y"});
+        graph.add_output("y");
+        graph.add_output("x");
+        graph.add_output("c");
+        EngineOptions options;
+        options.max_batch = max_batch;
+        Engine engine(std::move(graph), options);
+        ASSERT_EQ(engine.batch_capacity(), max_batch)
+            << engine.batch_fallback_reason();
+
+        const std::map<std::string, Tensor> first{
+            {"x", Tensor::from_values(Shape({1, 2}), {-1, 3})}};
+        const std::map<std::string, Tensor> second{
+            {"x", Tensor::from_values(Shape({1, 2}), {4, -2})}};
+        std::vector<const std::map<std::string, Tensor> *> requests{&first};
+        if (max_batch > 1)
+            requests.push_back(&second);
+        const auto results = engine.run_batch(requests);
+        ASSERT_EQ(results.size(), requests.size());
+        for (std::size_t r = 0; r < requests.size(); ++r) {
+            const Tensor &x = requests[r]->at("x");
+            EXPECT_TRUE(same_bytes(results[r].at("x"), x));
+            EXPECT_NE(results[r].at("x").raw_data(), x.raw_data());
+            EXPECT_FLOAT_EQ(results[r].at("y").data<float>()[0],
+                            std::max(0.0f, x.data<float>()[0]));
+            EXPECT_EQ(results[r].at("c").shape(), Shape({2}));
+            EXPECT_FLOAT_EQ(results[r].at("c").data<float>()[1], 6.0f);
+        }
+        EXPECT_TRUE(same_bytes(engine.run(first).at("x"), first.at("x")));
+    }
+}
+
+TEST(Engine, BadRequestListsAreInvalidArgument)
+{
+    // Caller errors in the request list are the caller's, not an
+    // internal inference failure.
+    EngineOptions options;
+    options.max_batch = 2;
+    Engine engine(models::tiny_cnn(), options);
+    ASSERT_EQ(engine.batch_capacity(), 2);
+    const std::map<std::string, Tensor> request{
+        {"input", make_random(Shape({1, 3, 8, 8}), 0xe18)}};
+
+    std::vector<std::map<std::string, Tensor>> outputs;
+    const std::vector<std::vector<const std::map<std::string, Tensor> *>>
+        bad = {{}, {&request, nullptr}, {&request, &request, &request}};
+    for (const auto &requests : bad) {
+        const Status status = engine.try_run_batch(requests, outputs);
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+            << requests.size() << " requests: " << status.to_string();
+        EXPECT_TRUE(outputs.empty());
+        EXPECT_THROW(engine.run_batch(requests), Error);
+    }
+    ASSERT_TRUE(engine.try_run_batch({&request, &request}, outputs).is_ok());
+    EXPECT_EQ(outputs.size(), 2u);
 }
 
 TEST(Engine, UnsupportedOpFailsAtCompileTime)

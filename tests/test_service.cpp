@@ -986,6 +986,47 @@ TEST(InferenceService, MidBatchFaultSplitsAndSparesOtherBatches)
     EXPECT_EQ(stats.failed, 0);
 }
 
+TEST(InferenceService, FusedRunSplitIsNotARetry)
+{
+    set_global_num_threads(1);
+    auto sick = std::make_shared<FaultInjector>();
+
+    EngineOptions engine_options;
+    engine_options.guard.enabled = true;
+
+    ServiceOptions options;
+    options.workers = 1;
+    options.replicas = 2;
+    options.max_batch = 3;
+    options.batch_window_ms = 500;
+    // No retries at all: only the split can save the batch's members.
+    options.max_retries = 0;
+    options.retry_budget = 0;
+    options.enable_watchdog = false;
+    options.per_replica_injectors = {sick, nullptr};
+    InferenceService service(models::tiny_cnn(), engine_options, options);
+
+    sick->arm_corruption("", "", CorruptionKind::kNaNPoke, 0, 1);
+    std::vector<std::future<InferenceResponse>> futures;
+    for (unsigned i = 0; i < 3; ++i)
+        futures.push_back(service.submit(cnn_inputs(0xb500 + i)));
+    for (auto &future : futures) {
+        const InferenceResponse response = future.get();
+        ASSERT_TRUE(response.status.is_ok())
+            << response.status.to_string();
+        EXPECT_TRUE(response.batch_split);
+        EXPECT_EQ(response.batch_size, 3);
+        EXPECT_EQ(response.retries, 0);
+        EXPECT_FALSE(response.retry_denied_by_budget);
+    }
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.completed_ok, 3);
+    EXPECT_EQ(stats.batch_splits, 1);
+    EXPECT_EQ(stats.retries, 0);
+    EXPECT_EQ(stats.retry_budget_denied, 0);
+}
+
 TEST(InferenceService, ConcurrentBatchAssemblyStaysConsistent)
 {
     EngineOptions engine_options;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,6 +125,30 @@ TEST(GlobalThreadPool, FreeFunctionParallelFor)
     });
     for (auto &hit : hits)
         EXPECT_EQ(hit.load(), 1);
+    set_global_num_threads(1);
+}
+
+TEST(GlobalThreadPool, ResizeDuringParallelForKeepsPoolAlive)
+{
+    // While the calling thread is inside a parallel_for, another thread
+    // resizes the global pool. The loop must finish on the pool it
+    // started on, every index exactly once, rather than on a pool the
+    // resize destroyed.
+    for (int iteration = 0; iteration < 20; ++iteration) {
+        const int threads = 2 + iteration % 2;
+        set_global_num_threads(threads);
+        std::vector<std::atomic<int>> hits(64);
+        parallel_for(64, [&](std::int64_t begin, std::int64_t end) {
+            if (begin == 0) // chunk 0 runs on the calling thread
+                std::thread([&] { set_global_num_threads(5 - threads); })
+                    .join();
+            for (std::int64_t i = begin; i < end; ++i)
+                hits[static_cast<std::size_t>(i)].fetch_add(1);
+        });
+        for (auto &hit : hits)
+            EXPECT_EQ(hit.load(), 1) << "iteration " << iteration;
+        EXPECT_EQ(global_thread_pool().num_threads(), 5 - threads);
+    }
     set_global_num_threads(1);
 }
 

@@ -15,8 +15,9 @@ FUZZ_ITERATIONS="${2:-10000}"
 TSAN_BUILD_DIR="${3:-${REPO_ROOT}/build-tsan}"
 
 # The suites that exercise threads: the pool itself, the serving layer,
-# and the engine paths that drive parallel kernels.
-TSAN_TESTS="test_threadpool|test_service|test_engine_pool|test_fault_injection|test_engine"
+# the registry's hot-swap and canary traffic through the service's
+# dispatch loop, and the engine paths that drive parallel kernels.
+TSAN_TESTS="test_threadpool|test_service|test_engine_pool|test_fault_injection|test_engine|test_model_registry"
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:abort_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
