@@ -204,8 +204,9 @@ main(int argc, char **argv)
     // (broken dispatch, clobbered per-file ISA flags) fails CI even on
     // a faster machine.
     if (simd) {
-        std::printf("\nSIMD tier (%s) speedup over scalar:\n",
-                    simd_isa_compiled());
+        std::printf("\nSIMD tier (%s, gemm body %s) speedup over "
+                    "scalar:\n",
+                    simd_isa_compiled(), gemm_packed_simd_body());
         for (int i = 0; i < shape_count; ++i) {
             const GemmShape &shape = kShapes[i];
             record_speedup(shape.label, "packed", "packed_simd");

@@ -16,7 +16,8 @@ namespace {
 #if defined(__x86_64__) || defined(__i386__)
 
 /** XCR0 read: the OS must have enabled ymm state (bits 1|2) for AVX
- *  registers to be usable, independent of what cpuid advertises. */
+ *  registers, and also opmask/zmm state (bits 5-7) for AVX-512, to be
+ *  usable, independent of what cpuid advertises. */
 std::uint64_t
 read_xcr0()
 {
@@ -34,12 +35,13 @@ probe()
         return f;
     f.sse42 = (ecx & bit_SSE4_2) != 0;
     const bool osxsave = (ecx & bit_OSXSAVE) != 0;
-    const bool ymm_enabled = osxsave && (read_xcr0() & 0x6) == 0x6;
-    f.avx = ymm_enabled && (ecx & bit_AVX) != 0;
+    const std::uint64_t xcr0 = osxsave ? read_xcr0() : 0;
+    f.avx = (xcr0 & 0x6) == 0x6 && (ecx & bit_AVX) != 0;
     f.fma = f.avx && (ecx & bit_FMA) != 0;
     if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
         f.avx2 = f.avx && (ebx & bit_AVX2) != 0;
-        f.avx512f = f.avx && (ebx & bit_AVX512F) != 0;
+        f.avx512f = f.avx && xcr0_saves_zmm_state(xcr0) &&
+                    (ebx & bit_AVX512F) != 0;
     }
     return f;
 }

@@ -20,9 +20,23 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace orpheus {
+
+/**
+ * True when an XCR0 value says the OS saves the opmask, upper-ZMM and
+ * high-ZMM state (bits 5-7) as well as the SSE and AVX state (bits 1-2).
+ * AVX-512 instructions are usable only then, whatever cpuid advertises:
+ * a kernel or hypervisor that hides ZMM state would fault on them. Pure,
+ * so it can be tested on made-up values.
+ */
+constexpr bool
+xcr0_saves_zmm_state(std::uint64_t xcr0)
+{
+    return (xcr0 & 0xE6) == 0xE6;
+}
 
 /** What the processor supports, probed once per process. */
 struct CpuFeatures {
@@ -30,6 +44,7 @@ struct CpuFeatures {
     bool avx = false;
     bool avx2 = false;
     bool fma = false;
+    /** AVX-512F advertised by cpuid and enabled by the OS (XCR0). */
     bool avx512f = false;
     bool neon = false;
 

@@ -71,11 +71,24 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k,
 bool gemm_packed_simd_available();
 
 /**
- * Packed panel GEMM through the runtime-dispatched SIMD micro-kernel
- * (AVX2+FMA or NEON); identical blocking, packing layout and workspace
- * contract as gemm_packed, and results within a few ULP (the SIMD tile
- * accumulates each element in the same order, fused). Falls back to
- * gemm_packed when the SIMD tier is unavailable or disabled.
+ * The micro-kernel body gemm_packed_simd runs for problems with more
+ * than 6 rows and at least one 16-column panel wide (every conv layer
+ * of the zoo): "avx512 12x16", "avx2 6x16", "neon 4x16", or
+ * "scalar 4x16" when the SIMD tier is unavailable or disabled. The
+ * registry impl names carry only the compiled tier ("_avx2"), so this
+ * is how an operator tells the two x86 bodies apart.
+ */
+const char *gemm_packed_simd_body();
+
+/**
+ * Packed panel GEMM through the runtime-dispatched SIMD micro-kernel;
+ * identical blocking, packing layout and workspace contract as
+ * gemm_packed, and results within a few ULP (the SIMD tile accumulates
+ * each element in the same order, fused). On x86 it runs the AVX-512F
+ * 12 x 16 body when the CPU and the OS support AVX-512F, m > 6 and n is
+ * at least one panel wide, else the AVX2+FMA 6 x 16 body; the two give
+ * bitwise identical results. On aarch64 it runs the NEON body. Falls
+ * back to gemm_packed when the SIMD tier is unavailable or disabled.
  */
 void gemm_packed_simd(std::int64_t m, std::int64_t n, std::int64_t k,
                       const float *a, std::int64_t lda, const float *b,

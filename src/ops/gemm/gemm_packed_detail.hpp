@@ -3,14 +3,21 @@
  * Shared skeleton of the packed-panel GEMM (internal header).
  *
  * The scalar kernel and the per-ISA SIMD variants (gemm_packed_avx2.cpp,
- * gemm_packed_neon.cpp) all instantiate the same three-level BLIS-style
- * loop nest and the same packing routines; only the register-tile
- * micro-kernel (and its row height MR) differs per instruction set —
- * the SMaLL-style "one loop nest, many intrinsic bodies" layout. Keeping
+ * gemm_packed_avx512.cpp, gemm_packed_neon.cpp) all instantiate the same
+ * three-level BLIS-style loop nest and the same packing routines; only
+ * the register-tile micro-kernel (and its row height MR: 4 scalar, 6
+ * AVX2, 12 AVX-512, 4 NEON) differs per instruction set — the
+ * SMaLL-style "one loop nest, many intrinsic bodies" layout. Keeping
  * the B-panel format identical across variants (kPackNr = 16 columns)
  * means every variant shares one workspace contract
  * (gemm_packed_b_pack_floats()), so prepared layers and pooled replicas
  * never care which micro-kernel the dispatcher picks.
+ *
+ * Everything here has internal linkage (an unnamed namespace): the
+ * per-ISA files compile this header with their own -m flags, and a
+ * shared inline definition would let the linker keep, say, the
+ * AVX-512-compiled pack_b_block for every caller — a SIGILL on a host
+ * with AVX2 only.
  */
 #pragma once
 
@@ -25,6 +32,7 @@
 namespace orpheus {
 
 namespace gemm_detail {
+namespace {
 
 inline constexpr std::int64_t kPackNr = 16;
 inline constexpr std::int64_t kPackBlockK = 256;
@@ -155,6 +163,7 @@ packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
     }
 }
 
+} // namespace
 } // namespace gemm_detail
 
 // Per-ISA entry points (defined in their own translation units, compiled
@@ -165,6 +174,10 @@ void gemm_packed_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
                       const float *a, std::int64_t lda, const float *b,
                       std::int64_t ldb, float *c, std::int64_t ldc,
                       const GemmScratch *scratch);
+void gemm_packed_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
+                        const float *a, std::int64_t lda, const float *b,
+                        std::int64_t ldb, float *c, std::int64_t ldc,
+                        const GemmScratch *scratch);
 #endif
 #if defined(ORPHEUS_SIMD_NEON)
 void gemm_packed_neon(std::int64_t m, std::int64_t n, std::int64_t k,

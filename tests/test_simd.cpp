@@ -21,6 +21,7 @@
 #include "models/builder.hpp"
 #include "ops/conv/conv.hpp"
 #include "ops/gemm/gemm.hpp"
+#include "ops/gemm/gemm_packed_detail.hpp"
 #include "ops/quant/qconv.hpp"
 #include "ops/quant/qgemm.hpp"
 #include "runtime/engine.hpp"
@@ -72,6 +73,36 @@ TEST(CpuFeatures, ProbeMatchesCompilerBuiltins)
 #endif
     // The probe is cached: repeated calls return the same object.
     EXPECT_EQ(&cpu_features(), &f);
+}
+
+TEST(CpuFeatures, Xcr0PredicateRequiresOpmaskAndZmmState)
+{
+    // x87+SSE+AVX only: ymm is usable, zmm is not.
+    EXPECT_FALSE(xcr0_saves_zmm_state(0x7));
+    // Opmask saved but neither ZMM half: still unusable.
+    EXPECT_FALSE(xcr0_saves_zmm_state(0x27));
+    EXPECT_TRUE(xcr0_saves_zmm_state(0xE7));
+    // ZMM state without the SSE/AVX state underneath it is not enough.
+    EXPECT_FALSE(xcr0_saves_zmm_state(0xE1));
+    // to_string() names avx512f exactly when the probe found it usable.
+    const std::string listed = cpu_features().to_string();
+    EXPECT_EQ(listed.find("avx512f") != std::string::npos,
+              cpu_features().avx512f);
+}
+
+TEST(CpuFeatures, GemmBodyNamesScalarWhenSimdDisabled)
+{
+    SimdOverrideGuard guard;
+    force_disable_simd(true);
+    EXPECT_STREQ(gemm_packed_simd_body(), "scalar 4x16");
+    force_disable_simd(false);
+    if (!simd_enabled())
+        return;
+#if defined(ORPHEUS_SIMD_X86)
+    EXPECT_STREQ(gemm_packed_simd_body(), cpu_features().avx512f
+                                              ? "avx512 12x16"
+                                              : "avx2 6x16");
+#endif
 }
 
 TEST(CpuFeatures, ForceDisableOverridesProbe)
@@ -151,13 +182,18 @@ TEST_P(SimdGemmEquivalence, WithinFourUlps)
 INSTANTIATE_TEST_SUITE_P(
     RaggedSweep, SimdGemmEquivalence,
     ::testing::Values(
-        // M sweeps the micro-kernel row tails (scalar MR=4, AVX2 MR=6).
+        // M sweeps the micro-kernel row tails (scalar MR=4, AVX2 MR=6,
+        // AVX-512 MR=12); 6 / 7 is the x86 switch to the AVX-512 body.
         GemmShape{1, 16, 3}, GemmShape{3, 16, 3}, GemmShape{4, 16, 3},
         GemmShape{5, 16, 3}, GemmShape{6, 16, 3}, GemmShape{7, 16, 3},
-        GemmShape{13, 16, 3},
+        GemmShape{11, 16, 3}, GemmShape{12, 16, 3}, GemmShape{13, 16, 3},
+        GemmShape{24, 16, 3}, GemmShape{25, 16, 3},
         // N sweeps the 16-column panel tails.
         GemmShape{6, 1, 7}, GemmShape{6, 7, 7}, GemmShape{6, 15, 7},
         GemmShape{6, 17, 7}, GemmShape{6, 31, 7}, GemmShape{6, 33, 7},
+        // n = 15 / 16: the x86 dispatcher's switch from the AVX2 body
+        // to the AVX-512 body, with an MR=12 row tail.
+        GemmShape{25, 15, 9}, GemmShape{25, 16, 9},
         // K: unit, odd, and one past the 256-deep pack block.
         GemmShape{7, 17, 1}, GemmShape{7, 17, 3}, GemmShape{7, 17, 257},
         // A dense-ish production shape.
@@ -167,6 +203,65 @@ INSTANTIATE_TEST_SUITE_P(
         return "m" + std::to_string(s.m) + "n" + std::to_string(s.n) +
                "k" + std::to_string(s.k);
     });
+
+// --- fp32 packed GEMM: the two x86 bodies must be bitwise identical ---------
+
+#if defined(ORPHEUS_SIMD_X86)
+
+/** Runs gemm_packed_avx512 and gemm_packed_avx2 on one problem with row
+ *  strides lda >= k and ldc >= n, and requires the whole C buffers —
+ *  padding columns included — to match bit for bit. */
+void
+expect_x86_bodies_bitwise_equal(std::int64_t m, std::int64_t n,
+                                std::int64_t k, std::int64_t lda,
+                                std::int64_t ldc)
+{
+    const auto a = positive_values(static_cast<std::size_t>(m * lda),
+                                   static_cast<unsigned>(m + k));
+    const auto b = positive_values(static_cast<std::size_t>(k * n),
+                                   static_cast<unsigned>(n + k));
+    // A sentinel fill: the driver must overwrite every live element and
+    // leave the padding columns alone.
+    std::vector<float> c_zmm(static_cast<std::size_t>(m * ldc), -7.0f);
+    std::vector<float> c_ymm(c_zmm);
+    gemm_packed_avx512(m, n, k, a.data(), lda, b.data(), n, c_zmm.data(),
+                       ldc, nullptr);
+    gemm_packed_avx2(m, n, k, a.data(), lda, b.data(), n, c_ymm.data(),
+                     ldc, nullptr);
+    EXPECT_EQ(std::memcmp(c_zmm.data(), c_ymm.data(),
+                          c_zmm.size() * sizeof(float)),
+              0)
+        << "m=" << m << " n=" << n << " k=" << k << " lda=" << lda
+        << " ldc=" << ldc;
+}
+
+TEST(SimdGemmX86Bodies, Avx512MatchesAvx2Bitwise)
+{
+    if (!cpu_features().avx512f || !cpu_features().has_avx2_fma())
+        GTEST_SKIP() << "AVX-512F not usable on this host";
+    // Ragged M (MR = 6 and 12 tails) x ragged N (16-column panels).
+    for (std::int64_t m : {1, 5, 11, 13, 1030})
+        for (std::int64_t n : {1, 15, 16, 17, 49, 196})
+            expect_x86_bodies_bitwise_equal(m, n, 257, 257, n);
+    // K: unit, around the 256-deep pack block, and many blocks deep.
+    for (std::int64_t k : {1, 255, 256, 257, 4608})
+        expect_x86_bodies_bitwise_equal(13, 49, k, k, 49);
+    // Row strides wider than the rows (a sub-matrix view).
+    expect_x86_bodies_bitwise_equal(25, 33, 70, 91, 40);
+    expect_x86_bodies_bitwise_equal(11, 1040, 300, 301, 1100);
+    // Conv-as-GEMM shapes (M = out_c, N = out_h*out_w, K = in_c*kh*kw):
+    // mobilenet-v1 stem and pointwise layers, resnet-50 stem, 3x3 and
+    // last-stage layers.
+    expect_x86_bodies_bitwise_equal(32, 12544, 27, 27, 12544);
+    expect_x86_bodies_bitwise_equal(128, 3136, 64, 64, 3136);
+    expect_x86_bodies_bitwise_equal(1024, 49, 1024, 1024, 49);
+    expect_x86_bodies_bitwise_equal(64, 12544, 147, 147, 12544);
+    expect_x86_bodies_bitwise_equal(64, 3136, 576, 576, 3136);
+    expect_x86_bodies_bitwise_equal(256, 196, 2304, 2304, 196);
+    expect_x86_bodies_bitwise_equal(512, 49, 4608, 4608, 49);
+}
+
+#endif // ORPHEUS_SIMD_X86
 
 // --- int8 qgemm: scalar vs SIMD must be bitwise identical -------------------
 

@@ -76,6 +76,7 @@
 #include "onnx/exporter.hpp"
 #include "graph/text_format.hpp"
 #include "onnx/importer.hpp"
+#include "ops/gemm/gemm.hpp"
 #include "core/timer.hpp"
 #include "quant/quantizer.hpp"
 #include "runtime/engine.hpp"
@@ -292,9 +293,9 @@ print_cpu_features()
         tier = std::string(isa) + " (disabled by override)";
     else
         tier = std::string(isa) + " (active)";
-    std::printf("cpu-features: %s; simd tier: %s\n",
+    std::printf("cpu-features: %s; simd tier: %s; gemm body: %s\n",
                 features.empty() ? "none" : features.c_str(),
-                tier.c_str());
+                tier.c_str(), gemm_packed_simd_body());
 }
 
 bool
