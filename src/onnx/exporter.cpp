@@ -13,6 +13,11 @@ namespace {
 namespace schema = onnx_schema;
 using proto::Writer;
 
+constexpr std::int64_t kIrVersion = 7;
+constexpr std::int64_t kOpsetVersion = 11;
+constexpr const char *kProducerName = "orpheus";
+constexpr const char *kProducerVersion = "1.0.0";
+
 std::int64_t
 map_dtype(DataType dtype)
 {
@@ -140,7 +145,7 @@ write_node(const Node &node)
 } // namespace
 
 std::vector<std::uint8_t>
-export_onnx(const Graph &graph, const OnnxExportOptions &options)
+export_onnx(const Graph &graph)
 {
     graph.validate();
 
@@ -174,25 +179,23 @@ export_onnx(const Graph &graph, const OnnxExportOptions &options)
 
     Writer opset;
     opset.write_string_field(schema::kOpsetDomain, "");
-    opset.write_int64_field(schema::kOpsetVersion, options.opset_version);
+    opset.write_int64_field(schema::kOpsetVersion, kOpsetVersion);
 
     Writer model;
-    model.write_int64_field(schema::kModelIrVersion, options.ir_version);
-    model.write_string_field(schema::kModelProducerName,
-                             options.producer_name);
+    model.write_int64_field(schema::kModelIrVersion, kIrVersion);
+    model.write_string_field(schema::kModelProducerName, kProducerName);
     model.write_string_field(schema::kModelProducerVersion,
-                             options.producer_version);
+                             kProducerVersion);
     model.write_message_field(schema::kModelGraph, graph_writer);
     model.write_message_field(schema::kModelOpsetImport, opset);
     return model.take();
 }
 
 Status
-export_onnx_file(const Graph &graph, const std::string &path,
-                 const OnnxExportOptions &options)
+export_onnx_file(const Graph &graph, const std::string &path)
 {
     try {
-        const std::vector<std::uint8_t> bytes = export_onnx(graph, options);
+        const std::vector<std::uint8_t> bytes = export_onnx(graph);
         std::ofstream file(path, std::ios::binary | std::ios::trunc);
         if (!file)
             return internal_error("cannot open for writing: " + path);

@@ -18,23 +18,14 @@
 
 namespace orpheus {
 
-/** Export configuration. */
-struct OnnxExportOptions {
-    std::int64_t ir_version = 7;
-    std::int64_t opset_version = 11;
-    std::string producer_name = "orpheus";
-    std::string producer_version = "1.0.0";
-};
-
 /**
- * Serialises @p graph as an ONNX ModelProto. Throws orpheus::Error if
- * the graph holds attribute kinds ONNX cannot express.
+ * Serialises @p graph as an ONNX ModelProto (IR version 7, opset 11,
+ * producer "orpheus" 1.0.0). Throws orpheus::Error if the graph holds
+ * attribute kinds ONNX cannot express.
  */
-std::vector<std::uint8_t> export_onnx(const Graph &graph,
-                                      const OnnxExportOptions &options = {});
+std::vector<std::uint8_t> export_onnx(const Graph &graph);
 
 /** Serialises and writes to @p path. */
-Status export_onnx_file(const Graph &graph, const std::string &path,
-                        const OnnxExportOptions &options = {});
+Status export_onnx_file(const Graph &graph, const std::string &path);
 
 } // namespace orpheus

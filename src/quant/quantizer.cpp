@@ -12,6 +12,9 @@ namespace orpheus {
 
 namespace {
 
+/** Seed of the random calibration inputs. */
+constexpr std::uint64_t kCalibrationSeed = 0xca1b;
+
 /** Scalar initializer helpers. */
 std::string
 add_scale(Graph &graph, const std::string &hint, float scale)
@@ -250,11 +253,10 @@ quantize_model(Graph graph, const QuantizationOptions &options,
                QuantizationReport *report)
 {
     graph.validate();
-    if (options.simplify_first)
-        simplify_graph(graph);
+    simplify_graph(graph);
 
-    const RangeTable ranges = calibrate_ranges(
-        graph, options.calibration_runs, options.calibration_seed);
+    const RangeTable ranges =
+        calibrate_ranges(graph, options.calibration_runs, kCalibrationSeed);
 
     QuantizationReport local_report;
 

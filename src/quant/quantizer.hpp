@@ -24,10 +24,6 @@ namespace orpheus {
 struct QuantizationOptions {
     /** Calibration samples (random inputs; see calibration.hpp). */
     int calibration_runs = 4;
-    std::uint64_t calibration_seed = 0xca1b;
-    /** Run the float simplification pipeline first (recommended: BN
-     *  folding and activation fusion must precede quantization). */
-    bool simplify_first = true;
     /**
      * Quantize weights per output channel (one int8 scale per filter)
      * instead of per tensor. Strictly more accurate for conv weights,
@@ -44,9 +40,11 @@ struct QuantizationReport {
 };
 
 /**
- * Quantizes @p graph (by value; the float graph is not modified).
- * Throws orpheus::Error if the graph is invalid; convs that cannot be
- * quantized are left in float and counted in the report.
+ * Quantizes @p graph (by value; the float graph is not modified),
+ * running the float simplification pipeline first: BN folding and
+ * activation fusion must precede quantization. Throws orpheus::Error
+ * if the graph is invalid; convs that cannot be quantized are left in
+ * float and counted in the report.
  */
 Graph quantize_model(Graph graph, const QuantizationOptions &options = {},
                      QuantizationReport *report = nullptr);

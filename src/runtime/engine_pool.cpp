@@ -8,6 +8,21 @@
 
 namespace orpheus {
 
+namespace {
+
+/** Health penalty per watchdog hang attributed to a replica. */
+constexpr double kHangPenalty = 1.6;
+/** Health penalty per guard-confirmed kDataCorruption outcome. */
+constexpr double kCorruptionPenalty = 1.2;
+/** Health penalty per kInternal (kernel fault) outcome. */
+constexpr double kFaultPenalty = 1.0;
+/** Penalty subtracted per clean completion (floored at 0). */
+constexpr double kSuccessReward = 0.5;
+/** Deadline of the readmission probe inference. */
+constexpr double kProbeDeadlineMs = 1000.0;
+
+} // namespace
+
 const char *
 to_string(ReplicaState state)
 {
@@ -384,6 +399,7 @@ EnginePool::swap_replica(std::size_t id, std::unique_ptr<Engine> engine,
     replica.engine = std::move(engine);
     replica.generation = generation;
     replica.health_penalty = 0;
+    replica.breaker_opens = 0;
     replica.pending_demotions.clear();
     replica.pending_hang_penalty = 0;
     replica.last_fault.clear();
@@ -459,12 +475,9 @@ EnginePool::revive(std::size_t id, std::string *failure)
         *failure = error.what();
         return false;
     }
-    if (!options_.probe_on_readmission)
-        return true;
     std::map<std::string, Tensor> outputs;
     const Status verdict = engine.try_run(
-        probe_inputs_, outputs,
-        DeadlineToken::after_ms(options_.probe_deadline_ms));
+        probe_inputs_, outputs, DeadlineToken::after_ms(kProbeDeadlineMs));
     if (!verdict.is_ok())
         *failure = verdict.to_string();
     return verdict.is_ok();
@@ -518,18 +531,23 @@ EnginePool::release(Lease lease, const Status &outcome, double run_ms,
         for (std::int64_t r = 0; r < requests; ++r)
             replica.window.latency.record(run_ms);
     apply_pending_demotions_locked(id);
+    // The replica is drained: read its breaker counters here, never
+    // from snapshot() while a holder's guard may be writing them.
+    replica.breaker_opens = 0;
+    for (const PlanStep &step : replica.engine->steps())
+        replica.breaker_opens += step.health.opens_total;
 
     if (outcome.is_ok()) {
-        replica.health_penalty = std::max(
-            0.0, replica.health_penalty - options_.success_reward);
+        replica.health_penalty =
+            std::max(0.0, replica.health_penalty - kSuccessReward);
         replica.window.ok += requests;
     } else if (outcome.code() == StatusCode::kDataCorruption) {
-        replica.health_penalty += options_.corruption_penalty;
+        replica.health_penalty += kCorruptionPenalty;
         ++replica.failures;
         replica.window.corruption += requests;
         replica.last_fault = outcome.to_string();
     } else if (outcome.code() == StatusCode::kInternal) {
-        replica.health_penalty += options_.fault_penalty;
+        replica.health_penalty += kFaultPenalty;
         ++replica.failures;
         replica.window.fault += requests;
         replica.last_fault = outcome.to_string();
@@ -563,7 +581,7 @@ EnginePool::report_hang(std::size_t replica, std::size_t step_index,
         return;
     replicas_[replica].pending_demotions.push_back(
         PendingDemotion{step_index, reason});
-    replicas_[replica].pending_hang_penalty += options_.hang_penalty;
+    replicas_[replica].pending_hang_penalty += kHangPenalty;
     ++replicas_[replica].window.hang;
     replicas_[replica].last_fault = reason;
 }
@@ -593,15 +611,6 @@ EnginePool::engine(std::size_t index) const
     return *replicas_[index].engine;
 }
 
-std::int64_t
-EnginePool::breaker_opens(const Engine &engine) const
-{
-    std::int64_t opens = 0;
-    for (const PlanStep &step : engine.steps())
-        opens += step.health.opens_total;
-    return opens;
-}
-
 EnginePoolStats
 EnginePool::stats() const
 {
@@ -616,10 +625,6 @@ EnginePool::stats() const
             break;
         }
     }
-    for (const auto &[id, record] :
-         KernelRegistry::instance().health().snapshot())
-        stats.ledger_incidents += record.guard_trips + record.faults +
-                                  record.breaker_opens;
     return stats;
 }
 
@@ -641,7 +646,7 @@ EnginePool::snapshot() const
         view.generation = replica.generation;
         view.served = replica.served;
         view.failures = replica.failures;
-        view.breaker_opens = breaker_opens(*replica.engine);
+        view.breaker_opens = replica.breaker_opens;
         view.last_fault = replica.last_fault;
         snapshots.push_back(std::move(view));
     }

@@ -63,25 +63,6 @@ struct EnginePoolOptions {
     /** Health penalty at which a replica is quarantined at release. */
     double quarantine_threshold = 3.0;
 
-    /** Penalty added per watchdog hang attributed to the replica. */
-    double hang_penalty = 1.6;
-
-    /** Penalty added per guard-confirmed kDataCorruption outcome. */
-    double corruption_penalty = 1.2;
-
-    /** Penalty added per kInternal (kernel fault) outcome. */
-    double fault_penalty = 1.0;
-
-    /** Penalty subtracted per clean completion (floored at 0). */
-    double success_reward = 0.5;
-
-    /** Gate readmission on a clean probe inference; disabling readmits
-     *  on restore_step alone (tests). */
-    bool probe_on_readmission = true;
-
-    /** Deadline of the readmission probe inference. */
-    double probe_deadline_ms = 1000.0;
-
     /**
      * Per-replica fault injectors (chaos harnesses): entry i, when
      * non-null, replaces EngineOptions::fault_injector for replica i so
@@ -123,7 +104,8 @@ struct ReplicaSnapshot {
     std::uint64_t generation = 0;
     std::int64_t served = 0;
     std::int64_t failures = 0;
-    /** Breaker-open transitions across this replica's plan steps. */
+    /** Breaker-open transitions across this replica's plan steps, as
+     *  of its last lease release. */
     std::int64_t breaker_opens = 0;
     std::string last_fault;
 };
@@ -178,10 +160,6 @@ struct EnginePoolStats {
     std::int64_t swaps = 0;
     /** Acquires routed to the canary replica by its traffic slice. */
     std::int64_t canary_routed = 0;
-    /** Guard-ledger incidents (trips + faults + breaker opens) across
-     *  all kernels, process-wide: the cross-replica view operators
-     *  correlate replica failures against. */
-    std::int64_t ledger_incidents = 0;
     std::size_t active_replicas = 0;
     std::size_t spare_replicas = 0;
     std::size_t quarantined_replicas = 0;
@@ -414,6 +392,9 @@ class EnginePool
         std::uint64_t generation = 0;
         std::int64_t served = 0;
         std::int64_t failures = 0;
+        /** Breaker opens summed over the engine's steps at the last
+         *  release; the engine itself belongs to the lease holder. */
+        std::int64_t breaker_opens = 0;
         std::string last_fault;
         std::vector<PendingDemotion> pending_demotions;
         double pending_hang_penalty = 0;
@@ -445,7 +426,6 @@ class EnginePool
     bool revive(std::size_t id, std::string *failure);
 
     std::size_t count_in_rotation_locked() const;
-    std::int64_t breaker_opens(const Engine &engine) const;
 
     EnginePoolOptions options_;
     GuardPolicy full_policy_;

@@ -299,11 +299,4 @@ FaultInjector::corruption_calls_seen() const
     return corruption_calls_seen_;
 }
 
-std::int64_t
-FaultInjector::model_corruptions_injected() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return model_corruptions_injected_;
-}
-
 } // namespace orpheus

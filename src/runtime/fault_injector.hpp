@@ -185,10 +185,6 @@ class FaultInjector
      *  arm_corruption(). */
     std::int64_t corruption_calls_seen() const;
 
-    /** Total corruptions injected by the model matcher since the last
-     *  arm_model_corruption()/reset(). */
-    std::int64_t model_corruptions_injected() const;
-
   private:
     // Matcher evaluation with mutex_ already held.
     bool should_fail_locked(const std::string &node_name,

@@ -5,6 +5,14 @@
 
 namespace orpheus {
 
+namespace {
+
+/** Shadow comparison passes a residual difference within this many
+ *  ULPs, whatever the absolute/relative tolerances say. */
+constexpr std::int64_t kShadowMaxUlps = 64;
+
+} // namespace
+
 const char *
 to_string(GuardTrip trip)
 {
@@ -84,7 +92,7 @@ compare_shadow(const Tensor &fast, const Tensor &reference,
         if (diff <= policy.shadow_atol +
                         policy.shadow_rtol * std::fabs(r))
             continue;
-        if (ulp_distance(f, r) <= policy.shadow_max_ulps)
+        if (ulp_distance(f, r) <= kShadowMaxUlps)
             continue;
         comparison.diverged = true;
         comparison.element_index = i;

@@ -64,10 +64,9 @@ struct GuardPolicy {
 
     /** Shadow comparison: |fast - ref| <= atol + rtol * |ref| passes
      *  (multiply form — an exact-zero reference never divides), and a
-     *  residual difference within max_ulps also passes. */
+     *  residual difference within 64 ULPs also passes. */
     float shadow_atol = 1e-5f;
     float shadow_rtol = 1e-4f;
-    std::int64_t shadow_max_ulps = 64;
 
     /**
      * Scan outputs produced by the reference implementation too, and

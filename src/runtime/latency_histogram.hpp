@@ -31,42 +31,6 @@ class LatencyHistogram
 
     std::int64_t count() const { return total_; }
 
-    /** The three operator-facing quantiles, resolved in one pass. */
-    struct Percentiles {
-        double p50_ms = 0;
-        double p99_ms = 0;
-        double p999_ms = 0;
-    };
-
-    /** P50/P99/P99.9 in a single scan over the buckets — cheaper than
-     *  three percentile() calls when a stats snapshot needs all of
-     *  them (the per-class service tables do). */
-    Percentiles
-    percentiles() const
-    {
-        Percentiles result;
-        if (total_ == 0)
-            return result;
-        const double total = static_cast<double>(total_);
-        std::int64_t seen = 0;
-        int need = 0; // Next unresolved quantile: 0=p50, 1=p99, 2=p999.
-        for (int i = 0; i < kBuckets && need < 3; ++i) {
-            seen += counts_[i];
-            const double frac = static_cast<double>(seen);
-            while (need < 3 && frac >= kQuantiles[need] * total) {
-                (need == 0   ? result.p50_ms
-                 : need == 1 ? result.p99_ms
-                             : result.p999_ms) = reported_bound(i);
-                ++need;
-            }
-        }
-        for (; need < 3; ++need)
-            (need == 0   ? result.p50_ms
-             : need == 1 ? result.p99_ms
-                         : result.p999_ms) = reported_bound(kBuckets - 1);
-        return result;
-    }
-
     /** Upper bound of the bucket holding the @p quantile-th sample
      *  (quantile in [0,1]); 0 when empty. */
     double
@@ -119,7 +83,6 @@ class LatencyHistogram
   private:
     static constexpr double kFirstBoundMs = 0.05;
     static constexpr double kRatio = 1.3;
-    static constexpr double kQuantiles[3] = {0.50, 0.99, 0.999};
 
     /** Value reported for a quantile resolving to @p bucket. The top
      *  bucket is unbounded, so its geometric lower edge used to be

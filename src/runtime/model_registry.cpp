@@ -13,6 +13,18 @@ namespace orpheus {
 
 namespace {
 
+/** The canary's error rate may exceed the incumbent's by at most this
+ *  much. */
+constexpr double kMaxErrorRateExcess = 0.05;
+
+/** The canary's P99 may be at most this multiple of the incumbent's
+ *  (histogram buckets are ~30 % wide; keep >= 2). */
+constexpr double kMaxP99Ratio = 4.0;
+
+/** Per-replica drain deadline during swaps; also bounds each canary
+ *  warm-up probe. */
+constexpr double kDrainDeadlineMs = 5000;
+
 double
 elapsed_ms_since(std::chrono::steady_clock::time_point start)
 {
@@ -109,11 +121,11 @@ ModelRegistry::check_signature(const Graph &graph) const
 }
 
 Status
-ModelRegistry::probe_canary(std::size_t replica, double deadline_ms)
+ModelRegistry::probe_canary(std::size_t replica)
 {
     Status why = internal_error("canary probe acquire failed");
     EnginePool::Lease lease = pool_.acquire_specific(
-        replica, DeadlineToken::after_ms(deadline_ms), &why);
+        replica, DeadlineToken::after_ms(kDrainDeadlineMs), &why);
     if (!lease.valid())
         return why;
 
@@ -123,7 +135,7 @@ ModelRegistry::probe_canary(std::size_t replica, double deadline_ms)
     std::map<std::string, Tensor> outputs;
     const auto started = std::chrono::steady_clock::now();
     const Status verdict = lease.engine().try_run(
-        inputs, outputs, DeadlineToken::after_ms(deadline_ms));
+        inputs, outputs, DeadlineToken::after_ms(kDrainDeadlineMs));
     pool_.release(std::move(lease), verdict, elapsed_ms_since(started));
     if (!verdict.is_ok())
         return verdict;
@@ -238,7 +250,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
     Status swap_why = internal_error("swap failed");
     std::unique_ptr<Engine> displaced = pool_.swap_replica(
         canary, std::move(canary_engine), report.generation,
-        DeadlineToken::after_ms(options.drain_deadline_ms), &swap_why);
+        DeadlineToken::after_ms(kDrainDeadlineMs), &swap_why);
     if (displaced == nullptr)
         return reject(std::move(swap_why), GenerationState::kQuarantined);
 
@@ -247,8 +259,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
         Status restore_why;
         std::unique_ptr<Engine> bad = pool_.swap_replica(
             canary, std::move(displaced), incumbent_generation,
-            DeadlineToken::after_ms(options.drain_deadline_ms),
-            &restore_why);
+            DeadlineToken::after_ms(kDrainDeadlineMs), &restore_why);
         if (bad == nullptr)
             // The drain deadline expired mid-rollback; the replica
             // keeps the rejected engine but stays health-governed (the
@@ -259,8 +270,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
     };
 
     for (int probe = 0; probe < options.warmup_probes; ++probe) {
-        Status verdict =
-            probe_canary(canary, options.drain_deadline_ms);
+        Status verdict = probe_canary(canary);
         if (!verdict.is_ok()) {
             roll_back();
             return reject(model_rejected_error(
@@ -297,22 +307,22 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
         const ReplicaWindow &can = windows[canary];
         if (can.bad() > 0 &&
             can.error_rate() >
-                incumbent.error_rate() + options.max_error_rate_excess) {
+                incumbent.error_rate() + kMaxErrorRateExcess) {
             failed = true;
             verdict << "canary error rate " << can.error_rate()
                     << " exceeds incumbent " << incumbent.error_rate()
-                    << " by more than " << options.max_error_rate_excess;
+                    << " by more than " << kMaxErrorRateExcess;
         } else if (can.latency.count() > 0 &&
                    incumbent.latency.count() > 0) {
             const double incumbent_p99 =
                 incumbent.latency.percentile(0.99);
             const double canary_p99 = can.latency.percentile(0.99);
             if (incumbent_p99 > 0 &&
-                canary_p99 > incumbent_p99 * options.max_p99_ratio) {
+                canary_p99 > incumbent_p99 * kMaxP99Ratio) {
                 failed = true;
                 verdict << "canary P99 " << canary_p99
                         << " ms exceeds incumbent P99 " << incumbent_p99
-                        << " ms by more than x" << options.max_p99_ratio;
+                        << " ms by more than x" << kMaxP99Ratio;
             }
         }
         if (failed) {
@@ -340,7 +350,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
         Status why = internal_error("swap failed");
         std::unique_ptr<Engine> old = pool_.swap_replica(
             snap.id, std::move(replacement), report.generation,
-            DeadlineToken::after_ms(options.drain_deadline_ms), &why);
+            DeadlineToken::after_ms(kDrainDeadlineMs), &why);
         if (old != nullptr)
             ++report.replicas_swapped;
         else

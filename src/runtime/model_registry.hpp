@@ -84,17 +84,6 @@ struct RolloutOptions {
     /** Give up waiting for min_canary_samples after this long and
      *  judge on whatever the windows hold. */
     double observe_timeout_ms = 2000;
-
-    /** The canary's error rate may exceed the incumbent's by at most
-     *  this much. */
-    double max_error_rate_excess = 0.05;
-
-    /** The canary's P99 may be at most this multiple of the
-     *  incumbent's (histogram buckets are ~30 % wide; keep >= 2). */
-    double max_p99_ratio = 4.0;
-
-    /** Per-replica drain deadline during swaps. */
-    double drain_deadline_ms = 5000;
 };
 
 /** Introspection view of one generation (CLI tables, stats). */
@@ -177,7 +166,7 @@ class ModelRegistry
 
     /** Runs one zero-input inference on the canary replica; non-OK or
      *  non-finite outputs reject the generation. */
-    Status probe_canary(std::size_t replica, double deadline_ms);
+    Status probe_canary(std::size_t replica);
 
     void set_state(std::uint64_t generation, GenerationState state,
                    std::string detail = std::string());

@@ -181,7 +181,7 @@ InferenceService::submit(std::map<std::string, Tensor> inputs,
     // after queue time and a replica lease.
     const bool expired = token.expired();
     bool infeasible = false;
-    if (!expired && options_.enable_feasibility_admission) {
+    if (!expired) {
         double wait_ms = estimated_wait_ms_locked(lane);
         // Expected batch-window wait: the assembler only holds a
         // request whose budget covers the window (deadline-aware
@@ -533,14 +533,8 @@ InferenceService::finish_request_locked(std::size_t lane, bool shed,
         if (response.status.is_ok() && response.run_ms > 0)
             class_service_[lane].record(response.run_ms);
     }
-    if (!shed && response.run_ms > 0) {
-        const double total = response.queue_ms + response.run_ms;
-        latency_.record(total);
-        recent_latency_[recent_next_] = total;
-        recent_next_ = (recent_next_ + 1) % recent_latency_.size();
-        recent_count_ =
-            std::min(recent_count_ + 1, recent_latency_.size());
-    }
+    if (!shed && response.run_ms > 0)
+        latency_.record(response.queue_ms + response.run_ms);
     // Each dispatched request earns retry credit.
     if (!shed)
         retry_tokens_ = std::min(retry_token_cap_,
@@ -717,15 +711,9 @@ InferenceService::update_brownout_locked()
     const std::size_t low = options_.brownout_low_watermark > 0
                                 ? options_.brownout_low_watermark
                                 : options_.max_queue_depth / 4;
-    const bool latency_trigger =
-        options_.brownout_p99_ms > 0 &&
-        recent_p99_locked() > options_.brownout_p99_ms;
-    const bool latency_calm =
-        options_.brownout_p99_ms <= 0 ||
-        recent_p99_locked() <= options_.brownout_p99_ms;
 
     const std::size_t queued = queued_locked();
-    if (!brownout_ && (queued >= high || latency_trigger)) {
+    if (!brownout_ && queued >= high) {
         brownout_ = true;
         ++stats_.brownout_entered;
         pool_->set_degraded_mode(true);
@@ -733,7 +721,7 @@ InferenceService::update_brownout_locked()
                      << queued << "/" << options_.max_queue_depth
                      << ", high watermark " << high
                      << "): shedding batch work, degrading replicas");
-    } else if (brownout_ && queued <= low && latency_calm) {
+    } else if (brownout_ && queued <= low) {
         brownout_ = false;
         ++stats_.brownout_exited;
         pool_->set_degraded_mode(false);
@@ -744,24 +732,6 @@ InferenceService::update_brownout_locked()
     }
 }
 
-double
-InferenceService::recent_p99_locked() const
-{
-    if (recent_count_ == 0)
-        return 0;
-    std::array<double, 128> window{};
-    std::copy_n(recent_latency_.begin(), recent_count_, window.begin());
-    const std::size_t rank =
-        std::min(recent_count_ - 1,
-                 static_cast<std::size_t>(
-                     static_cast<double>(recent_count_) * 0.99));
-    std::nth_element(window.begin(),
-                     window.begin() + static_cast<std::ptrdiff_t>(rank),
-                     window.begin() +
-                         static_cast<std::ptrdiff_t>(recent_count_));
-    return window[rank];
-}
-
 void
 InferenceService::on_hang(const HangReport &report)
 {
@@ -769,14 +739,11 @@ InferenceService::on_hang(const HangReport &report)
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.watchdog_hangs;
     }
-    if (options_.demote_on_hang) {
-        std::ostringstream reason;
-        reason << "watchdog: step ran for " << report.elapsed_ms
-               << " ms (threshold " << options_.hang_threshold_ms
-               << " ms)";
-        pool_->report_hang(report.monitor_index, report.step_index,
-                           reason.str());
-    }
+    std::ostringstream reason;
+    reason << "watchdog: step ran for " << report.elapsed_ms
+           << " ms (threshold " << options_.hang_threshold_ms << " ms)";
+    pool_->report_hang(report.monitor_index, report.step_index,
+                       reason.str());
     // Cancel last: once the wedged request unblocks, its lease release
     // applies the demotion queued above before the replica serves
     // another request.
@@ -794,11 +761,9 @@ InferenceService::stats() const
         merged.latency_p99_ms = latency_.percentile(0.99);
         merged.latency_p999_ms = latency_.percentile(0.999);
         for (std::size_t c = 0; c < kPriorityClasses; ++c) {
-            const LatencyHistogram::Percentiles p =
-                class_latency_[c].percentiles();
-            merged.class_p50_ms[c] = p.p50_ms;
-            merged.class_p99_ms[c] = p.p99_ms;
-            merged.class_p999_ms[c] = p.p999_ms;
+            merged.class_p50_ms[c] = class_latency_[c].percentile(0.50);
+            merged.class_p99_ms[c] = class_latency_[c].percentile(0.99);
+            merged.class_p999_ms[c] = class_latency_[c].percentile(0.999);
         }
         merged.batch_mean_occupancy =
             merged.batches_formed > 0

@@ -18,7 +18,8 @@
  *    the lane's recent service-time P50 / workers) is rejected at
  *    submit with kDeadlineExceeded (rejected_infeasible) in
  *    microseconds instead of burning a replica lease on a guaranteed
- *    miss.
+ *    miss. A cold service, with no recorded service times yet, admits
+ *    everything.
  *  - Latency-class scheduling: workers pop strictly by class
  *    (real-time > interactive > batch) with an aging credit — every
  *    time a lower lane is bypassed while nonempty it earns credit,
@@ -39,14 +40,14 @@
  *    *different* healthy replica with exponential backoff + jitter,
  *    inside the request's original deadline and a retry budget
  *    (a bounded fraction of recent traffic) that stops retry storms.
- *  - Overload brownout: when queue depth or the recent latency tail
- *    crosses thresholds the service degrades bottom-up — batch work
- *    is shed at dispatch, interactive work past its feasibility
- *    margin fails fast instead of burning a lease, real-time work
- *    always dispatches first (aging is suspended) and skips the retry
- *    token bucket — and replicas drop to a cheaper no-shadow guard
- *    mode instead of hard-rejecting everything, restoring full
- *    fidelity when pressure subsides.
+ *  - Overload brownout: when queue depth crosses its high watermark
+ *    the service degrades bottom-up — batch work is shed at
+ *    dispatch, interactive work past its feasibility margin fails
+ *    fast instead of burning a lease, real-time work always
+ *    dispatches first (aging is suspended) and skips the retry token
+ *    bucket — and replicas drop to a cheaper no-shadow guard mode
+ *    instead of hard-rejecting everything, restoring full fidelity
+ *    when queue depth falls to its low watermark.
  *
  * Concurrency model: each of the N worker threads leases a private
  * replica per request, so requests on different workers never share
@@ -133,13 +134,6 @@ struct ServiceOptions {
      *  browned out (real-time strictly wins under overload). */
     int aging_credit_limit = 8;
 
-    /** Deadline-feasibility admission: reject at submit (with
-     *  kDeadlineExceeded, counted in rejected_infeasible) any request
-     *  whose remaining budget cannot cover the estimated queue wait
-     *  ahead of it. Estimation needs recorded service times, so a
-     *  cold service admits everything. */
-    bool enable_feasibility_admission = true;
-
     // --- Dynamic batching -------------------------------------------------
 
     /** Largest number of same-lane queued requests one worker may
@@ -188,11 +182,6 @@ struct ServiceOptions {
     /** Watchdog poll period. */
     double watchdog_poll_ms = 5;
 
-    /** On a detected hang, demote the offending step to the reference
-     *  kernel for subsequent requests (in addition to cancelling the
-     *  hung request). */
-    bool demote_on_hang = true;
-
     // --- Retry / failover -------------------------------------------------
 
     /** Maximum retry attempts after a retryable failure (corruption,
@@ -221,10 +210,6 @@ struct ServiceOptions {
      *  max_queue_depth: 3/4 high, 1/4 low; hysteresis). */
     std::size_t brownout_high_watermark = 0;
     std::size_t brownout_low_watermark = 0;
-
-    /** Recent-window P99 latency (queue + run) that also triggers
-     *  brownout; 0 disables the latency trigger. */
-    double brownout_p99_ms = 0;
 
     /** Per-replica fault injectors for chaos harnesses (forwarded to
      *  the pool; entry i overrides the engine options for replica i). */
@@ -561,10 +546,9 @@ class InferenceService
      *  kPriorityClasses when all lanes are empty. Caller holds
      *  mutex_. */
     std::size_t next_lane_locked();
-    /** Re-evaluates brownout state from queue depth and the recent
-     *  latency window. Caller holds mutex_. */
+    /** Re-evaluates brownout state from queue depth. Caller holds
+     *  mutex_. */
     void update_brownout_locked();
-    double recent_p99_locked() const;
     void on_hang(const HangReport &report);
 
     EngineOptions engine_options_;
@@ -595,10 +579,6 @@ class InferenceService
     /** Per-class execution time only (successful runs); feeds the
      *  feasibility-admission wait estimate. */
     std::array<LatencyHistogram, kPriorityClasses> class_service_;
-    /** Recent total latencies (ms) for the brownout P99 trigger. */
-    std::array<double, 128> recent_latency_{};
-    std::size_t recent_count_ = 0;
-    std::size_t recent_next_ = 0;
     double retry_tokens_ = 0;
     double retry_token_cap_ = 0;
     bool brownout_ = false;

@@ -93,13 +93,6 @@ Watchdog::stop()
         thread_.join();
 }
 
-std::int64_t
-Watchdog::hangs_detected() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hangs_detected_;
-}
-
 void
 Watchdog::poll_loop()
 {
@@ -121,7 +114,6 @@ Watchdog::poll_loop()
                 flagged_[i] == snap.sequence)
                 continue;
             flagged_[i] = snap.sequence;
-            ++hangs_detected_;
             HangReport report;
             report.monitor_index = i;
             report.step_index = snap.step_index;

@@ -114,9 +114,6 @@ class Watchdog
     /** Stops the polling thread (idempotent; the destructor calls it). */
     void stop();
 
-    /** Hangs flagged since construction. */
-    std::int64_t hangs_detected() const;
-
   private:
     void poll_loop();
 
@@ -127,7 +124,6 @@ class Watchdog
     mutable std::mutex mutex_;
     std::condition_variable wake_;
     bool stopping_ = false;
-    std::int64_t hangs_detected_ = 0;
     /** Last flagged sequence per monitor (0 = none). */
     std::vector<std::uint64_t> flagged_;
     std::thread thread_;

@@ -479,6 +479,87 @@ TEST(EnginePool, WarmSparePromotedWhenReplicaQuarantined)
     pool.release(std::move(lease), Status::ok());
 }
 
+/**
+ * The fixed penalty weights at the default quarantine threshold of
+ * 3.0: a kernel fault adds 1.0, a clean completion subtracts 0.5, a
+ * confirmed corruption adds 1.2 and a watchdog hang adds 1.6.
+ */
+TEST(EnginePool, DefaultPenaltyWeightsDriveQuarantine)
+{
+    set_global_num_threads(1);
+    EnginePool pool(models::tiny_cnn(), {}, EnginePoolOptions{});
+    const auto release_with = [&pool](const Status &outcome) {
+        Status why;
+        EnginePool::Lease lease = pool.acquire(
+            DeadlineToken::after_ms(5000), EnginePool::kNoReplica, &why);
+        ASSERT_TRUE(lease.valid()) << why.to_string();
+        pool.release(std::move(lease), outcome);
+    };
+
+    release_with(internal_error("synthetic kernel fault"));
+    release_with(internal_error("synthetic kernel fault"));
+    EXPECT_DOUBLE_EQ(pool.snapshot()[0].health_penalty, 2.0);
+    release_with(Status::ok());
+    EXPECT_DOUBLE_EQ(pool.snapshot()[0].health_penalty, 1.5);
+    release_with(data_corruption_error("synthetic corruption"));
+    EXPECT_DOUBLE_EQ(pool.snapshot()[0].health_penalty, 2.7);
+    EXPECT_EQ(pool.snapshot()[0].state, ReplicaState::kActive);
+    release_with(internal_error("synthetic kernel fault"));
+    EXPECT_EQ(pool.snapshot()[0].state, ReplicaState::kQuarantined);
+    EXPECT_EQ(pool.stats().quarantines, 1);
+
+    EnginePool hung(models::tiny_cnn(), {}, EnginePoolOptions{});
+    Status why;
+    EnginePool::Lease lease = hung.acquire(DeadlineToken::after_ms(5000),
+                                           EnginePool::kNoReplica, &why);
+    ASSERT_TRUE(lease.valid()) << why.to_string();
+    hung.report_hang(0, 0, "synthetic hang");
+    hung.release(std::move(lease), Status::ok());
+    EXPECT_DOUBLE_EQ(hung.snapshot()[0].health_penalty, 1.6 - 0.5);
+}
+
+/**
+ * snapshot() racing a lease holder whose guard keeps opening breakers.
+ * The breaker counters live in the leased engine; snapshot() must read
+ * the copy the pool takes at release, not the engine itself. TSan
+ * (this suite runs under it) flags a direct read.
+ */
+TEST(EnginePool, SnapshotDuringBreakerOpensIsRaceFree)
+{
+    set_global_num_threads(1);
+    EngineOptions engine_options;
+    engine_options.backend.forced_impl["Conv"] = "im2col_gemm";
+    engine_options.guard.enabled = true;
+    engine_options.guard.cooldown_ms = 0;
+    engine_options.guard.fail_on_corruption = false;
+    engine_options.fault_injector = std::make_shared<FaultInjector>();
+    engine_options.fault_injector->arm_corruption(
+        "", "im2col_gemm", CorruptionKind::kNaNPoke);
+    EnginePool pool(models::tiny_cnn(), engine_options, EnginePoolOptions{});
+
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+        while (!done.load())
+            (void)pool.snapshot();
+    });
+    for (int i = 0; i < 40; ++i) {
+        Status why;
+        EnginePool::Lease lease = pool.acquire(
+            DeadlineToken::after_ms(5000), EnginePool::kNoReplica, &why);
+        if (!lease.valid()) {
+            ADD_FAILURE() << why.to_string();
+            break;
+        }
+        std::map<std::string, Tensor> outputs;
+        const Status verdict =
+            lease.engine().try_run(cnn_inputs(0x5a9), outputs);
+        pool.release(std::move(lease), verdict);
+    }
+    done.store(true);
+    reader.join();
+    EXPECT_GE(pool.snapshot()[0].breaker_opens, 2);
+}
+
 // --- Service-level failover, retry budget, backoff --------------------------
 
 TEST(ServiceRetry, FailsOverToDifferentReplicaOnCorruption)

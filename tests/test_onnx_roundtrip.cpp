@@ -42,6 +42,19 @@ TEST(OnnxRoundTrip, TinyCnnStructurePreserved)
     EXPECT_NO_THROW(imported.validate());
 }
 
+TEST(OnnxRoundTrip, ModelHeaderCarriesExporterVersions)
+{
+    Graph imported;
+    OnnxModelInfo info;
+    const Status status =
+        import_onnx(export_onnx(models::tiny_cnn()), imported, &info);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    EXPECT_EQ(info.ir_version, 7);
+    EXPECT_EQ(info.opset_version, 11);
+    EXPECT_EQ(info.producer_name, "orpheus");
+    EXPECT_EQ(info.producer_version, "1.0.0");
+}
+
 TEST(OnnxRoundTrip, InitializerBytesAreBitExact)
 {
     const Graph original = models::tiny_mlp();
