@@ -1,9 +1,15 @@
 #include "onnx/importer.hpp"
 
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <new>
+#include <system_error>
 #include <unordered_set>
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "core/logging.hpp"
 #include "onnx/proto.hpp"
@@ -19,6 +25,91 @@ using proto::WireType;
 
 /** Importer-wide cap on tensor rank; nothing legitimate gets close. */
 constexpr std::size_t kMaxTensorRank = 256;
+
+/**
+ * What every parse function needs besides its Reader: the caller's
+ * limits and where tensor payloads come from. Without a file the
+ * payload is copied out of the parsed bytes. With one, the parsed bytes
+ * are a read-only mapping of @c fd, and each payload is pread straight
+ * into its tensor, so the scan never faults the weight pages in.
+ */
+struct ImportContext {
+    const ImportLimits &limits;
+    const std::uint8_t *map_base = nullptr;
+    int fd = -1;
+    /** Page-aligned prefix of the mapping already handed back. */
+    std::size_t released = 0;
+
+    /** Copies the payload @p view, a slice of the parsed bytes, into
+     *  @p dst. */
+    void copy_payload(void *dst, std::string_view view)
+    {
+        if (view.empty())
+            return;
+        if (map_base == nullptr) {
+            std::memcpy(dst, view.data(), view.size());
+            return;
+        }
+        const auto offset = static_cast<std::size_t>(
+            reinterpret_cast<const std::uint8_t *>(view.data()) - map_base);
+        auto *out = static_cast<std::uint8_t *>(dst);
+        for (std::size_t done = 0; done < view.size();) {
+            const ssize_t got =
+                ::pread(fd, out + done, view.size() - done,
+                        static_cast<off_t>(offset + done));
+            if (got < 0 && errno == EINTR)
+                continue;
+            if (got < 0)
+                throw std::system_error(errno, std::generic_category(),
+                                        "reading a tensor payload");
+            if (got == 0)
+                throw Error("model file ended inside a tensor payload "
+                            "(was it truncated while being imported?)");
+            done += static_cast<std::size_t>(got);
+        }
+        // The scan only moves forward, so everything before this payload's
+        // end is consumed: drop those pages (fault-around and the tag reads
+        // brought some in) so the import holds about one copy of the weights.
+        const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+        const std::size_t consumed = (offset + view.size()) / page * page;
+        if (consumed > released) {
+            ::madvise(const_cast<std::uint8_t *>(map_base) + released,
+                      consumed - released, MADV_DONTNEED);
+            released = consumed;
+        }
+    }
+};
+
+/** An open model file and its read-only mapping, both released on
+ *  every return path. */
+struct MappedFile {
+    int fd = -1;
+    void *data = nullptr;
+    std::size_t size = 0;
+
+    MappedFile() = default;
+    MappedFile(const MappedFile &) = delete;
+    MappedFile &operator=(const MappedFile &) = delete;
+
+    ~MappedFile()
+    {
+        if (data != nullptr)
+            ::munmap(data, size);
+        if (fd >= 0)
+            ::close(fd);
+    }
+};
+
+Status
+check_model_size(std::uint64_t size, const ImportLimits &limits)
+{
+    if (size > limits.max_model_bytes)
+        return out_of_range_error(
+            "model of " + std::to_string(size) + " bytes exceeds the " +
+            std::to_string(limits.max_model_bytes) +
+            "-byte limit (ImportLimits::max_model_bytes)");
+    return Status::ok();
+}
 
 DataType
 map_tensor_dtype(std::int64_t onnx_type)
@@ -92,8 +183,9 @@ checked_tensor_bytes(const std::vector<Shape::dim_type> &dims, DataType dtype,
 
 /** Parses one TensorProto; returns its (possibly empty) name. */
 std::string
-parse_tensor(Reader reader, Tensor &out, const ImportLimits &limits)
+parse_tensor(Reader reader, Tensor &out, ImportContext &ctx)
 {
+    const ImportLimits &limits = ctx.limits;
     std::vector<Shape::dim_type> dims;
     std::int64_t data_type = 0;
     std::string name;
@@ -187,8 +279,7 @@ parse_tensor(Reader reader, Tensor &out, const ImportLimits &limits)
                       "tensor " << name << ": raw_data has "
                                 << raw_data.size() << " bytes, expected "
                                 << expected_bytes);
-        if (expected_bytes > 0)
-            std::memcpy(tensor.raw_data(), raw_data.data(), expected_bytes);
+        ctx.copy_payload(tensor.raw_data(), raw_data);
     } else if (dtype == DataType::kFloat32) {
         ORPHEUS_CHECK(static_cast<std::int64_t>(float_data.size()) ==
                           tensor.numel(),
@@ -225,8 +316,9 @@ parse_tensor(Reader reader, Tensor &out, const ImportLimits &limits)
 
 /** Parses one AttributeProto into (name, Attribute). */
 std::pair<std::string, Attribute>
-parse_attribute(Reader reader, const ImportLimits &limits)
+parse_attribute(Reader reader, ImportContext &ctx)
 {
+    const ImportLimits &limits = ctx.limits;
     std::string name;
     schema::AttrType declared_type = schema::AttrType::kUndefined;
     float f_value = 0.0f;
@@ -262,7 +354,7 @@ parse_attribute(Reader reader, const ImportLimits &limits)
             has_s = true;
             break;
           case schema::kAttrTensor:
-            parse_tensor(reader.sub_reader(), t_value, limits);
+            parse_tensor(reader.sub_reader(), t_value, ctx);
             has_tensor = true;
             break;
           case schema::kAttrFloats:
@@ -405,8 +497,9 @@ parse_value_info(Reader reader)
 
 /** Parses a NodeProto and appends it to @p graph. */
 void
-parse_node(Reader reader, Graph &graph, const ImportLimits &limits)
+parse_node(Reader reader, Graph &graph, ImportContext &ctx)
 {
+    const ImportLimits &limits = ctx.limits;
     std::string op_type, name;
     std::vector<std::string> inputs, outputs;
     AttributeMap attrs;
@@ -435,7 +528,7 @@ parse_node(Reader reader, Graph &graph, const ImportLimits &limits)
                                  " attributes "
                                  "(ImportLimits::max_attributes)");
             auto [attr_name, attr] =
-                parse_attribute(reader.sub_reader(), limits);
+                parse_attribute(reader.sub_reader(), ctx);
             attrs.set(attr_name, std::move(attr));
             break;
           }
@@ -452,8 +545,9 @@ parse_node(Reader reader, Graph &graph, const ImportLimits &limits)
 
 /** Parses a GraphProto into @p graph. */
 void
-parse_graph(Reader reader, Graph &graph, const ImportLimits &limits)
+parse_graph(Reader reader, Graph &graph, ImportContext &ctx)
 {
+    const ImportLimits &limits = ctx.limits;
     std::vector<ValueInfo> declared_inputs;
     std::vector<ValueInfo> declared_outputs;
     std::size_t node_count = 0;
@@ -471,7 +565,7 @@ parse_graph(Reader reader, Graph &graph, const ImportLimits &limits)
                 throw LimitError("graph has more than " +
                                  std::to_string(limits.max_nodes) +
                                  " nodes (ImportLimits::max_nodes)");
-            parse_node(reader.sub_reader(), graph, limits);
+            parse_node(reader.sub_reader(), graph, ctx);
             break;
           case schema::kGraphInitializer: {
             if (++initializer_count > limits.max_initializers)
@@ -481,7 +575,7 @@ parse_graph(Reader reader, Graph &graph, const ImportLimits &limits)
                     " initializers (ImportLimits::max_initializers)");
             Tensor tensor;
             std::string name =
-                parse_tensor(reader.sub_reader(), tensor, limits);
+                parse_tensor(reader.sub_reader(), tensor, ctx);
             ORPHEUS_CHECK(!name.empty(), "initializer without a name");
             graph.add_initializer(name, std::move(tensor));
             break;
@@ -523,17 +617,14 @@ parse_graph(Reader reader, Graph &graph, const ImportLimits &limits)
         graph.add_output(output.name, output.shape, output.dtype);
 }
 
-} // namespace
-
+/** The one parser behind both entry points. */
 Status
-import_onnx(const std::uint8_t *bytes, std::size_t size, Graph &out_graph,
-            OnnxModelInfo *out_info, const ImportLimits &limits)
+import_model(const std::uint8_t *bytes, std::size_t size, Graph &out_graph,
+             OnnxModelInfo *out_info, ImportContext &ctx)
 {
-    if (size > limits.max_model_bytes)
-        return out_of_range_error(
-            "model of " + std::to_string(size) + " bytes exceeds the " +
-            std::to_string(limits.max_model_bytes) +
-            "-byte limit (ImportLimits::max_model_bytes)");
+    const ImportLimits &limits = ctx.limits;
+    if (Status status = check_model_size(size, limits); !status.is_ok())
+        return status;
     try {
         Graph graph;
         OnnxModelInfo info;
@@ -567,7 +658,7 @@ import_onnx(const std::uint8_t *bytes, std::size_t size, Graph &out_graph,
                 break;
               }
               case schema::kModelGraph:
-                parse_graph(reader.sub_reader(), graph, limits);
+                parse_graph(reader.sub_reader(), graph, ctx);
                 saw_graph = true;
                 break;
               default:
@@ -601,6 +692,16 @@ import_onnx(const std::uint8_t *bytes, std::size_t size, Graph &out_graph,
     }
 }
 
+} // namespace
+
+Status
+import_onnx(const std::uint8_t *bytes, std::size_t size, Graph &out_graph,
+            OnnxModelInfo *out_info, const ImportLimits &limits)
+{
+    ImportContext ctx{limits};
+    return import_model(bytes, size, out_graph, out_info, ctx);
+}
+
 Status
 import_onnx(const std::vector<std::uint8_t> &bytes, Graph &out_graph,
             OnnxModelInfo *out_info, const ImportLimits &limits)
@@ -613,15 +714,36 @@ Status
 import_onnx_file(const std::string &path, Graph &out_graph,
                  OnnxModelInfo *out_info, const ImportLimits &limits)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
+    MappedFile file;
+    // O_NONBLOCK keeps a FIFO from stalling the open; it does not affect
+    // reads of the regular files that are the only ones accepted below.
+    file.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+    if (file.fd < 0)
         return not_found_error("cannot open model file: " + path);
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(file)),
-        std::istreambuf_iterator<char>());
-    if (!file && !file.eof())
-        return internal_error("error reading model file: " + path);
-    return import_onnx(bytes, out_graph, out_info, limits);
+    struct stat st {};
+    if (::fstat(file.fd, &st) != 0)
+        return internal_error("cannot stat model file " + path + ": " +
+                              std::strerror(errno));
+    if (!S_ISREG(st.st_mode))
+        return invalid_argument_error("model path is not a regular file: " +
+                                      path);
+    if (Status status =
+            check_model_size(static_cast<std::uint64_t>(st.st_size), limits);
+        !status.is_ok())
+        return status;
+
+    file.size = static_cast<std::size_t>(st.st_size);
+    if (file.size > 0) {
+        void *data = ::mmap(nullptr, file.size, PROT_READ, MAP_PRIVATE,
+                            file.fd, 0);
+        if (data == MAP_FAILED)
+            return internal_error("cannot map model file " + path + ": " +
+                                  std::strerror(errno));
+        file.data = data;
+    }
+    ImportContext ctx{limits, static_cast<const std::uint8_t *>(file.data),
+                      file.fd};
+    return import_model(ctx.map_base, file.size, out_graph, out_info, ctx);
 }
 
 } // namespace orpheus

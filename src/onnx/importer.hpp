@@ -73,7 +73,24 @@ Status import_onnx(const std::vector<std::uint8_t> &bytes, Graph &out_graph,
                    OnnxModelInfo *out_info = nullptr,
                    const ImportLimits &limits = {});
 
-/** Reads @p path and imports it. */
+/**
+ * Imports the ONNX file at @p path through the same parser as
+ * import_onnx(), holding about one copy of the weights at its peak.
+ *
+ * Before anything is read the file is opened and fstat'ed: a failed
+ * open yields kNotFound, a path that is not a regular file (directory,
+ * device, FIFO) yields kInvalidArgument, and a file larger than
+ * ImportLimits::max_model_bytes yields kOutOfRange. The file is then
+ * mapped read-only and scanned in place; each tensor payload is pread
+ * straight into its own 64-byte-aligned tensor, and the pages of the
+ * mapping already scanned are released as the scan moves on. The
+ * mapping and descriptor are released on every return path.
+ *
+ * Precondition: the file is not truncated or rewritten in place while
+ * it is imported (as with any mmap loader, a shrinking file can raise
+ * SIGBUS). Replace a model file by writing a new file and renaming it
+ * over the old one.
+ */
 Status import_onnx_file(const std::string &path, Graph &out_graph,
                         OnnxModelInfo *out_info = nullptr,
                         const ImportLimits &limits = {});

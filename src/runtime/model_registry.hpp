@@ -133,7 +133,13 @@ class ModelRegistry
      */
     RolloutReport roll_out(Graph graph, const RolloutOptions &options = {});
 
-    /** Imports @p path as ONNX and rolls it out. */
+    /**
+     * Imports @p path as ONNX (import_onnx_file: a directory, device or
+     * over-limit file is refused before any read) and rolls it out. An
+     * import failure comes back as a kModelRejected report, never as an
+     * exception. Replace the file by rename, not by rewriting it in
+     * place, while a rollout may read it.
+     */
     RolloutReport roll_out_file(const std::string &path,
                                 const RolloutOptions &options = {});
 

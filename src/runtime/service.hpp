@@ -461,7 +461,11 @@ class InferenceService
      */
     RolloutReport reload(Graph graph, const RolloutOptions &options = {});
 
-    /** Imports @p path as ONNX and reloads onto it. */
+    /**
+     * Imports @p path as ONNX and reloads onto it; see
+     * ModelRegistry::roll_out_file for how a bad path is reported and
+     * why the file must be replaced by rename.
+     */
     RolloutReport reload_file(const std::string &path,
                               const RolloutOptions &options = {});
 

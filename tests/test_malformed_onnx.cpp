@@ -379,7 +379,8 @@ TEST(MalformedOnnx, ReaderSubReaderDepthGuard)
 // --- Regression corpus ----------------------------------------------------
 
 /** Every committed corpus file must be rejected with a typed Status —
- *  no exception may escape and no abort may fire. */
+ *  no exception may escape and no abort may fire — through both the
+ *  bytes and the file entry point. */
 TEST(MalformedOnnx, RegressionCorpusRejectsCleanly)
 {
     const std::filesystem::path dir = ORPHEUS_TEST_CORPUS_DIR;
@@ -390,13 +391,26 @@ TEST(MalformedOnnx, RegressionCorpusRejectsCleanly)
             entry.path().extension() != ".onnx")
             continue;
         ++files;
-        std::ifstream in(entry.path(), std::ios::binary);
+        std::ifstream in(entry.path(), std::ios::binary | std::ios::ate);
         std::vector<std::uint8_t> bytes(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
+            static_cast<std::size_t>(in.tellg()));
+        in.seekg(0);
+        in.read(reinterpret_cast<char *>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+        ASSERT_TRUE(in) << entry.path();
         Status status;
         ASSERT_NO_THROW(status = import_bytes(bytes)) << entry.path();
         EXPECT_FALSE(status.is_ok()) << entry.path();
+
+        // The file path scans a mapping of the same bytes and must reach
+        // the same verdict.
+        Graph graph;
+        Status file_status;
+        ASSERT_NO_THROW(file_status =
+                            import_onnx_file(entry.path().string(), graph))
+            << entry.path();
+        EXPECT_EQ(file_status.code(), status.code())
+            << entry.path() << ": " << file_status.to_string();
     }
     EXPECT_GT(files, 0u) << "corpus directory is empty";
 }

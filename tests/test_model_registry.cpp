@@ -273,6 +273,27 @@ TEST(ModelRegistry, SignatureMismatchRejectedWithoutTouchingPool)
     EXPECT_TRUE(service.run(cnn_inputs(0x40f)).status.is_ok());
 }
 
+TEST(ModelRegistry, RollOutFileOnDirectoryRejectedWithoutThrowing)
+{
+    // reload_file is roll_out_file behind the service: a path that is no
+    // model file comes back as a rejected report, never as an exception.
+    set_global_num_threads(1);
+    ServiceOptions options;
+    options.workers = 1;
+    options.replicas = 1;
+    options.enable_watchdog = false;
+    InferenceService service(models::tiny_cnn(), {}, options);
+
+    RolloutReport report;
+    ASSERT_NO_THROW(report = service.reload_file(::testing::TempDir()));
+    EXPECT_EQ(report.status.code(), StatusCode::kModelRejected);
+    EXPECT_NE(report.status.message().find("not a regular file"),
+              std::string::npos)
+        << report.status.message();
+    EXPECT_EQ(service.registry().active_generation(), 1u);
+    EXPECT_TRUE(service.run(cnn_inputs(0x410)).status.is_ok());
+}
+
 // --- Acceptance (c): tight shutdown deadline sheds batch work only ----------
 
 TEST(ModelRegistry, TightShutdownDeadlineShedsOnlyBatchWork)

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+
 #include "models/model_zoo.hpp"
 #include "runtime/engine.hpp"
 #include "test_util.hpp"
@@ -187,6 +193,137 @@ TEST(OnnxImport, MissingFileGivesNotFound)
     const Status status =
         import_onnx_file("/nonexistent/path/model.onnx", graph);
     EXPECT_EQ(status.code(), StatusCode::kNotFound);
+}
+
+TEST(OnnxImport, DirectoryGivesInvalidArgument)
+{
+    Graph graph;
+    const Status status = import_onnx_file(::testing::TempDir(), graph);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.to_string();
+}
+
+TEST(OnnxImport, CharacterDeviceGivesInvalidArgument)
+{
+    // An endless device must be refused before any read, not drained.
+    if (!std::filesystem::exists("/dev/zero"))
+        GTEST_SKIP() << "no /dev/zero on this system";
+    Graph graph;
+    const Status status = import_onnx_file("/dev/zero", graph);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.to_string();
+}
+
+TEST(OnnxImport, OversizedFileRejectedBeforeReading)
+{
+    // A sparse file one byte over the cap: the size check must come from
+    // the file's metadata, before any of it is read or mapped.
+    const std::string path = ::testing::TempDir() + "/orpheus_sparse.onnx";
+    std::ofstream(path, std::ios::binary).close();
+    ImportLimits limits;
+    limits.max_model_bytes = std::size_t{1} << 20;
+    std::filesystem::resize_file(path, limits.max_model_bytes + 1);
+
+    Graph graph;
+    const Status status = import_onnx_file(path, graph, nullptr, limits);
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.to_string();
+    std::remove(path.c_str());
+}
+
+/** Writes @p size bytes of @p bytes to @p path. */
+void
+write_file(const std::string &path, const std::uint8_t *bytes,
+           std::size_t size)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes),
+              static_cast<std::streamsize>(size));
+    ASSERT_TRUE(out.good()) << path;
+}
+
+TEST(OnnxImport, FileImportEqualsBytesImport)
+{
+    const std::string path = ::testing::TempDir() + "/orpheus_same.onnx";
+    const std::pair<const char *, Graph> cases[] = {
+        {"tiny_mlp", models::tiny_mlp()},
+        {"tiny_cnn", models::tiny_cnn()},
+        {"mobilenet_v1", models::mobilenet_v1()},
+        {"resnet18", models::resnet18()},
+    };
+    for (const auto &[model, original] : cases) {
+        SCOPED_TRACE(model);
+        const std::vector<std::uint8_t> bytes = export_onnx(original);
+        write_file(path, bytes.data(), bytes.size());
+
+        Graph from_bytes, from_file;
+        ASSERT_TRUE(import_onnx(bytes, from_bytes).is_ok());
+        const Status status = import_onnx_file(path, from_file);
+        ASSERT_TRUE(status.is_ok()) << status.to_string();
+
+        ASSERT_EQ(from_file.nodes().size(), from_bytes.nodes().size());
+        for (std::size_t i = 0; i < from_bytes.nodes().size(); ++i) {
+            const Node &a = from_bytes.nodes()[i];
+            const Node &b = from_file.nodes()[i];
+            EXPECT_EQ(b.op_type(), a.op_type()) << i;
+            EXPECT_EQ(b.name(), a.name()) << i;
+            EXPECT_EQ(b.inputs(), a.inputs()) << i;
+            EXPECT_EQ(b.outputs(), a.outputs()) << i;
+            EXPECT_EQ(b.attrs().size(), a.attrs().size()) << i;
+        }
+        const auto same_values = [](const std::vector<ValueInfo> &a,
+                                    const std::vector<ValueInfo> &b) {
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                EXPECT_EQ(a[i].name, b[i].name);
+                EXPECT_EQ(a[i].shape, b[i].shape);
+                EXPECT_EQ(a[i].dtype, b[i].dtype);
+            }
+        };
+        same_values(from_bytes.inputs(), from_file.inputs());
+        same_values(from_bytes.outputs(), from_file.outputs());
+
+        ASSERT_EQ(from_file.initializers().size(),
+                  from_bytes.initializers().size());
+        for (const auto &[name, tensor] : from_bytes.initializers()) {
+            ASSERT_TRUE(from_file.has_initializer(name)) << name;
+            const Tensor &loaded = from_file.initializer(name);
+            ASSERT_EQ(loaded.shape(), tensor.shape()) << name;
+            ASSERT_EQ(loaded.dtype(), tensor.dtype()) << name;
+            EXPECT_EQ(std::memcmp(loaded.raw_data(), tensor.raw_data(),
+                                  tensor.byte_size()),
+                      0)
+                << name;
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(OnnxImport, TruncatedFileMatchesTruncatedBytes)
+{
+    // Every prefix, near the start, through the payloads and at the very
+    // end, must be judged the same way by the file and the bytes path.
+    const std::string path = ::testing::TempDir() + "/orpheus_cut.onnx";
+    const std::vector<std::uint8_t> bytes =
+        export_onnx(models::tiny_cnn());
+    const std::size_t step = std::max<std::size_t>(1, bytes.size() / 61);
+    std::vector<std::size_t> cuts;
+    for (std::size_t cut = 0; cut < bytes.size(); cut += step)
+        cuts.push_back(cut);
+    for (std::size_t back = 1; back <= 8; ++back)
+        cuts.push_back(bytes.size() - back);
+
+    for (std::size_t cut : cuts) {
+        const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                               bytes.begin() + cut);
+        write_file(path, prefix.data(), prefix.size());
+        Graph from_bytes, from_file;
+        const Status expected = import_onnx(prefix, from_bytes);
+        const Status actual = import_onnx_file(path, from_file);
+        EXPECT_EQ(actual.code(), expected.code())
+            << "cut at " << cut << ": " << actual.to_string() << " vs "
+            << expected.to_string();
+    }
+    std::remove(path.c_str());
 }
 
 TEST(OnnxImport, SymbolicInputShapeRejected)

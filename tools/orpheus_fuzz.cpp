@@ -190,6 +190,32 @@ check_import_contract(const std::vector<std::uint8_t> &bytes,
     }
 }
 
+/** The file entry point on the same input: it must keep the contract
+ *  and return the same StatusCode as the bytes entry point did. */
+bool
+check_file_contract(const std::string &path, const ImportLimits &limits,
+                    const Status &bytes_status, std::string &violation_out)
+{
+    try {
+        orpheus::Graph graph;
+        const Status status =
+            orpheus::import_onnx_file(path, graph, nullptr, limits);
+        if (status.code() == bytes_status.code())
+            return true;
+        violation_out = "import_onnx_file gave " + status.to_string() +
+                        " where import_onnx gave " +
+                        bytes_status.to_string();
+        return false;
+    } catch (const std::exception &e) {
+        violation_out = std::string("exception escaped import_onnx_file: ") +
+                        e.what();
+        return false;
+    } catch (...) {
+        violation_out = "non-std exception escaped import_onnx_file";
+        return false;
+    }
+}
+
 void
 save_crash(const std::string &dir, std::uint64_t iteration,
            const std::vector<std::uint8_t> &bytes)
@@ -218,14 +244,22 @@ replay_corpus(const std::string &dir, const ImportLimits &limits)
             paths.push_back(entry.path());
     std::sort(paths.begin(), paths.end());
     for (const auto &path : paths) {
-        std::ifstream in(path, std::ios::binary);
+        std::ifstream in(path, std::ios::binary | std::ios::ate);
         std::vector<std::uint8_t> bytes(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
+            static_cast<std::size_t>(in.tellg()));
+        in.seekg(0);
+        in.read(reinterpret_cast<char *>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
         ++files;
         Status status;
         std::string violation;
-        if (!check_import_contract(bytes, limits, status, violation)) {
+        if (!in) {
+            ++violations;
+            std::fprintf(stderr, "cannot read %s\n", path.c_str());
+        } else if (!check_import_contract(bytes, limits, status,
+                                          violation) ||
+                   !check_file_contract(path.string(), limits, status,
+                                        violation)) {
             ++violations;
             std::fprintf(stderr, "VIOLATION %s: %s\n", path.c_str(),
                          violation.c_str());
@@ -247,7 +281,8 @@ usage(const char *argv0)
         "          [--save-crashes DIR] [--verbose]\n"
         "\n"
         "Mutation-fuzzes the ONNX importer from model-zoo seeds. With\n"
-        "--corpus, replays a directory of regression inputs instead.\n"
+        "--corpus, replays a directory of regression inputs instead,\n"
+        "through both import_onnx and import_onnx_file, which must agree.\n"
         "Exits non-zero if any input violates the import contract\n"
         "(exception escapes / crash) — typed Status rejections are the\n"
         "expected outcome for malformed bytes.\n",
