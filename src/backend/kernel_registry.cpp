@@ -14,42 +14,21 @@ kernel_health_id(const std::string &op_type, const std::string &impl_name)
 }
 
 void
-KernelHealthLedger::record_guard_trip(const std::string &kernel_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++records_[kernel_id].guard_trips;
-}
-
-void
-KernelHealthLedger::record_fault(const std::string &kernel_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++records_[kernel_id].faults;
-}
-
-void
-KernelHealthLedger::record_breaker_open(const std::string &kernel_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++records_[kernel_id].breaker_opens;
-}
-
-void
-KernelHealthLedger::record_recovery(const std::string &kernel_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++records_[kernel_id].recoveries;
-}
-
-void
-KernelHealthLedger::record_shadow_run(const std::string &kernel_id,
-                                      bool diverged)
+KernelHealthLedger::add(const std::string &kernel_id, HealthEvent event)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     KernelHealthRecord &record = records_[kernel_id];
-    ++record.shadow_runs;
-    if (diverged)
+    switch (event) {
+      case HealthEvent::kTrip: ++record.guard_trips; break;
+      case HealthEvent::kFault: ++record.faults; break;
+      case HealthEvent::kBreakerOpen: ++record.breaker_opens; break;
+      case HealthEvent::kRecovery: ++record.recoveries; break;
+      case HealthEvent::kShadowRun: ++record.shadow_runs; break;
+      case HealthEvent::kShadowDivergence:
+        ++record.shadow_runs;
         ++record.shadow_divergences;
+        break;
+    }
 }
 
 KernelHealthRecord

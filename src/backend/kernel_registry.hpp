@@ -44,22 +44,29 @@ struct KernelHealthRecord {
     std::int64_t shadow_divergences = 0;
 };
 
+/** One health fact about a kernel, as an engine observes it. */
+enum class HealthEvent {
+    kTrip,             ///< Confirmed output-guard trip.
+    kFault,            ///< The kernel threw (or a fault was injected).
+    kBreakerOpen,      ///< A step's breaker opened on this kernel.
+    kRecovery,         ///< A half-open probe re-promoted this kernel.
+    kShadowRun,        ///< A shadow comparison that agreed.
+    kShadowDivergence, ///< A shadow comparison that diverged.
+};
+
 /**
  * Process-wide health ledger, keyed by kernel id
- * ("op_type.impl_name"). Engines record guard trips, faults, breaker
- * transitions and shadow outcomes here so operators can see which
- * backend is misbehaving across every replica, not just one engine.
- * Thread-safe; recording is off the hot path (trips are rare, shadow
- * runs sampled).
+ * ("op_type.impl_name"). Engines add every HealthEvent here so
+ * operators can see which backend is misbehaving across every replica,
+ * not just one engine. Thread-safe; recording is off the hot path
+ * (trips are rare, shadow runs sampled).
  */
 class KernelHealthLedger
 {
   public:
-    void record_guard_trip(const std::string &kernel_id);
-    void record_fault(const std::string &kernel_id);
-    void record_breaker_open(const std::string &kernel_id);
-    void record_recovery(const std::string &kernel_id);
-    void record_shadow_run(const std::string &kernel_id, bool diverged);
+    /** Counts @p event against @p kernel_id (a divergence is also a
+     *  shadow run). */
+    void add(const std::string &kernel_id, HealthEvent event);
 
     /** Record for @p kernel_id (zeroes when never seen). */
     KernelHealthRecord record(const std::string &kernel_id) const;

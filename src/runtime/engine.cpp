@@ -449,24 +449,7 @@ Engine::execute_step_unguarded(std::size_t index,
 {
     PlanStep &step = steps_[index];
     try {
-        FaultInjector *injector = options_.fault_injector.get();
-        // One decide() call per invocation: the whole injection schedule
-        // for this step is resolved atomically, so a concurrent re-arm
-        // (pool chaos harnesses) cannot hand us a torn verdict.
-        InjectionDecision injection;
-        if (injector != nullptr) {
-            injection = injector->decide(
-                step.node_name, step.layer->impl_name(), graph_.name());
-            if (injection.delay_ms > 0)
-                cooperative_delay_ms(injection.delay_ms, deadline);
-            if (injection.fail)
-                throw KernelFault("injected fault in node " +
-                                  step.node_name + " (" +
-                                  step.layer->impl_name() + ")");
-        }
-        step.layer->forward(step.inputs, step.outputs);
-        if (injector != nullptr)
-            apply_corruption(injection.corruption, *step.outputs.front());
+        forward_injected(step, *step.layer, deadline);
     } catch (const DeadlineExceededError &) {
         // A cancelled step is not a kernel fault: never degrade, let
         // the request surface kDeadlineExceeded.
@@ -477,9 +460,29 @@ Engine::execute_step_unguarded(std::size_t index,
         degrade_step(index, fault.what());
         // Retry on the fallback; a second failure propagates — one
         // degradation per execution keeps the retry loop bounded.
-        steps_[index].layer->forward(steps_[index].inputs,
-                                     steps_[index].outputs);
+        step.layer->forward(step.inputs, step.outputs);
     }
+}
+
+void
+Engine::forward_injected(PlanStep &step, Layer &layer,
+                         const DeadlineToken &deadline)
+{
+    InjectionDecision injection;
+    if (FaultInjector *injector = options_.fault_injector.get()) {
+        // One decide() call per invocation: the whole injection schedule
+        // for this step is resolved atomically, so a concurrent re-arm
+        // (pool chaos harnesses) cannot hand us a torn verdict.
+        injection =
+            injector->decide(step.node_name, layer.impl_name(), graph_.name());
+        if (injection.delay_ms > 0)
+            cooperative_delay_ms(injection.delay_ms, deadline);
+        if (injection.fail)
+            throw KernelFault("injected fault in node " + step.node_name +
+                              " (" + layer.impl_name() + ")");
+    }
+    layer.forward(step.inputs, step.outputs);
+    apply_corruption(injection.corruption, *step.outputs.front());
 }
 
 void
@@ -510,21 +513,7 @@ Engine::execute_step_guarded(std::size_t index, const DeadlineToken &deadline)
     ++step.invocations;
 
     try {
-        FaultInjector *injector = options_.fault_injector.get();
-        InjectionDecision injection;
-        if (injector != nullptr) {
-            injection = injector->decide(step.node_name, active.impl_name(),
-                                         graph_.name());
-            if (injection.delay_ms > 0)
-                cooperative_delay_ms(injection.delay_ms, deadline);
-            if (injection.fail)
-                throw KernelFault("injected fault in node " +
-                                  step.node_name + " (" +
-                                  active.impl_name() + ")");
-        }
-        active.forward(step.inputs, step.outputs);
-        if (injector != nullptr)
-            apply_corruption(injection.corruption, *step.outputs.front());
+        forward_injected(step, active, deadline);
     } catch (const DeadlineExceededError &) {
         throw; // Never a trip: cancelled, not wrong.
     } catch (const std::exception &fault) {
@@ -649,8 +638,6 @@ GuardVerdict
 Engine::run_shadow(PlanStep &step)
 {
     const GuardPolicy &policy = options_.guard;
-    ++step.health.shadow_runs;
-
     std::vector<Tensor> scratch;
     std::vector<Tensor *> scratch_ptrs;
     scratch.reserve(step.outputs.size());
@@ -660,15 +647,12 @@ Engine::run_shadow(PlanStep &step)
         scratch_ptrs.push_back(&tensor);
     reference_layer(step).forward(step.inputs, scratch_ptrs);
 
-    KernelHealthLedger &ledger = KernelRegistry::instance().health();
-    const std::string id =
-        kernel_health_id(step.op_type, step.selected_impl);
     for (std::size_t i = 0; i < step.outputs.size(); ++i) {
         const ShadowComparison comparison =
             compare_shadow(*step.outputs[i], scratch[i], policy);
         if (!comparison.diverged)
             continue;
-        ledger.record_shadow_run(id, /*diverged=*/true);
+        note_health(step, HealthEvent::kShadowDivergence);
         // Serve the trusted result downstream.
         for (std::size_t j = 0; j < step.outputs.size(); ++j)
             step.outputs[j]->copy_from(scratch[j]);
@@ -684,8 +668,32 @@ Engine::run_shadow(PlanStep &step)
         verdict.detail = detail.str();
         return verdict;
     }
-    ledger.record_shadow_run(id, /*diverged=*/false);
+    note_health(step, HealthEvent::kShadowRun);
     return GuardVerdict{};
+}
+
+void
+Engine::note_health(PlanStep &step, HealthEvent event)
+{
+    StepHealth &health = step.health;
+    switch (event) {
+      case HealthEvent::kTrip: ++health.trips_total; break;
+      case HealthEvent::kFault: ++health.faults_total; break;
+      case HealthEvent::kBreakerOpen:
+        health.state = BreakerState::kOpen;
+        health.opened_at = std::chrono::steady_clock::now();
+        health.consecutive_trips = 0;
+        ++health.opens_total;
+        break;
+      case HealthEvent::kRecovery:
+        health.state = BreakerState::kClosed;
+        ++health.recoveries_total;
+        break;
+      case HealthEvent::kShadowRun:
+      case HealthEvent::kShadowDivergence: ++health.shadow_runs; break;
+    }
+    KernelRegistry::instance().health().add(
+        kernel_health_id(step.op_type, step.layer->impl_name()), event);
 }
 
 void
@@ -694,21 +702,12 @@ Engine::record_trip(std::size_t index, GuardTrip kind,
 {
     PlanStep &step = steps_[index];
     StepHealth &health = step.health;
-    KernelHealthLedger &ledger = KernelRegistry::instance().health();
-    const std::string id =
-        kernel_health_id(step.op_type, step.selected_impl);
-
     health.last_trip_reason = reason;
-    if (kind == GuardTrip::kFault) {
-        ++health.faults_total;
-        ledger.record_fault(id);
-    } else {
-        ++health.trips_total;
-        ledger.record_guard_trip(id);
-    }
+    note_health(step, kind == GuardTrip::kFault ? HealthEvent::kFault
+                                                : HealthEvent::kTrip);
     ORPHEUS_WARN("guard: " << to_string(kind) << " on node "
-                           << step.node_name << " (" << id << "): "
-                           << reason);
+                           << step.node_name << " (" << step.op_type << "."
+                           << step.selected_impl << "): " << reason);
 
     if (health.state == BreakerState::kHalfOpen) {
         // The probe failed; back to open, cool-down restarts.
@@ -725,17 +724,11 @@ void
 Engine::open_breaker(std::size_t index, const std::string &reason)
 {
     PlanStep &step = steps_[index];
-    StepHealth &health = step.health;
     reference_layer(step); // Throws now if no fallback is registered.
 
-    health.state = BreakerState::kOpen;
-    health.opened_at = std::chrono::steady_clock::now();
-    ++health.opens_total;
-    health.consecutive_trips = 0;
-    health.last_trip_reason = reason;
+    note_health(step, HealthEvent::kBreakerOpen);
+    step.health.last_trip_reason = reason;
     step.degraded = true;
-    KernelRegistry::instance().health().record_breaker_open(
-        kernel_health_id(step.op_type, step.selected_impl));
     profiler_.set_impl_name(index, step.reference_impl);
     ORPHEUS_WARN("guard: breaker OPEN for "
                  << step.op_type << "." << step.selected_impl
@@ -763,7 +756,7 @@ Engine::degrade_step(std::size_t index, const std::string &reason)
                            << reason
                            << "); falling back to reference implementation "
                            << step.op_type << "." << fallback->impl_name);
-    registry.health().record_fault(kernel_health_id(step.op_type, failed));
+    note_health(step, HealthEvent::kFault);
     step.layer = registry.instantiate(*fallback, step.init);
     prepare_layer(*step.layer);
     step.degraded = true;
@@ -978,12 +971,8 @@ Engine::restore_step(std::size_t index)
         step.layer = registry.instantiate(*def, step.init);
         prepare_layer(*step.layer);
     }
-    if (step.health.state != BreakerState::kClosed) {
-        ++step.health.recoveries_total;
-        KernelRegistry::instance().health().record_recovery(
-            kernel_health_id(step.op_type, step.selected_impl));
-    }
-    step.health.state = BreakerState::kClosed;
+    if (step.health.state != BreakerState::kClosed)
+        note_health(step, HealthEvent::kRecovery);
     step.health.consecutive_trips = 0;
     step.degraded = false;
     profiler_.set_impl_name(index, step.selected_impl);

@@ -413,6 +413,12 @@ class Engine
      *  injection and the fallback policy. */
     void execute_step(std::size_t index, const DeadlineToken &deadline);
 
+    /** Runs @p layer on @p step's tensors under the fault injector:
+     *  delay, then fault, then forward, then corruption of the first
+     *  output. Both execution paths call this for the primary kernel. */
+    void forward_injected(PlanStep &step, Layer &layer,
+                          const DeadlineToken &deadline);
+
     /** Pre-guard execution path (guard disabled): fault fallback is a
      *  one-way permanent degradation. */
     void execute_step_unguarded(std::size_t index,
@@ -443,6 +449,14 @@ class Engine
      *  compares; on divergence copies the reference result into the
      *  step's outputs and returns the verdict. */
     GuardVerdict run_shadow(PlanStep &step);
+
+    /**
+     * The one writer of health facts: updates @p step's StepHealth and
+     * adds @p event to the process-wide KernelHealthLedger under the
+     * step's current kernel. kBreakerOpen also opens the breaker and
+     * starts the cool-down; kRecovery closes it.
+     */
+    void note_health(PlanStep &step, HealthEvent event);
 
     /** Records a confirmed trip/fault against the breaker; opens it
      *  when the threshold is crossed or a probe failed. */

@@ -10,14 +10,32 @@ namespace orpheus {
 
 namespace {
 
-/** Health penalty per watchdog hang attributed to a replica. */
-constexpr double kHangPenalty = 1.6;
-/** Health penalty per guard-confirmed kDataCorruption outcome. */
-constexpr double kCorruptionPenalty = 1.2;
-/** Health penalty per kInternal (kernel fault) outcome. */
-constexpr double kFaultPenalty = 1.0;
-/** Penalty subtracted per clean completion (floored at 0). */
-constexpr double kSuccessReward = 0.5;
+/**
+ * The outcome table: the health penalty one outcome adds to a replica
+ * (negative: the clean-completion reward; the score is floored at 0)
+ * and whether it counts as a failure (the replica's failures, its
+ * canary window's bad requests and last_fault). Deadline expiry and
+ * every other status are neutral: the client's budget ran out, which
+ * says nothing about the replica.
+ */
+struct OutcomeWeight {
+    double penalty;
+    bool failure;
+};
+/** A watchdog hang (report_hang), charged at the next release. */
+constexpr OutcomeWeight kHangOutcome{1.6, true};
+
+OutcomeWeight
+weight_of(const Status &outcome)
+{
+    switch (outcome.code()) {
+      case StatusCode::kOk: return {-0.5, false};
+      case StatusCode::kDataCorruption: return {1.2, true};
+      case StatusCode::kInternal: return {1.0, true};
+      default: return {0.0, false};
+    }
+}
+
 /** Deadline of the readmission probe inference. */
 constexpr double kProbeDeadlineMs = 1000.0;
 
@@ -537,24 +555,16 @@ EnginePool::release(Lease lease, const Status &outcome, double run_ms,
     for (const PlanStep &step : replica.engine->steps())
         replica.breaker_opens += step.health.opens_total;
 
-    if (outcome.is_ok()) {
-        replica.health_penalty =
-            std::max(0.0, replica.health_penalty - kSuccessReward);
-        replica.window.ok += requests;
-    } else if (outcome.code() == StatusCode::kDataCorruption) {
-        replica.health_penalty += kCorruptionPenalty;
+    // Health penalty/reward is per lease, so batching does not skew
+    // quarantine; watchdog hangs arrive separately through report_hang.
+    const OutcomeWeight weight = weight_of(outcome);
+    replica.health_penalty =
+        std::max(0.0, replica.health_penalty + weight.penalty);
+    if (weight.failure) {
         ++replica.failures;
-        replica.window.corruption += requests;
-        replica.last_fault = outcome.to_string();
-    } else if (outcome.code() == StatusCode::kInternal) {
-        replica.health_penalty += kFaultPenalty;
-        ++replica.failures;
-        replica.window.fault += requests;
+        replica.window.bad += requests;
         replica.last_fault = outcome.to_string();
     }
-    // Deadline expiry stays neutral: the client's budget ran out, which
-    // says nothing about the replica (watchdog hangs arrive separately
-    // through report_hang).
 
     if (replica.state == ReplicaState::kActive &&
         replica.health_penalty >= options_.quarantine_threshold) {
@@ -577,13 +587,16 @@ EnginePool::report_hang(std::size_t replica, std::size_t step_index,
                         const std::string &reason)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.hangs;
     if (replica >= replicas_.size())
         return;
-    replicas_[replica].pending_demotions.push_back(
-        PendingDemotion{step_index, reason});
-    replicas_[replica].pending_hang_penalty += kHangPenalty;
-    ++replicas_[replica].window.hang;
-    replicas_[replica].last_fault = reason;
+    Replica &target = replicas_[replica];
+    target.pending_demotions.push_back(PendingDemotion{step_index, reason});
+    // A hang is a failure: it counts in the window now, and its
+    // penalty (and the replica's failure count) at the next release.
+    target.pending_hang_penalty += kHangOutcome.penalty;
+    ++target.window.bad;
+    target.last_fault = reason;
 }
 
 void

@@ -111,38 +111,32 @@ struct ReplicaSnapshot {
 };
 
 /**
- * Per-replica outcome + latency window since the last reset_windows().
- * The model registry resets the windows when a canary starts taking
- * traffic and later compares the canary replica's window against the
- * incumbents' merged window to reach a promote/rollback verdict.
+ * Per-replica outcome + latency window since the last reset_windows():
+ * exactly what the canary verdict reads. The model registry resets the
+ * windows when a canary starts taking traffic and later compares the
+ * canary replica's window against the incumbents' merged window to
+ * reach a promote/rollback verdict.
  */
 struct ReplicaWindow {
     std::int64_t served = 0;
-    std::int64_t ok = 0;
-    std::int64_t corruption = 0;
-    std::int64_t fault = 0;
-    std::int64_t hang = 0;
+    /** Requests whose outcome counts as a failure (corruption, fault)
+     *  plus watchdog hangs. */
+    std::int64_t bad = 0;
     LatencyHistogram latency;
-
-    std::int64_t bad() const { return corruption + fault + hang; }
 
     double
     error_rate() const
     {
-        return served == 0
-                   ? 0.0
-                   : static_cast<double>(bad()) /
-                         static_cast<double>(served);
+        return served == 0 ? 0.0
+                           : static_cast<double>(bad) /
+                                 static_cast<double>(served);
     }
 
     void
     merge(const ReplicaWindow &other)
     {
         served += other.served;
-        ok += other.ok;
-        corruption += other.corruption;
-        fault += other.fault;
-        hang += other.hang;
+        bad += other.bad;
         latency.merge(other.latency);
     }
 };
@@ -160,6 +154,8 @@ struct EnginePoolStats {
     std::int64_t swaps = 0;
     /** Acquires routed to the canary replica by its traffic slice. */
     std::int64_t canary_routed = 0;
+    /** Watchdog hangs reported against any replica. */
+    std::int64_t hangs = 0;
     std::size_t active_replicas = 0;
     std::size_t spare_replicas = 0;
     std::size_t quarantined_replicas = 0;

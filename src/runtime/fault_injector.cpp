@@ -44,18 +44,33 @@ apply_corruption(CorruptionKind kind, Tensor &output)
     }
 }
 
+bool
+FaultInjector::Matcher::fire()
+{
+    const std::int64_t ordinal = seen++;
+    if (ordinal < from_call || (cap >= 0 && fired >= cap))
+        return false;
+    ++fired;
+    return true;
+}
+
+bool
+FaultInjector::Matcher::hit(const std::string &node_name,
+                            const std::string &impl_name)
+{
+    if (!armed || (!node.empty() && node != node_name) ||
+        (!impl.empty() && impl != impl_name))
+        return false;
+    return fire();
+}
+
 void
 FaultInjector::arm(std::string node_name, std::string impl_name,
                    std::int64_t fail_from_call, std::int64_t max_faults)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    armed_ = true;
-    node_name_ = std::move(node_name);
-    impl_name_ = std::move(impl_name);
-    fail_from_call_ = fail_from_call;
-    max_faults_ = max_faults;
-    calls_seen_ = 0;
-    faults_injected_ = 0;
+    fault_ = Matcher{true, std::move(node_name), std::move(impl_name),
+                     fail_from_call, max_faults};
 }
 
 void
@@ -64,14 +79,9 @@ FaultInjector::arm_delay(std::string node_name, std::string impl_name,
                          std::int64_t max_delays)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    delay_armed_ = true;
-    delay_node_name_ = std::move(node_name);
-    delay_impl_name_ = std::move(impl_name);
+    delay_ = Matcher{true, std::move(node_name), std::move(impl_name),
+                     delay_from_call, max_delays};
     delay_ms_ = delay_ms;
-    delay_from_call_ = delay_from_call;
-    max_delays_ = max_delays;
-    delay_calls_seen_ = 0;
-    delays_injected_ = 0;
 }
 
 void
@@ -81,14 +91,9 @@ FaultInjector::arm_corruption(std::string node_name, std::string impl_name,
                               std::int64_t max_corruptions)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    corruption_armed_ = true;
-    corruption_node_name_ = std::move(node_name);
-    corruption_impl_name_ = std::move(impl_name);
+    corruption_ = Matcher{true, std::move(node_name), std::move(impl_name),
+                          corrupt_from_call, max_corruptions};
     corruption_kind_ = kind;
-    corrupt_from_call_ = corrupt_from_call;
-    max_corruptions_ = max_corruptions;
-    corruption_calls_seen_ = 0;
-    corruptions_injected_ = 0;
 }
 
 void
@@ -98,49 +103,16 @@ FaultInjector::arm_model_corruption(std::string model_name,
                                     std::int64_t max_corruptions)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    model_corruption_armed_ = true;
-    model_corruption_name_ = std::move(model_name);
+    model_corruption_ = Matcher{true, std::move(model_name), std::string(),
+                                corrupt_from_call, max_corruptions};
     model_corruption_kind_ = kind;
-    model_corrupt_from_call_ = corrupt_from_call;
-    model_max_corruptions_ = max_corruptions;
-    model_corruption_calls_seen_ = 0;
-    model_corruptions_injected_ = 0;
 }
 
 void
 FaultInjector::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    armed_ = false;
-    node_name_.clear();
-    impl_name_.clear();
-    fail_from_call_ = 0;
-    max_faults_ = -1;
-    calls_seen_ = 0;
-    faults_injected_ = 0;
-    delay_armed_ = false;
-    delay_node_name_.clear();
-    delay_impl_name_.clear();
-    delay_ms_ = 0;
-    delay_from_call_ = 0;
-    max_delays_ = -1;
-    delay_calls_seen_ = 0;
-    delays_injected_ = 0;
-    corruption_armed_ = false;
-    corruption_node_name_.clear();
-    corruption_impl_name_.clear();
-    corruption_kind_ = CorruptionKind::kNone;
-    corrupt_from_call_ = 0;
-    max_corruptions_ = -1;
-    corruption_calls_seen_ = 0;
-    corruptions_injected_ = 0;
-    model_corruption_armed_ = false;
-    model_corruption_name_.clear();
-    model_corruption_kind_ = CorruptionKind::kNone;
-    model_corrupt_from_call_ = 0;
-    model_max_corruptions_ = -1;
-    model_corruption_calls_seen_ = 0;
-    model_corruptions_injected_ = 0;
+    fault_ = delay_ = corruption_ = model_corruption_ = Matcher{};
 }
 
 InjectionDecision
@@ -150,11 +122,16 @@ FaultInjector::decide(const std::string &node_name,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     InjectionDecision decision;
-    decision.delay_ms = delay_ms_locked(node_name, impl_name);
-    decision.fail = should_fail_locked(node_name, impl_name);
-    decision.corruption = corruption_locked(node_name, impl_name);
-    if (decision.corruption == CorruptionKind::kNone)
-        decision.corruption = model_corruption_locked(model_name);
+    if (delay_.hit(node_name, impl_name))
+        decision.delay_ms = delay_ms_;
+    decision.fail = fault_.hit(node_name, impl_name);
+    // A (node, impl) corruption wins; the model matcher is consulted,
+    // and its ordinal advanced, only when that one does not fire.
+    if (corruption_.hit(node_name, impl_name))
+        decision.corruption = corruption_kind_;
+    else if (!model_name.empty() && model_name == model_corruption_.node &&
+             model_corruption_.fire())
+        decision.corruption = model_corruption_kind_;
     return decision;
 }
 
@@ -163,26 +140,7 @@ FaultInjector::should_fail(const std::string &node_name,
                            const std::string &impl_name)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return should_fail_locked(node_name, impl_name);
-}
-
-bool
-FaultInjector::should_fail_locked(const std::string &node_name,
-                                  const std::string &impl_name)
-{
-    if (!armed_)
-        return false;
-    if (!node_name_.empty() && node_name_ != node_name)
-        return false;
-    if (!impl_name_.empty() && impl_name_ != impl_name)
-        return false;
-    const std::int64_t ordinal = calls_seen_++;
-    if (ordinal < fail_from_call_)
-        return false;
-    if (max_faults_ >= 0 && faults_injected_ >= max_faults_)
-        return false;
-    ++faults_injected_;
-    return true;
+    return fault_.hit(node_name, impl_name);
 }
 
 double
@@ -190,26 +148,7 @@ FaultInjector::delay_ms(const std::string &node_name,
                         const std::string &impl_name)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return delay_ms_locked(node_name, impl_name);
-}
-
-double
-FaultInjector::delay_ms_locked(const std::string &node_name,
-                               const std::string &impl_name)
-{
-    if (!delay_armed_)
-        return 0;
-    if (!delay_node_name_.empty() && delay_node_name_ != node_name)
-        return 0;
-    if (!delay_impl_name_.empty() && delay_impl_name_ != impl_name)
-        return 0;
-    const std::int64_t ordinal = delay_calls_seen_++;
-    if (ordinal < delay_from_call_)
-        return 0;
-    if (max_delays_ >= 0 && delays_injected_ >= max_delays_)
-        return 0;
-    ++delays_injected_;
-    return delay_ms_;
+    return delay_.hit(node_name, impl_name) ? delay_ms_ : 0;
 }
 
 CorruptionKind
@@ -217,86 +156,50 @@ FaultInjector::corruption(const std::string &node_name,
                           const std::string &impl_name)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return corruption_locked(node_name, impl_name);
-}
-
-CorruptionKind
-FaultInjector::corruption_locked(const std::string &node_name,
-                                 const std::string &impl_name)
-{
-    if (!corruption_armed_)
-        return CorruptionKind::kNone;
-    if (!corruption_node_name_.empty() &&
-        corruption_node_name_ != node_name)
-        return CorruptionKind::kNone;
-    if (!corruption_impl_name_.empty() &&
-        corruption_impl_name_ != impl_name)
-        return CorruptionKind::kNone;
-    const std::int64_t ordinal = corruption_calls_seen_++;
-    if (ordinal < corrupt_from_call_)
-        return CorruptionKind::kNone;
-    if (max_corruptions_ >= 0 && corruptions_injected_ >= max_corruptions_)
-        return CorruptionKind::kNone;
-    ++corruptions_injected_;
-    return corruption_kind_;
-}
-
-CorruptionKind
-FaultInjector::model_corruption_locked(const std::string &model_name)
-{
-    if (!model_corruption_armed_ || model_name.empty() ||
-        model_corruption_name_ != model_name)
-        return CorruptionKind::kNone;
-    const std::int64_t ordinal = model_corruption_calls_seen_++;
-    if (ordinal < model_corrupt_from_call_)
-        return CorruptionKind::kNone;
-    if (model_max_corruptions_ >= 0 &&
-        model_corruptions_injected_ >= model_max_corruptions_)
-        return CorruptionKind::kNone;
-    ++model_corruptions_injected_;
-    return model_corruption_kind_;
+    return corruption_.hit(node_name, impl_name) ? corruption_kind_
+                                                 : CorruptionKind::kNone;
 }
 
 std::int64_t
 FaultInjector::faults_injected() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return faults_injected_;
+    return fault_.fired;
 }
 
 std::int64_t
 FaultInjector::calls_seen() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return calls_seen_;
+    return fault_.seen;
 }
 
 std::int64_t
 FaultInjector::delays_injected() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return delays_injected_;
+    return delay_.fired;
 }
 
 std::int64_t
 FaultInjector::delay_calls_seen() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return delay_calls_seen_;
+    return delay_.seen;
 }
 
 std::int64_t
 FaultInjector::corruptions_injected() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return corruptions_injected_;
+    return corruption_.fired;
 }
 
 std::int64_t
 FaultInjector::corruption_calls_seen() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return corruption_calls_seen_;
+    return corruption_.seen;
 }
 
 } // namespace orpheus

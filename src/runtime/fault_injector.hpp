@@ -1,28 +1,22 @@
 /**
  * @file
- * Deterministic kernel-fault and delay/hang injection.
+ * Deterministic kernel-fault, delay/hang and corruption injection.
  *
- * The engine's fault-tolerance policy (fall back to the reference
- * implementation when a kernel throws) is only trustworthy if it can be
- * exercised on demand. A FaultInjector is armed with a (node, impl)
- * pattern and a call ordinal; the engine consults it immediately before
- * every kernel invocation and raises a KernelFault when the injector
- * says so — exactly the failure path a misbehaving third-party backend
- * would take by throwing from Layer::forward().
- *
- * A second, independently armed matcher injects *delays*: the engine
- * sleeps for the configured duration (in cancellation-aware slices)
- * before running the kernel, simulating a slow or wedged backend. This
- * is what makes the deadline and watchdog paths deterministically
- * testable — a hang on demand, at a chosen kernel invocation.
- *
- * A third matcher injects *silent corruption*: after a matching kernel
- * completes, the engine deterministically damages its first output
- * (NaN poke, mantissa bit-flip, or magnitude spike) — exactly what a
- * miscompiled or bit-rotted backend produces, with no exception for
- * the fallback path and no hang for the watchdog. This is what makes
- * the output guard, shadow execution and circuit breaker (guard.hpp)
- * testable without a real miscompile.
+ * The engine's fault-tolerance paths are only trustworthy if they can
+ * be exercised on demand. The engine consults the injector before every
+ * kernel invocation, and one private Matcher type (a pattern, a first
+ * matching ordinal, a cap and its counters) serves four independently
+ * armed schedules:
+ *  - fault: the invocation throws KernelFault, exactly as a misbehaving
+ *    backend would from Layer::forward() (the fallback policy);
+ *  - delay: the engine first sleeps in cancellation-aware slices, as a
+ *    slow or wedged backend would (deadlines and the watchdog);
+ *  - corruption: after the kernel runs, its first output is damaged
+ *    (NaN poke, mantissa bit-flip or magnitude spike), as a miscompiled
+ *    backend would, with no exception and no hang (the output guard,
+ *    shadow execution and circuit breaker of guard.hpp);
+ *  - model corruption: the same damage, scoped to an engine's graph
+ *    name instead of a (node, impl) pattern.
  *
  * Thread-safe: one injector may be shared by engines running on
  * different threads (counters are guarded by a mutex).
@@ -60,7 +54,7 @@ void apply_corruption(CorruptionKind kind, Tensor &output);
 /**
  * The injector's complete verdict for one kernel invocation, computed
  * atomically under a single lock acquisition. Engines in a replica pool
- * consult a shared injector concurrently; evaluating the three matchers
+ * consult a shared injector concurrently; evaluating the matchers
  * as separate locked calls would let a concurrent re-arm (chaos
  * harnesses re-arm between phases) interleave between them and hand a
  * step half of the old schedule and half of the new one.
@@ -186,49 +180,38 @@ class FaultInjector
     std::int64_t corruption_calls_seen() const;
 
   private:
-    // Matcher evaluation with mutex_ already held.
-    bool should_fail_locked(const std::string &node_name,
-                            const std::string &impl_name);
-    double delay_ms_locked(const std::string &node_name,
-                           const std::string &impl_name);
-    CorruptionKind corruption_locked(const std::string &node_name,
-                                     const std::string &impl_name);
-    CorruptionKind model_corruption_locked(const std::string &model_name);
+    /**
+     * One schedule: an invocation matches when the armed pattern's
+     * non-empty node and impl names equal the invocation's; matching
+     * invocations are counted from 0 and those with ordinal >=
+     * from_call fire, at most @c cap times (< 0: no cap).
+     */
+    struct Matcher {
+        bool armed = false;
+        std::string node;
+        std::string impl;
+        std::int64_t from_call = 0;
+        std::int64_t cap = -1;
+        std::int64_t seen = 0;
+        std::int64_t fired = 0;
 
+        /** Counts one matching invocation; true when it fires. */
+        bool fire();
+        /** fire() when armed and (@p node_name, @p impl_name) matches. */
+        bool hit(const std::string &node_name, const std::string &impl_name);
+    };
+
+    // Each payload is set by the arm call of its matcher and read only
+    // when that matcher fires.
     mutable std::mutex mutex_;
-    bool armed_ = false;
-    std::string node_name_;
-    std::string impl_name_;
-    std::int64_t fail_from_call_ = 0;
-    std::int64_t max_faults_ = -1;
-    std::int64_t calls_seen_ = 0;
-    std::int64_t faults_injected_ = 0;
-
-    bool delay_armed_ = false;
-    std::string delay_node_name_;
-    std::string delay_impl_name_;
+    Matcher fault_;
+    Matcher delay_;
     double delay_ms_ = 0;
-    std::int64_t delay_from_call_ = 0;
-    std::int64_t max_delays_ = -1;
-    std::int64_t delay_calls_seen_ = 0;
-    std::int64_t delays_injected_ = 0;
-
-    bool corruption_armed_ = false;
-    std::string corruption_node_name_;
-    std::string corruption_impl_name_;
+    Matcher corruption_;
     CorruptionKind corruption_kind_ = CorruptionKind::kNone;
-    std::int64_t corrupt_from_call_ = 0;
-    std::int64_t max_corruptions_ = -1;
-    std::int64_t corruption_calls_seen_ = 0;
-    std::int64_t corruptions_injected_ = 0;
-
-    bool model_corruption_armed_ = false;
-    std::string model_corruption_name_;
+    /** Pattern node = the model name (exact, never empty); impl unused. */
+    Matcher model_corruption_;
     CorruptionKind model_corruption_kind_ = CorruptionKind::kNone;
-    std::int64_t model_corrupt_from_call_ = 0;
-    std::int64_t model_max_corruptions_ = -1;
-    std::int64_t model_corruption_calls_seen_ = 0;
-    std::int64_t model_corruptions_injected_ = 0;
 };
 
 } // namespace orpheus

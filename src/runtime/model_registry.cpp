@@ -1,7 +1,6 @@
 #include "runtime/model_registry.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -134,26 +133,24 @@ ModelRegistry::probe_canary(std::size_t replica)
         inputs.emplace(input.name, Tensor(input.shape, input.dtype));
     std::map<std::string, Tensor> outputs;
     const auto started = std::chrono::steady_clock::now();
-    const Status verdict = lease.engine().try_run(
+    Status verdict = lease.engine().try_run(
         inputs, outputs, DeadlineToken::after_ms(kDrainDeadlineMs));
-    pool_.release(std::move(lease), verdict, elapsed_ms_since(started));
-    if (!verdict.is_ok())
-        return verdict;
+    const double run_ms = elapsed_ms_since(started);
 
     // A guard-less engine returns OK on a silently corrupted model;
     // scan the probe outputs so a NaN-producing generation is rejected
-    // regardless of guard configuration.
+    // regardless of guard configuration, and release the lease with
+    // that final verdict so the pool charges the replica for it.
+    // (outputs stays empty unless try_run succeeded.)
     for (const auto &[name, tensor] : outputs) {
-        if (tensor.dtype() != DataType::kFloat32 || !tensor.has_storage())
-            continue;
-        const float *data = tensor.data<float>();
-        for (std::int64_t i = 0; i < tensor.numel(); ++i)
-            if (!std::isfinite(data[i]))
-                return data_corruption_error(
-                    "canary probe output '" + name +
-                    "' contains non-finite values");
+        if (!scan_floats(tensor).all_finite()) {
+            verdict = data_corruption_error("canary probe output '" + name +
+                                            "' contains non-finite values");
+            break;
+        }
     }
-    return Status::ok();
+    pool_.release(std::move(lease), verdict, run_ms);
+    return verdict;
 }
 
 void
@@ -305,7 +302,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
         std::ostringstream verdict;
         bool failed = false;
         const ReplicaWindow &can = windows[canary];
-        if (can.bad() > 0 &&
+        if (can.bad > 0 &&
             can.error_rate() >
                 incumbent.error_rate() + kMaxErrorRateExcess) {
             failed = true;

@@ -735,10 +735,6 @@ InferenceService::update_brownout_locked()
 void
 InferenceService::on_hang(const HangReport &report)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.watchdog_hangs;
-    }
     std::ostringstream reason;
     reason << "watchdog: step ran for " << report.elapsed_ms
            << " ms (threshold " << options_.hang_threshold_ms << " ms)";
@@ -772,10 +768,11 @@ InferenceService::stats() const
                 : 0.0;
     }
     const EnginePoolStats pool_stats = pool_->stats();
-    merged.demotions += pool_stats.demotions;
-    merged.quarantines += pool_stats.quarantines;
-    merged.probes += pool_stats.probes;
-    merged.readmissions += pool_stats.readmissions;
+    merged.watchdog_hangs = pool_stats.hangs;
+    merged.demotions = pool_stats.demotions;
+    merged.quarantines = pool_stats.quarantines;
+    merged.probes = pool_stats.probes;
+    merged.readmissions = pool_stats.readmissions;
     merged.model_swaps = pool_stats.swaps;
     merged.canary_routed = pool_stats.canary_routed;
     merged.active_generation = registry_->active_generation();

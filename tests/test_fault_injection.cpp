@@ -114,6 +114,67 @@ TEST(FaultInjector, DelayFromCallAndCapHonoured)
     EXPECT_EQ(injector.delay_calls_seen(), 0);
 }
 
+/** The four schedules are one matcher type; this pins what differs
+ *  between them: the model matcher's exact, node/impl-blind pattern,
+ *  decide()'s precedence, and reset() covering all four. */
+TEST(FaultInjector, ModelMatcherPrecedenceAndResetCoverAllFourMatchers)
+{
+    FaultInjector injector;
+    injector.arm_model_corruption("m", CorruptionKind::kNaNPoke,
+                                  /*corrupt_from_call=*/1,
+                                  /*max_corruptions=*/1);
+    // An empty model name never matches; nor does another model.
+    EXPECT_EQ(injector.decide("n", "impl", "").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl", "other").corruption,
+              CorruptionKind::kNone);
+    // Node and impl are ignored; ordinal 0 is skipped, the cap is 1.
+    EXPECT_EQ(injector.decide("a", "x", "m").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("b", "y", "m").corruption,
+              CorruptionKind::kNaNPoke);
+    EXPECT_EQ(injector.decide("c", "z", "m").corruption,
+              CorruptionKind::kNone);
+
+    // Armed with an empty name, it matches no model at all.
+    injector.arm_model_corruption("", CorruptionKind::kNaNPoke);
+    EXPECT_EQ(injector.decide("n", "impl", "").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl", "m").corruption,
+              CorruptionKind::kNone);
+
+    // A (node, impl) corruption wins, and the model matcher's ordinal
+    // does not advance on that call: with from_call 1 the model matcher
+    // first skips its ordinal 0 on the call after the node/impl cap.
+    injector.arm_model_corruption("m", CorruptionKind::kBitFlip,
+                                  /*corrupt_from_call=*/1);
+    injector.arm_corruption("n", "impl", CorruptionKind::kMagnitudeSpike,
+                            0, /*max_corruptions=*/1);
+    EXPECT_EQ(injector.decide("n", "impl", "m").corruption,
+              CorruptionKind::kMagnitudeSpike);
+    EXPECT_EQ(injector.decide("n", "impl", "m").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl", "m").corruption,
+              CorruptionKind::kBitFlip);
+
+    // reset() disarms all four matchers and zeroes their counters.
+    injector.arm("", "");
+    injector.arm_delay("", "", 5.0);
+    injector.arm_corruption("", "", CorruptionKind::kNaNPoke);
+    injector.arm_model_corruption("m", CorruptionKind::kNaNPoke);
+    injector.reset();
+    const InjectionDecision decision = injector.decide("n", "impl", "m");
+    EXPECT_FALSE(decision.fail);
+    EXPECT_EQ(decision.delay_ms, 0.0);
+    EXPECT_EQ(decision.corruption, CorruptionKind::kNone);
+    EXPECT_EQ(injector.calls_seen(), 0);
+    EXPECT_EQ(injector.faults_injected(), 0);
+    EXPECT_EQ(injector.delay_calls_seen(), 0);
+    EXPECT_EQ(injector.delays_injected(), 0);
+    EXPECT_EQ(injector.corruption_calls_seen(), 0);
+    EXPECT_EQ(injector.corruptions_injected(), 0);
+}
+
 /** An injected delay slows the step but the run still completes and
  *  stays bitwise-correct when no deadline is attached. */
 TEST(EngineFaultTolerance, InjectedDelayCompletesWithoutDeadline)
@@ -261,6 +322,31 @@ TEST(EngineFaultTolerance, EveryConvBackendFallsBackToReferenceBitwise)
             }
         }
     }
+}
+
+/** Guard off, a kernel fault is one fact with two readers: the step's
+ *  StepHealth and the process-wide ledger must agree on it. */
+TEST(EngineFaultTolerance, UnguardedFaultReachesStepHealthAndLedger)
+{
+    KernelHealthLedger &ledger = KernelRegistry::instance().health();
+    ledger.reset();
+    EngineOptions options;
+    options.backend.forced_impl["Conv"] = "im2col_gemm";
+    options.fault_injector = std::make_shared<FaultInjector>();
+    options.fault_injector->arm("", "im2col_gemm");
+    Engine engine(models::tiny_cnn(), options);
+
+    engine.run(make_random(Shape({1, 3, 8, 8}), 0xfa08));
+
+    std::int64_t conv_steps = 0;
+    for (const PlanStep &step : engine.steps()) {
+        if (step.op_type != op_names::kConv)
+            continue;
+        EXPECT_EQ(step.health.faults_total, 1) << step.node_name;
+        ++conv_steps;
+    }
+    EXPECT_GE(conv_steps, 2);
+    EXPECT_EQ(ledger.record("Conv.im2col_gemm").faults, conv_steps);
 }
 
 /** A fault striking mid-run (second conv only) still completes with a

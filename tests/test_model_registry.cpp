@@ -188,6 +188,34 @@ TEST(ModelRegistry, WarmupProbeQuarantinesBrokenGeneration)
         << generations[1].detail;
 }
 
+/** The warm-up probe's own non-finite scan is the verdict the pool
+ *  sees: the canary replica is charged one failure for the NaN it
+ *  produced, not rewarded with the engine's OK. */
+TEST(ModelRegistry, CorruptedWarmupProbeIsReleasedAsAFailure)
+{
+    set_global_num_threads(1);
+    EngineOptions engine_options;
+    engine_options.fault_injector = std::make_shared<FaultInjector>();
+    engine_options.fault_injector->arm_model_corruption(
+        "tiny-cnn-bad", CorruptionKind::kNaNPoke);
+
+    ServiceOptions options;
+    options.workers = 1;
+    options.replicas = 2;
+    options.enable_watchdog = false;
+    InferenceService service(models::tiny_cnn(), engine_options, options);
+
+    EXPECT_TRUE(service.run(cnn_inputs(0x40b)).status.is_ok());
+    const RolloutReport report =
+        service.reload(tiny_cnn_version("tiny-cnn-bad"));
+    EXPECT_EQ(report.status.code(), StatusCode::kModelRejected);
+
+    std::int64_t failures = 0;
+    for (const ReplicaSnapshot &replica : service.pool().snapshot())
+        failures += replica.failures;
+    EXPECT_EQ(failures, 1);
+}
+
 TEST(ModelRegistry, LiveCanaryRolledBackWhileIncumbentServes)
 {
     set_global_num_threads(1);
