@@ -9,8 +9,10 @@
  *
  *  - kDirect:        seven-loop direct convolution; correctness
  *                    reference and the DarkNet-like naive baseline.
- *  - kIm2colGemm:    im2col lowering followed by GEMM (Orpheus's
- *                    default; "pays off for big matrices").
+ *  - kIm2colGemm:    GEMM over the im2col view of the input
+ *                    (Orpheus's default; "pays off for big matrices").
+ *                    The packed GEMM variants pack that view straight
+ *                    into their B panels; naive/blocked materialise it.
  *  - kSpatialPack:   register-tiled direct convolution in the style of
  *                    TVM's spatial-pack schedule; wins on small channel
  *                    counts where im2col overhead dominates.
@@ -82,7 +84,8 @@ struct Conv2dArgs {
  * engine's workspace segment.
  */
 struct Conv2dScratch {
-    /** im2col column matrix; conv2d_im2col_col_floats(). */
+    /** im2col column matrix for the naive/blocked GEMM variants (the
+     *  packed ones need none); conv2d_im2col_col_floats(). */
     float *col = nullptr;
     /** Prebuilt spatial-pack weight cache (plan-time constant); when
      *  set, the kernel skips its weight-packing stage entirely. */
@@ -101,8 +104,10 @@ struct Conv2dScratch {
     GemmScratch gemm;
 };
 
-/** Floats the im2col column buffer needs (0 for pointwise convs, which
- *  skip the lowering). Only the shape fields of @p args are read. */
+/** Floats the im2col column buffer needs: 0 for pointwise convs, which
+ *  skip the lowering, and for the packed GEMM variants, which pack the
+ *  input windows directly. Only the shape fields and gemm_variant of
+ *  @p args are read. */
 std::size_t conv2d_im2col_col_floats(const Conv2dArgs &args);
 
 /** Floats of the spatial-pack packed-weight cache. */
@@ -124,7 +129,7 @@ std::size_t conv2d_winograd_m_floats(const Conv2dArgs &args);
 /** Direct seven-loop convolution (reference). */
 void conv2d_direct(const Conv2dArgs &args);
 
-/** im2col + GEMM convolution. */
+/** GEMM convolution over the im2col view of the input. */
 void conv2d_im2col_gemm(const Conv2dArgs &args,
                         const Conv2dScratch *scratch = nullptr);
 

@@ -1,13 +1,17 @@
 /**
  * @file
- * GEMM convolution: im2col lowering followed by a single matrix multiply
- * per (image, group).
+ * GEMM convolution: one matrix multiply per (image, group) over the
+ * im2col view of the input.
  *
  * With M = out_c/group, K = (in_c/group)*kh*kw and N = out_h*out_w, the
  * multiply is large for the deep layers of ResNet/Inception-class
  * networks — exactly the regime where the paper reports Orpheus winning.
- * The cost is materialising the K x N column matrix, which is why
- * spatial-pack overtakes this kernel on shallow, small-channel layers.
+ * The packed GEMM variants read the im2col view straight into their B
+ * panels (gemm_packed_im2col), so no K x N column matrix is written;
+ * the naive and blocked variants, which the PyTorch-like and
+ * DarkNet-like personalities run, still materialise it with im2col().
+ * Pointwise (1x1, stride 1, unpadded) convs need neither: the input is
+ * already the B matrix.
  */
 #include "ops/conv/conv.hpp"
 
@@ -33,7 +37,7 @@ std::size_t
 conv2d_im2col_col_floats(const Conv2dArgs &args)
 {
     const Conv2dParams &p = args.params;
-    if (is_pointwise_conv(p))
+    if (is_pointwise_conv(p) || gemm_variant_uses_packing(args.gemm_variant))
         return 0;
     return static_cast<std::size_t>(args.in_c / p.group * p.kernel_h *
                                     p.kernel_w * args.out_h * args.out_w);
@@ -48,14 +52,18 @@ conv2d_im2col_gemm(const Conv2dArgs &args, const Conv2dScratch *scratch)
     const std::int64_t gemm_k = group_in_c * p.kernel_h * p.kernel_w;
     const std::int64_t gemm_n = args.out_h * args.out_w;
     const bool is_pointwise = is_pointwise_conv(p);
+    const bool packs_window =
+        !is_pointwise && gemm_variant_uses_packing(args.gemm_variant);
 
-    // The column matrix is reused across images and groups; prepared
-    // layers supply it from the engine workspace, standalone calls fall
-    // back to a call-local allocation.
+    // Only the unpacked variants lower into a column matrix, reused
+    // across images and groups; prepared layers supply it from the
+    // engine workspace, standalone calls fall back to a call-local
+    // allocation.
     float *col = scratch != nullptr ? scratch->col : nullptr;
     std::vector<float> col_fallback;
-    if (col == nullptr && !is_pointwise) {
-        col_fallback.resize(static_cast<std::size_t>(gemm_k * gemm_n));
+    const std::size_t col_floats = conv2d_im2col_col_floats(args);
+    if (col == nullptr && col_floats > 0) {
+        col_fallback.resize(col_floats);
         col = col_fallback.data();
     }
     const GemmScratch *gemm_scratch =
@@ -71,20 +79,25 @@ conv2d_im2col_gemm(const Conv2dArgs &args, const Conv2dScratch *scratch)
                 args.output +
                 (n * args.out_c + g * group_out_c) * args.out_h * args.out_w;
 
-            // 1x1 stride-1 convolutions skip the lowering entirely: the
-            // input already *is* the column matrix.
-            const float *b_matrix;
-            if (is_pointwise) {
-                b_matrix = group_input;
+            if (packs_window) {
+                const Im2colWindow window{group_input, args.in_h, args.in_w,
+                                          args.out_w, p};
+                gemm_packed_im2col(args.gemm_variant, group_out_c, gemm_n,
+                                   gemm_k, group_weight, gemm_k, window,
+                                   group_output, gemm_n, gemm_scratch);
             } else {
-                im2col(group_input, group_in_c, args.in_h, args.in_w, p,
-                       args.out_h, args.out_w, col);
-                b_matrix = col;
+                // 1x1 stride-1 convolutions skip the lowering entirely:
+                // the input already *is* the column matrix.
+                const float *b_matrix = group_input;
+                if (!is_pointwise) {
+                    im2col(group_input, group_in_c, args.in_h, args.in_w, p,
+                           args.out_h, args.out_w, col);
+                    b_matrix = col;
+                }
+                gemm(args.gemm_variant, group_out_c, gemm_n, gemm_k,
+                     group_weight, gemm_k, b_matrix, gemm_n, group_output,
+                     gemm_n, gemm_scratch);
             }
-
-            gemm(args.gemm_variant, group_out_c, gemm_n, gemm_k,
-                 group_weight, gemm_k, b_matrix, gemm_n, group_output,
-                 gemm_n, gemm_scratch);
 
             // Bias + fused activation in one pass over the hot output.
             for (std::int64_t oc = 0; oc < group_out_c; ++oc) {

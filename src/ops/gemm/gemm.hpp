@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <string>
 
+#include "graph/op_params.hpp"
+
 namespace orpheus {
 
 /**
@@ -112,6 +114,35 @@ gemm_variant_uses_packing(GemmVariant variant)
 }
 
 const char *to_string(GemmVariant variant);
+
+/**
+ * The im2col view of one image group, read as a GEMM B operand: row
+ * (c, kh, kw) and column (oh, ow) hold input[c][ih][iw] with
+ * ih = oh * stride_h - pad_top + kh * dilation_h (iw likewise), or 0
+ * where that falls outside the image. This is exactly the matrix
+ * im2col() writes; the packed variants pack it straight into their B
+ * panels, so the column matrix is never built.
+ */
+struct Im2colWindow {
+    const float *input = nullptr; ///< channels x height x width.
+    std::int64_t height = 0;
+    std::int64_t width = 0;
+    std::int64_t out_w = 0;
+    Conv2dParams params;
+};
+
+/**
+ * C[M x N] = A[M x K] * im2col(window) through gemm_packed (kPacked) or
+ * gemm_packed_simd (kPackedSimd), with K = channels * kernel_h *
+ * kernel_w and N = out_h * out_w. Bit for bit what im2col() followed
+ * by the same kernel on the column matrix gives, with the same scratch
+ * (only GemmScratch::b_pack). @p variant must use packing, and the
+ * padded plane must have fewer than 2^31 elements.
+ */
+void gemm_packed_im2col(GemmVariant variant, std::int64_t m, std::int64_t n,
+                        std::int64_t k, const float *a, std::int64_t lda,
+                        const Im2colWindow &b, float *c, std::int64_t ldc,
+                        const GemmScratch *scratch = nullptr);
 
 /** Parses "naive" / "blocked" / "packed"; throws on anything else. */
 GemmVariant parse_gemm_variant(const std::string &name);

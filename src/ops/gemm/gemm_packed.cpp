@@ -18,11 +18,16 @@
  * auto-vectorises; gemm_packed_simd() routes to the hand-vectorised
  * AVX-512 (12 x 16), AVX2 (6 x 16) or NEON micro-kernels when the
  * build, the CPU and the disable switches all allow it, and degrades to
- * this scalar kernel otherwise.
+ * this scalar kernel otherwise. gemm_packed_im2col() runs the same two
+ * paths with B read from an image window instead of a matrix.
  */
 #include "ops/gemm/gemm.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "core/cpu_features.hpp"
+#include "core/status.hpp"
 #include "ops/gemm/gemm_packed_detail.hpp"
 
 namespace orpheus {
@@ -74,6 +79,47 @@ scalar_micro_kernel(std::int64_t depth, const float *__restrict ap,
     }
 }
 
+using gemm_detail::PackedB;
+
+void
+packed_scalar(std::int64_t m, std::int64_t n, std::int64_t k, const float *a,
+              std::int64_t lda, const PackedB &b, float *c, std::int64_t ldc,
+              const GemmScratch *scratch)
+{
+    gemm_detail::packed_gemm_driver<kMr>(m, n, k, a, lda, b, c, ldc, scratch,
+                                         scalar_micro_kernel);
+}
+
+void
+packed_simd(std::int64_t m, std::int64_t n, std::int64_t k, const float *a,
+            std::int64_t lda, const PackedB &b, float *c, std::int64_t ldc,
+            const GemmScratch *scratch)
+{
+#if defined(ORPHEUS_SIMD_X86)
+    if (simd_enabled()) {
+        // The zmm body runs only where it issues fewer FMAs than the ymm
+        // body: with m <= 6 both issue twelve per depth step, and the
+        // zmm ones cost more (1x1000x2048 classifier: ~1.75 ms against
+        // ~1.3 ms). Problems narrower than one B panel also stay on the
+        // ymm body (measured on tiny-mlp's 10-wide output layer). Both
+        // bodies give identical bits.
+        constexpr std::int64_t kAvx2Rows = 6;
+        if (cpu_features().avx512f && m > kAvx2Rows &&
+            n >= gemm_detail::kPackNr)
+            gemm_packed_avx512(m, n, k, a, lda, b, c, ldc, scratch);
+        else
+            gemm_packed_avx2(m, n, k, a, lda, b, c, ldc, scratch);
+        return;
+    }
+#elif defined(ORPHEUS_SIMD_NEON)
+    if (simd_enabled()) {
+        gemm_packed_neon(m, n, k, a, lda, b, c, ldc, scratch);
+        return;
+    }
+#endif
+    packed_scalar(m, n, k, a, lda, b, c, ldc, scratch);
+}
+
 } // namespace
 
 std::size_t
@@ -90,8 +136,7 @@ gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, const float *a,
             std::int64_t lda, const float *b, std::int64_t ldb, float *c,
             std::int64_t ldc, const GemmScratch *scratch)
 {
-    gemm_detail::packed_gemm_driver<kMr>(m, n, k, a, lda, b, ldb, c, ldc,
-                                         scratch, scalar_micro_kernel);
+    packed_scalar(m, n, k, a, lda, PackedB{b, ldb}, c, ldc, scratch);
 }
 
 bool
@@ -119,29 +164,32 @@ gemm_packed_simd(std::int64_t m, std::int64_t n, std::int64_t k,
                  std::int64_t ldb, float *c, std::int64_t ldc,
                  const GemmScratch *scratch)
 {
-#if defined(ORPHEUS_SIMD_X86)
-    if (simd_enabled()) {
-        // The zmm body runs only where it issues fewer FMAs than the ymm
-        // body: with m <= 6 both issue twelve per depth step, and the
-        // zmm ones cost more (1x1000x2048 classifier: ~1.75 ms against
-        // ~1.3 ms). Problems narrower than one B panel also stay on the
-        // ymm body (measured on tiny-mlp's 10-wide output layer). Both
-        // bodies give identical bits.
-        constexpr std::int64_t kAvx2Rows = 6;
-        if (cpu_features().avx512f && m > kAvx2Rows &&
-            n >= gemm_detail::kPackNr)
-            gemm_packed_avx512(m, n, k, a, lda, b, ldb, c, ldc, scratch);
-        else
-            gemm_packed_avx2(m, n, k, a, lda, b, ldb, c, ldc, scratch);
-        return;
-    }
-#elif defined(ORPHEUS_SIMD_NEON)
-    if (simd_enabled()) {
-        gemm_packed_neon(m, n, k, a, lda, b, ldb, c, ldc, scratch);
-        return;
-    }
-#endif
-    gemm_packed(m, n, k, a, lda, b, ldb, c, ldc, scratch);
+    packed_simd(m, n, k, a, lda, PackedB{b, ldb}, c, ldc, scratch);
+}
+
+void
+gemm_packed_im2col(GemmVariant variant, std::int64_t m, std::int64_t n,
+                   std::int64_t k, const float *a, std::int64_t lda,
+                   const Im2colWindow &b, float *c, std::int64_t ldc,
+                   const GemmScratch *scratch)
+{
+    ORPHEUS_CHECK(gemm_variant_uses_packing(variant),
+                  "gemm_packed_im2col needs a packed variant, got "
+                      << to_string(variant));
+    // The window packer computes coordinates and in-plane offsets in
+    // 32 bits; every one lies inside the padded plane.
+    const Conv2dParams &p = b.params;
+    ORPHEUS_CHECK((b.height + p.pad_top + p.pad_bottom) *
+                          (b.width + p.pad_left + p.pad_right) <=
+                      std::numeric_limits<std::int32_t>::max(),
+                  "gemm_packed_im2col: padded plane "
+                      << b.height << "x" << b.width
+                      << " exceeds 2^31 elements");
+    const PackedB window{nullptr, 0, &b};
+    if (variant == GemmVariant::kPackedSimd)
+        packed_simd(m, n, k, a, lda, window, c, ldc, scratch);
+    else
+        packed_scalar(m, n, k, a, lda, window, c, ldc, scratch);
 }
 
 } // namespace orpheus

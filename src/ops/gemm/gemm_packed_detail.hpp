@@ -13,11 +13,20 @@
  * (gemm_packed_b_pack_floats()), so prepared layers and pooled replicas
  * never care which micro-kernel the dispatcher picks.
  *
+ * B reaches the panels from one of two sources (PackedB): a row-major
+ * matrix, or the im2col view of an image (Im2colWindow), which
+ * pack_b_window gathers straight from the input planes. GEMM
+ * convolution therefore never writes a column matrix on the packed
+ * variants, and its panels hold the same floats in the same order as
+ * im2col() + pack_b_block would give.
+ *
  * Everything here has internal linkage (an unnamed namespace): the
  * per-ISA files compile this header with their own -m flags, and a
  * shared inline definition would let the linker keep, say, the
  * AVX-512-compiled pack_b_block for every caller — a SIGILL on a host
- * with AVX2 only.
+ * with AVX2 only. The same flags pick the window packer's row load:
+ * one masked gather under AVX-512F, two under AVX2, a scalar loop
+ * elsewhere.
  */
 #pragma once
 
@@ -26,12 +35,25 @@
 #include <memory>
 #include <vector>
 
+#if defined(__AVX2__) || defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #include "core/threadpool.hpp"
 #include "ops/gemm/gemm.hpp"
 
 namespace orpheus {
 
 namespace gemm_detail {
+
+/** Where the packed driver reads B: the row-major matrix (b, ldb), or,
+ *  when @p window is set, the im2col view it describes. */
+struct PackedB {
+    const float *b = nullptr;
+    std::int64_t ldb = 0;
+    const Im2colWindow *window = nullptr;
+};
+
 namespace {
 
 inline constexpr std::int64_t kPackNr = 16;
@@ -83,6 +105,115 @@ pack_b_block(const float *b, std::int64_t ldb, std::int64_t p0,
 }
 
 /**
+ * Loads one kPackNr-wide panel row from @p plane: lane j is
+ * plane[offset[j]] where valid[j] is set (all bits), else +0.0f.
+ * Masked-off lanes read nothing.
+ */
+inline void
+load_window_row(const float *plane, const std::int32_t *offset,
+                const std::int32_t *valid, float *row)
+{
+#if defined(__AVX512F__)
+    const __m512i lanes = _mm512_load_si512(valid);
+    _mm512_store_ps(row, _mm512_mask_i32gather_ps(
+                             _mm512_setzero_ps(),
+                             _mm512_test_epi32_mask(lanes, lanes),
+                             _mm512_load_si512(offset), plane, 4));
+#elif defined(__AVX2__)
+    for (int half = 0; half < 2; ++half) {
+        const __m256i index = _mm256_load_si256(
+            reinterpret_cast<const __m256i *>(offset + 8 * half));
+        const __m256 mask = _mm256_castsi256_ps(_mm256_load_si256(
+            reinterpret_cast<const __m256i *>(valid + 8 * half)));
+        _mm256_store_ps(row + 8 * half,
+                        _mm256_mask_i32gather_ps(_mm256_setzero_ps(), plane,
+                                                 index, mask, 4));
+    }
+#else
+    for (std::int64_t j = 0; j < kPackNr; ++j)
+        row[j] = valid[j] != 0 ? plane[offset[j]] : 0.0f;
+#endif
+}
+
+/**
+ * pack_b_block for the im2col view of @p w: packs rows [p0, p0+depth)
+ * x columns [j0, j0+cols) into the same panel order, bit for bit what
+ * im2col() followed by pack_b_block gives. Row p is channel p / taps at
+ * tap p % taps, so a block may start mid-tap. For each tap the 16
+ * column offsets and the in-image mask follow from the panel's
+ * per-column window origins; every channel with a row at that tap in
+ * this block then loads it in one load_window_row, or in one 16-float
+ * copy when the 16 taps are adjacent in one input row (stride 1, away
+ * from the borders). Nothing is sized by the kernel, so any kernel
+ * packs without allocating.
+ */
+inline void
+pack_b_window(const Im2colWindow &w, std::int64_t p0, std::int64_t depth,
+              std::int64_t j0, std::int64_t cols, float *out)
+{
+    const Conv2dParams &p = w.params;
+    const std::int64_t taps = p.kernel_h * p.kernel_w;
+    const std::int64_t plane = w.height * w.width;
+    const std::int64_t c_begin = p0 / taps;
+    const std::int64_t c_end = (p0 + depth + taps - 1) / taps;
+    // gemm_packed_im2col checked that every window coordinate and
+    // in-plane offset fits in 32 bits.
+    const auto height = static_cast<std::int32_t>(w.height);
+    const auto width_in = static_cast<std::int32_t>(w.width);
+
+    const std::int64_t panels = (cols + kPackNr - 1) / kPackNr;
+    for (std::int64_t panel = 0; panel < panels; ++panel) {
+        const std::int64_t j_base = j0 + panel * kPackNr;
+        const std::int64_t width = std::min(kPackNr, j0 + cols - j_base);
+        float *dst = out + panel * depth * kPackNr;
+
+        // Top-left input coordinate of each column's window.
+        std::int32_t ih0[kPackNr] = {}, iw0[kPackNr] = {};
+        for (std::int64_t j = 0; j < width; ++j) {
+            const std::int64_t col = j_base + j;
+            ih0[j] = static_cast<std::int32_t>(col / w.out_w * p.stride_h -
+                                               p.pad_top);
+            iw0[j] = static_cast<std::int32_t>(col % w.out_w * p.stride_w -
+                                               p.pad_left);
+        }
+
+        for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
+            const auto dh = static_cast<std::int32_t>(kh * p.dilation_h);
+            for (std::int64_t kw = 0; kw < p.kernel_w; ++kw) {
+                const auto dw = static_cast<std::int32_t>(kw * p.dilation_w);
+                alignas(64) std::int32_t offset[kPackNr];
+                alignas(64) std::int32_t valid[kPackNr];
+                for (std::int32_t j = 0; j < kPackNr; ++j) {
+                    const std::int32_t ih = ih0[j] + dh;
+                    const std::int32_t iw = iw0[j] + dw;
+                    const bool in = j < width && ih >= 0 && ih < height &&
+                                    iw >= 0 && iw < width_in;
+                    offset[j] = in ? ih * width_in + iw : 0;
+                    valid[j] = in ? -1 : 0;
+                }
+                bool dense = true;
+                for (std::int32_t j = 0; j < kPackNr; ++j)
+                    dense &= valid[j] != 0 && offset[j] == offset[0] + j;
+
+                const std::int64_t tap = kh * p.kernel_w + kw;
+                for (std::int64_t c = c_begin; c < c_end; ++c) {
+                    const std::int64_t row = c * taps + tap - p0;
+                    if (row < 0 || row >= depth)
+                        continue;
+                    const float *src = w.input + c * plane;
+                    float *dst_row = dst + row * kPackNr;
+                    if (dense)
+                        std::memcpy(dst_row, src + offset[0],
+                                    kPackNr * sizeof(float));
+                    else
+                        load_window_row(src, offset, valid, dst_row);
+                }
+            }
+        }
+    }
+}
+
+/**
  * 64-byte-aligned fallback buffer for standalone (scratch-less) calls.
  * Workspace carve-outs are already 64-byte aligned (Buffer::kAlignment);
  * this keeps the packed panels vector-load-aligned on the fallback path
@@ -108,9 +239,9 @@ aligned_fallback(std::vector<float> &storage, std::size_t floats)
 template <int MR, typename MicroKernel>
 inline void
 packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
-                   const float *a, std::int64_t lda, const float *b,
-                   std::int64_t ldb, float *c, std::int64_t ldc,
-                   const GemmScratch *scratch, MicroKernel micro_kernel)
+                   const float *a, std::int64_t lda, const PackedB &b,
+                   float *c, std::int64_t ldc, const GemmScratch *scratch,
+                   MicroKernel micro_kernel)
 {
     for (std::int64_t i = 0; i < m; ++i)
         std::memset(c + i * ldc, 0,
@@ -132,7 +263,10 @@ packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
         const std::int64_t col_panels = (nc + kPackNr - 1) / kPackNr;
         for (std::int64_t pc = 0; pc < k; pc += kPackBlockK) {
             const std::int64_t kc = std::min(kPackBlockK, k - pc);
-            pack_b_block(b, ldb, pc, kc, jc, nc, b_pack);
+            if (b.window != nullptr)
+                pack_b_window(*b.window, pc, kc, jc, nc, b_pack);
+            else
+                pack_b_block(b.b, b.ldb, pc, kc, jc, nc, b_pack);
 
             parallel_for(row_panels, [&](std::int64_t begin,
                                          std::int64_t end) {
@@ -171,19 +305,19 @@ packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
 // ORPHEUS_SIMD_* definition is set).
 #if defined(ORPHEUS_SIMD_X86)
 void gemm_packed_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float *a, std::int64_t lda, const float *b,
-                      std::int64_t ldb, float *c, std::int64_t ldc,
-                      const GemmScratch *scratch);
+                      const float *a, std::int64_t lda,
+                      const gemm_detail::PackedB &b, float *c,
+                      std::int64_t ldc, const GemmScratch *scratch);
 void gemm_packed_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const float *a, std::int64_t lda, const float *b,
-                        std::int64_t ldb, float *c, std::int64_t ldc,
-                        const GemmScratch *scratch);
+                        const float *a, std::int64_t lda,
+                        const gemm_detail::PackedB &b, float *c,
+                        std::int64_t ldc, const GemmScratch *scratch);
 #endif
 #if defined(ORPHEUS_SIMD_NEON)
 void gemm_packed_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float *a, std::int64_t lda, const float *b,
-                      std::int64_t ldb, float *c, std::int64_t ldc,
-                      const GemmScratch *scratch);
+                      const float *a, std::int64_t lda,
+                      const gemm_detail::PackedB &b, float *c,
+                      std::int64_t ldc, const GemmScratch *scratch);
 #endif
 
 } // namespace orpheus

@@ -82,12 +82,12 @@ neon_micro_kernel(std::int64_t depth, const float *__restrict ap,
 
 void
 gemm_packed_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float *a, std::int64_t lda, const float *b,
-                 std::int64_t ldb, float *c, std::int64_t ldc,
+                 const float *a, std::int64_t lda,
+                 const gemm_detail::PackedB &b, float *c, std::int64_t ldc,
                  const GemmScratch *scratch)
 {
-    gemm_detail::packed_gemm_driver<kMr>(m, n, k, a, lda, b, ldb, c, ldc,
-                                         scratch, neon_micro_kernel);
+    gemm_detail::packed_gemm_driver<kMr>(m, n, k, a, lda, b, c, ldc, scratch,
+                                         neon_micro_kernel);
 }
 
 } // namespace orpheus

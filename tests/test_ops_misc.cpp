@@ -60,6 +60,67 @@ TEST(MaxPool, PaddingNeverWins)
         EXPECT_EQ(output.data<float>()[i], -5.0f);
 }
 
+TEST(MaxPool, InteriorMatchesBoundsCheckedWindowsBitwise)
+{
+    // Every output against a per-tap bounds-checked max in the same tap
+    // order: the unchecked interior must give the same bits, NaN inputs
+    // (ignored by std::max) included.
+    struct Case {
+        std::int64_t h, w, kernel, stride, pad_lo, pad_hi;
+        bool ceil_mode;
+    };
+    const Case cases[] = {
+        {112, 112, 3, 2, 1, 1, false}, // ResNet stem pool.
+        {13, 11, 3, 2, 0, 0, true},
+        {9, 10, 2, 2, 0, 1, false},
+        {7, 7, 5, 1, 2, 2, false},
+        {4, 5, 3, 3, 1, 0, true},
+        {3, 3, 3, 1, 0, 0, false},
+    };
+    for (const Case &c : cases) {
+        Pool2dParams p;
+        p.kernel_h = p.kernel_w = c.kernel;
+        p.stride_h = p.stride_w = c.stride;
+        p.pad_top = p.pad_left = c.pad_lo;
+        p.pad_bottom = p.pad_right = c.pad_hi;
+        p.ceil_mode = c.ceil_mode;
+        Tensor input = make_random(Shape({2, 3, c.h, c.w}), 0x9e);
+        float *x = input.data<float>();
+        for (std::int64_t i = 0; i < input.numel(); i += 7)
+            x[i] = std::numeric_limits<float>::quiet_NaN();
+        const std::int64_t out_h = p.out_h(c.h), out_w = p.out_w(c.w);
+        Tensor output(Shape({2, 3, out_h, out_w}));
+        maxpool2d(input, p, output);
+
+        std::vector<float> expected;
+        for (std::int64_t nc = 0; nc < 6; ++nc) {
+            for (std::int64_t oh = 0; oh < out_h; ++oh) {
+                for (std::int64_t ow = 0; ow < out_w; ++ow) {
+                    float best = -std::numeric_limits<float>::infinity();
+                    for (std::int64_t kh = 0; kh < c.kernel; ++kh) {
+                        for (std::int64_t kw = 0; kw < c.kernel; ++kw) {
+                            const std::int64_t ih =
+                                oh * c.stride - c.pad_lo + kh;
+                            const std::int64_t iw =
+                                ow * c.stride - c.pad_lo + kw;
+                            if (ih >= 0 && ih < c.h && iw >= 0 && iw < c.w)
+                                best = std::max(
+                                    best, x[(nc * c.h + ih) * c.w + iw]);
+                        }
+                    }
+                    expected.push_back(best);
+                }
+            }
+        }
+        ASSERT_EQ(static_cast<std::int64_t>(expected.size()),
+                  output.numel());
+        EXPECT_EQ(std::memcmp(expected.data(), output.data<float>(),
+                              expected.size() * sizeof(float)),
+                  0)
+            << c.h << "x" << c.w << " k" << c.kernel << " s" << c.stride;
+    }
+}
+
 TEST(AvgPool, CountIncludePadSemantics)
 {
     Tensor input(Shape({1, 1, 2, 2}));

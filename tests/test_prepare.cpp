@@ -507,6 +507,53 @@ TEST(Prepare, SteadyStateKernelStepsDoNotAllocate)
     }
 }
 
+TEST(Prepare, SteadyStateLargeKernelStepsDoNotAllocate)
+{
+    // tiny_cnn has only 3x3 convs. Pin the contract for large kernels,
+    // whose im2col windows the packed GEMM gathers with per-tap state
+    // that must not grow with the kernel: a 7x7 stride-2 conv and an
+    // 11x11 conv (K = 392 and 1936, so K blocks start mid-tap), with the
+    // ResNet stem's 3x3 stride-2 MaxPool between them.
+    set_global_num_threads(1);
+    GraphBuilder b("large-kernel-net", 0xd4);
+    std::string x = b.input("input", Shape({1, 8, 40, 40}));
+    x = b.relu(b.conv_k(x, 16, 7, 2, 3, /*group=*/1, /*bias=*/true));
+    x = b.maxpool(x, 3, 2, 1);
+    x = b.conv_k(x, 12, 11, 1, 5);
+    b.output(x);
+    const Graph graph = b.take();
+    const Tensor input = make_random(Shape({1, 8, 40, 40}), 0xab);
+
+    // The scalar-kernel impl, then whichever impl the heuristic picks
+    // (the SIMD one where the host has it).
+    for (const EngineOptions &options : {pinned("im2col_gemm"),
+                                         EngineOptions{}}) {
+        Engine engine(Graph(graph), options);
+        (void)engine.run(input);
+
+        int checked = 0;
+        for (std::size_t i = 0; i < engine.steps().size(); ++i) {
+            const PlanStep &step = engine.steps()[i];
+            if (step.op_type == op_names::kConv)
+                EXPECT_EQ(step.layer->impl_name().rfind("im2col_gemm", 0),
+                          0u)
+                    << step.layer->impl_name();
+            else if (step.op_type != op_names::kMaxPool)
+                continue;
+            ++checked;
+            g_alloc_count.store(0);
+            g_counting.store(true);
+            engine.run_step(i);
+            g_counting.store(false);
+            EXPECT_EQ(g_alloc_count.load(), 0)
+                << "step " << i << " (" << step.op_type << " via "
+                << step.layer->impl_name()
+                << ") allocated in the steady state";
+        }
+        EXPECT_EQ(checked, 3);
+    }
+}
+
 TEST(Prepare, SteadyStateDepthwiseStepsDoNotAllocate)
 {
     // tiny_cnn has no depthwise step: cover the depthwise kernels (whose
