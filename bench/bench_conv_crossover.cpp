@@ -10,6 +10,10 @@
  * show spatial pack ahead at small channel counts (im2col overhead
  * dominates) and GEMM conv ahead once K = C*9 is large — the crossover
  * that explains Figure 2's small-model/large-model split.
+ *
+ * GEMM conv runs twice: `gemm_conv` on conv2d()'s default scalar packed
+ * GEMM, and `gemm_conv_simd` on the runtime-dispatched SIMD body the
+ * engine's im2col_gemm_avx2 / _neon layers use.
  */
 #include "bench_util.hpp"
 
@@ -32,9 +36,15 @@ const LayerConfig kSweep[] = {
     {128, 28}, {256, 14}, {512, 7},
 };
 
+struct Column {
+    ConvAlgo algo;
+    GemmVariant gemm_variant;
+    std::string name;
+};
+
 void
-conv_cell(::benchmark::State &state, ConvAlgo algo,
-          const LayerConfig &config, const std::string &column)
+conv_cell(::benchmark::State &state, const Column &column,
+          const LayerConfig &config)
 {
     Rng rng(0xcc);
     Tensor input = random_tensor(
@@ -47,15 +57,15 @@ conv_cell(::benchmark::State &state, ConvAlgo algo,
     params.pad_top = params.pad_left = params.pad_bottom =
         params.pad_right = 1;
 
-    conv2d(algo, input, weight, nullptr, params, ActivationSpec::none(),
-           output); // Warm-up.
+    conv2d(column.algo, input, weight, nullptr, params,
+           ActivationSpec::none(), output, column.gemm_variant); // Warm-up.
 
     double total_ms = 0.0;
     std::int64_t runs = 0;
     for (auto _ : state) {
         Timer timer;
-        conv2d(algo, input, weight, nullptr, params,
-               ActivationSpec::none(), output);
+        conv2d(column.algo, input, weight, nullptr, params,
+               ActivationSpec::none(), output, column.gemm_variant);
         const double ms = timer.elapsed_ms();
         state.SetIterationTime(ms / 1000.0);
         total_ms += ms;
@@ -63,7 +73,7 @@ conv_cell(::benchmark::State &state, ConvAlgo algo,
     }
     record_cell("C=" + std::to_string(config.channels) + " HW=" +
                     std::to_string(config.spatial),
-                column, total_ms / static_cast<double>(runs));
+                column.name, total_ms / static_cast<double>(runs));
 }
 
 } // namespace
@@ -74,24 +84,21 @@ main(int argc, char **argv)
     set_global_num_threads(1);
     const int sweep_count = quick_mode() ? 3 : 7;
 
+    const Column columns[] = {
+        {ConvAlgo::kIm2colGemm, GemmVariant::kPacked, "gemm_conv"},
+        {ConvAlgo::kSpatialPack, GemmVariant::kPacked, "spatial_pack"},
+        {ConvAlgo::kIm2colGemm, GemmVariant::kPackedSimd, "gemm_conv_simd"},
+    };
     for (int i = 0; i < sweep_count; ++i) {
-        const LayerConfig &config = kSweep[i];
-        for (const auto &[algo, column] :
-             {std::pair<ConvAlgo, std::string>{ConvAlgo::kIm2colGemm,
-                                               "gemm_conv"},
-              {ConvAlgo::kSpatialPack, "spatial_pack"}}) {
-            const std::string name =
-                "conv3x3/C" + std::to_string(config.channels) + "/" +
-                column;
-            LayerConfig captured = config;
-            ConvAlgo algo_captured = algo;
-            std::string column_captured = column;
+        const LayerConfig config = kSweep[i];
+        for (const Column &column : columns) {
+            const std::string name = "conv3x3/C" +
+                                     std::to_string(config.channels) + "/" +
+                                     column.name;
             ::benchmark::RegisterBenchmark(
                 name.c_str(),
-                [captured, algo_captured,
-                 column_captured](::benchmark::State &state) {
-                    conv_cell(state, algo_captured, captured,
-                              column_captured);
+                [column, config](::benchmark::State &state) {
+                    conv_cell(state, column, config);
                 })
                 ->Iterations(timed_runs())
                 ->UseManualTime()
@@ -110,15 +117,27 @@ main(int argc, char **argv)
         if (cell.column != "gemm_conv")
             continue;
         double spatial_ms = 0.0;
+        double simd_ms = 0.0;
         for (const Cell &other : cells()) {
-            if (other.row == cell.row && other.column == "spatial_pack")
+            if (other.row != cell.row)
+                continue;
+            if (other.column == "spatial_pack")
                 spatial_ms = other.mean_ms;
+            else if (other.column == "gemm_conv_simd")
+                simd_ms = other.mean_ms;
         }
-        const std::string winner =
-            cell.mean_ms < spatial_ms ? "gemm_conv" : "spatial_pack";
-        std::printf("  %-16s %-14s (gemm %.2f ms, spatial %.2f ms)%s\n",
+        std::string winner = "gemm_conv";
+        double best_ms = cell.mean_ms;
+        if (spatial_ms < best_ms) {
+            winner = "spatial_pack";
+            best_ms = spatial_ms;
+        }
+        if (simd_ms < best_ms)
+            winner = "gemm_conv_simd";
+        std::printf("  %-16s %-14s (gemm %.2f ms, spatial %.2f ms, "
+                    "gemm simd %.2f ms)%s\n",
                     cell.row.c_str(), winner.c_str(), cell.mean_ms,
-                    spatial_ms,
+                    spatial_ms, simd_ms,
                     (!previous_winner.empty() && winner != previous_winner)
                         ? "   <-- crossover"
                         : "");

@@ -370,8 +370,8 @@ Engine::bind_workspace_all()
     for (PlanStep &step : steps_) {
         if (step.layer != nullptr)
             step.layer->bind_workspace(view);
-        if (step.reference_layer != nullptr)
-            step.reference_layer->bind_workspace(view);
+        if (step.standby_layer != nullptr)
+            step.standby_layer->bind_workspace(view);
     }
 }
 
@@ -413,6 +413,27 @@ Engine::validate_inputs(const std::map<std::string, Tensor> &inputs) const
     return Status::ok();
 }
 
+namespace {
+
+/** The breaker's thresholds, read in this one place. With the guard off
+ *  the breaker is the plain fault fallback: it opens on the first fault
+ *  and never half-opens, so the step stays on its reference kernel
+ *  until restore_step(). */
+struct BreakerThresholds {
+    int open_after_trips;
+    bool half_opens;
+};
+
+BreakerThresholds
+breaker_thresholds(const GuardPolicy &policy)
+{
+    if (!policy.enabled)
+        return {1, false};
+    return {policy.open_after_trips, policy.allow_recovery};
+}
+
+} // namespace
+
 void
 Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
 {
@@ -421,6 +442,26 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
         throw DeadlineExceededError("deadline expired before node " +
                                     step.node_name);
 
+    const GuardPolicy &policy = options_.guard;
+    StepHealth &health = step.health;
+
+    // Breaker maintenance: a cooled-down open breaker half-opens, and
+    // this invocation becomes the probe of the fast kernel.
+    if (health.state == BreakerState::kOpen &&
+        breaker_thresholds(policy).half_opens) {
+        const std::chrono::duration<double, std::milli> open_for =
+            std::chrono::steady_clock::now() - health.opened_at;
+        if (open_for.count() >= policy.cooldown_ms) {
+            health.state = BreakerState::kHalfOpen;
+            route_step(index, /*to_reference=*/false);
+            ORPHEUS_WARN("guard: half-open probe of "
+                         << step.op_type << "." << step.selected_impl
+                         << " on node " << step.node_name << " after "
+                         << open_for.count() << " ms cool-down");
+        }
+    }
+
+    // Routing is decided: step.layer is the kernel that runs.
     ExecutionMonitor *monitor = options_.execution_monitor.get();
     if (monitor != nullptr)
         monitor->begin_step(index, step.node_name, step.layer->impl_name());
@@ -437,93 +478,18 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
     // hook: parallel_for splits chunks into tiles and checks it at
     // every tile boundary.
     ScopedDeadline cancel_scope(deadline);
-    if (options_.guard.enabled)
-        execute_step_guarded(index, deadline);
-    else
-        execute_step_unguarded(index, deadline);
-}
-
-void
-Engine::execute_step_unguarded(std::size_t index,
-                               const DeadlineToken &deadline)
-{
-    PlanStep &step = steps_[index];
-    try {
-        forward_injected(step, *step.layer, deadline);
-    } catch (const DeadlineExceededError &) {
-        // A cancelled step is not a kernel fault: never degrade, let
-        // the request surface kDeadlineExceeded.
-        throw;
-    } catch (const std::exception &fault) {
-        if (!options_.fallback_on_kernel_fault)
-            throw;
-        degrade_step(index, fault.what());
-        // Retry on the fallback; a second failure propagates — one
-        // degradation per execution keeps the retry loop bounded.
-        step.layer->forward(step.inputs, step.outputs);
-    }
-}
-
-void
-Engine::forward_injected(PlanStep &step, Layer &layer,
-                         const DeadlineToken &deadline)
-{
-    InjectionDecision injection;
-    if (FaultInjector *injector = options_.fault_injector.get()) {
-        // One decide() call per invocation: the whole injection schedule
-        // for this step is resolved atomically, so a concurrent re-arm
-        // (pool chaos harnesses) cannot hand us a torn verdict.
-        injection =
-            injector->decide(step.node_name, layer.impl_name(), graph_.name());
-        if (injection.delay_ms > 0)
-            cooperative_delay_ms(injection.delay_ms, deadline);
-        if (injection.fail)
-            throw KernelFault("injected fault in node " + step.node_name +
-                              " (" + layer.impl_name() + ")");
-    }
-    layer.forward(step.inputs, step.outputs);
-    apply_corruption(injection.corruption, *step.outputs.front());
-}
-
-void
-Engine::execute_step_guarded(std::size_t index, const DeadlineToken &deadline)
-{
-    PlanStep &step = steps_[index];
-    const GuardPolicy &policy = options_.guard;
-    StepHealth &health = step.health;
-
-    // Breaker maintenance: a cooled-down open breaker half-opens, and
-    // this invocation becomes the probe of the fast kernel.
-    if (health.state == BreakerState::kOpen && policy.allow_recovery) {
-        const std::chrono::duration<double, std::milli> open_for =
-            std::chrono::steady_clock::now() - health.opened_at;
-        if (open_for.count() >= policy.cooldown_ms) {
-            health.state = BreakerState::kHalfOpen;
-            ORPHEUS_WARN("guard: half-open probe of "
-                         << step.op_type << "." << step.selected_impl
-                         << " on node " << step.node_name << " after "
-                         << open_for.count() << " ms cool-down");
-        }
-    }
-
-    const bool routed_to_reference =
-        health.state == BreakerState::kOpen;
-    Layer &active =
-        routed_to_reference ? reference_layer(step) : *step.layer;
     ++step.invocations;
 
     try {
-        forward_injected(step, active, deadline);
+        forward_injected(step, deadline);
     } catch (const DeadlineExceededError &) {
         throw; // Never a trip: cancelled, not wrong.
     } catch (const std::exception &fault) {
-        if (!options_.fallback_on_kernel_fault)
-            throw;
-        if (routed_to_reference || step.reference_impl.empty())
+        if (step.degraded || step.reference_impl.empty())
             throw Error("kernel " + step.op_type + "." +
-                        active.impl_name() + " failed on node " +
+                        step.layer->impl_name() + " failed on node " +
                         step.node_name + " (" + fault.what() +
-                        ") and no fallback implementation is registered");
+                        ") and no fallback implementation is left");
         record_trip(index, GuardTrip::kFault, fault.what());
         // Retry on the reference; a second failure propagates. The
         // reference output is the trusted root — no scan needed.
@@ -531,7 +497,10 @@ Engine::execute_step_guarded(std::size_t index, const DeadlineToken &deadline)
         return;
     }
 
-    if (routed_to_reference) {
+    if (!policy.enabled)
+        return;
+
+    if (step.degraded) {
         // The reference is the trusted root; scanning it is opt-in and
         // fail-stop (there is nothing left to confirm against).
         if (policy.flag_reference_outputs) {
@@ -585,10 +554,33 @@ Engine::execute_step_guarded(std::size_t index, const DeadlineToken &deadline)
     }
 }
 
+void
+Engine::forward_injected(PlanStep &step, const DeadlineToken &deadline)
+{
+    Layer &layer = *step.layer;
+    InjectionDecision injection;
+    if (FaultInjector *injector = options_.fault_injector.get()) {
+        // One decide() call per invocation: the whole injection schedule
+        // for this step is resolved atomically, so a concurrent re-arm
+        // (pool chaos harnesses) cannot hand us a torn verdict.
+        injection =
+            injector->decide(step.node_name, layer.impl_name(), graph_.name());
+        if (injection.delay_ms > 0)
+            cooperative_delay_ms(injection.delay_ms, deadline);
+        if (injection.fail)
+            throw KernelFault("injected fault in node " + step.node_name +
+                              " (" + layer.impl_name() + ")");
+    }
+    layer.forward(step.inputs, step.outputs);
+    apply_corruption(injection.corruption, *step.outputs.front());
+}
+
 Layer &
 Engine::reference_layer(PlanStep &step)
 {
-    if (step.reference_layer == nullptr) {
+    if (step.degraded)
+        return *step.layer;
+    if (step.standby_layer == nullptr) {
         ORPHEUS_CHECK(!step.reference_impl.empty(),
                       "node " << step.node_name
                               << " has no reference fallback kernel");
@@ -599,10 +591,23 @@ Engine::reference_layer(PlanStep &step)
                                           << step.op_type << "."
                                           << step.reference_impl
                                           << " is no longer registered");
-        step.reference_layer = registry.instantiate(*def, step.init);
-        prepare_layer(*step.reference_layer);
+        step.standby_layer = registry.instantiate(*def, step.init);
+        prepare_layer(*step.standby_layer);
     }
-    return *step.reference_layer;
+    return *step.standby_layer;
+}
+
+void
+Engine::route_step(std::size_t index, bool to_reference)
+{
+    PlanStep &step = steps_[index];
+    if (step.degraded == to_reference)
+        return;
+    if (to_reference)
+        reference_layer(step); // Throws now if no fallback is registered.
+    std::swap(step.layer, step.standby_layer);
+    step.degraded = to_reference;
+    profiler_.set_impl_name(index, step.layer->impl_name());
 }
 
 GuardVerdict
@@ -693,7 +698,7 @@ Engine::note_health(PlanStep &step, HealthEvent event)
       case HealthEvent::kShadowDivergence: ++health.shadow_runs; break;
     }
     KernelRegistry::instance().health().add(
-        kernel_health_id(step.op_type, step.layer->impl_name()), event);
+        kernel_health_id(step.op_type, step.selected_impl), event);
 }
 
 void
@@ -705,9 +710,9 @@ Engine::record_trip(std::size_t index, GuardTrip kind,
     health.last_trip_reason = reason;
     note_health(step, kind == GuardTrip::kFault ? HealthEvent::kFault
                                                 : HealthEvent::kTrip);
-    ORPHEUS_WARN("guard: " << to_string(kind) << " on node "
-                           << step.node_name << " (" << step.op_type << "."
-                           << step.selected_impl << "): " << reason);
+    ORPHEUS_WARN(to_string(kind) << " on node " << step.node_name << " ("
+                                 << step.op_type << "." << step.selected_impl
+                                 << "): " << reason);
 
     if (health.state == BreakerState::kHalfOpen) {
         // The probe failed; back to open, cool-down restarts.
@@ -715,7 +720,8 @@ Engine::record_trip(std::size_t index, GuardTrip kind,
         return;
     }
     ++health.consecutive_trips;
-    if (health.consecutive_trips >= options_.guard.open_after_trips &&
+    if (health.consecutive_trips >=
+            breaker_thresholds(options_.guard).open_after_trips &&
         !step.reference_impl.empty())
         open_breaker(index, reason);
 }
@@ -724,43 +730,14 @@ void
 Engine::open_breaker(std::size_t index, const std::string &reason)
 {
     PlanStep &step = steps_[index];
-    reference_layer(step); // Throws now if no fallback is registered.
-
+    route_step(index, /*to_reference=*/true);
     note_health(step, HealthEvent::kBreakerOpen);
     step.health.last_trip_reason = reason;
-    step.degraded = true;
-    profiler_.set_impl_name(index, step.reference_impl);
-    ORPHEUS_WARN("guard: breaker OPEN for "
+    ORPHEUS_WARN("breaker OPEN for "
                  << step.op_type << "." << step.selected_impl
                  << " on node " << step.node_name << " (" << reason
                  << "); routing to " << step.op_type << "."
                  << step.reference_impl);
-}
-
-void
-Engine::degrade_step(std::size_t index, const std::string &reason)
-{
-    PlanStep &step = steps_[index];
-    const std::string failed = step.layer->impl_name();
-
-    KernelRegistry &registry = KernelRegistry::instance();
-    const KernelDef *fallback =
-        select_fallback_kernel(registry, step.init, failed);
-    if (fallback == nullptr)
-        throw Error("kernel " + step.op_type + "." + failed +
-                    " failed on node " + step.node_name + " (" + reason +
-                    ") and no fallback implementation is registered");
-
-    ORPHEUS_WARN("kernel " << step.op_type << "." << failed
-                           << " failed on node " << step.node_name << " ("
-                           << reason
-                           << "); falling back to reference implementation "
-                           << step.op_type << "." << fallback->impl_name);
-    note_health(step, HealthEvent::kFault);
-    step.layer = registry.instantiate(*fallback, step.init);
-    prepare_layer(*step.layer);
-    step.degraded = true;
-    profiler_.set_impl_name(index, step.layer->impl_name());
 }
 
 void
@@ -934,22 +911,16 @@ Engine::demote_step(std::size_t index, const std::string &reason)
     ORPHEUS_CHECK(index < steps_.size(),
                   "plan step " << index << " out of range (plan has "
                                << steps_.size() << " steps)");
-    if (options_.guard.enabled) {
-        // Guard mode keeps the fast layer in place and routes around it,
-        // so a half-open probe can later restore it.
-        ORPHEUS_CHECK(!steps_[index].reference_impl.empty(),
-                      "kernel " << steps_[index].op_type << "."
-                                << steps_[index].selected_impl
-                                << " demoted on node "
-                                << steps_[index].node_name << " (" << reason
-                                << ") but no fallback implementation is "
-                                   "registered");
-        record_trip(index, GuardTrip::kFault, reason);
-        if (steps_[index].health.state == BreakerState::kClosed)
-            open_breaker(index, reason);
-        return;
-    }
-    degrade_step(index, reason);
+    PlanStep &step = steps_[index];
+    ORPHEUS_CHECK(!step.reference_impl.empty(),
+                  "kernel " << step.op_type << "." << step.selected_impl
+                            << " demoted on node " << step.node_name << " ("
+                            << reason
+                            << ") but no fallback implementation is "
+                               "registered");
+    record_trip(index, GuardTrip::kFault, reason);
+    if (step.health.state == BreakerState::kClosed)
+        open_breaker(index, reason);
 }
 
 void
@@ -959,23 +930,10 @@ Engine::restore_step(std::size_t index)
                   "plan step " << index << " out of range (plan has "
                                << steps_.size() << " steps)");
     PlanStep &step = steps_[index];
-    if (step.layer->impl_name() != step.selected_impl) {
-        // Legacy degrade_step swapped the layer itself; re-instantiate
-        // the plan-time selection.
-        KernelRegistry &registry = KernelRegistry::instance();
-        const KernelDef *def =
-            registry.find(step.op_type, step.selected_impl);
-        ORPHEUS_CHECK(def != nullptr,
-                      "kernel " << step.op_type << "." << step.selected_impl
-                                << " is no longer registered");
-        step.layer = registry.instantiate(*def, step.init);
-        prepare_layer(*step.layer);
-    }
+    route_step(index, /*to_reference=*/false);
     if (step.health.state != BreakerState::kClosed)
         note_health(step, HealthEvent::kRecovery);
     step.health.consecutive_trips = 0;
-    step.degraded = false;
-    profiler_.set_impl_name(index, step.selected_impl);
 }
 
 std::string

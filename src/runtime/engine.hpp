@@ -77,14 +77,6 @@ struct EngineOptions {
     std::shared_ptr<ConstantPackCache> pack_cache;
 
     /**
-     * When a kernel throws at run time, retry the step on the
-     * lowest-priority (reference) implementation instead of propagating
-     * the failure. The degradation is logged via ORPHEUS_WARN and the
-     * step keeps its fallback layer for subsequent runs.
-     */
-    bool fallback_on_kernel_fault = true;
-
-    /**
      * Optional fault-injection hook, consulted before every kernel
      * invocation; used to test the fallback policy (and by chaos-style
      * robustness harnesses). Null disables injection.
@@ -100,11 +92,15 @@ struct EngineOptions {
     std::shared_ptr<ExecutionMonitor> execution_monitor;
 
     /**
-     * Guarded execution (guard.hpp): output scanning, sampled shadow
-     * execution and per-step circuit breakers. Disabled by default —
-     * the unguarded path is taken after a single branch. When enabled,
-     * kernel faults and watchdog demotions also route through the
-     * breaker, so they become recoverable via half-open probes.
+     * Guarded execution (guard.hpp). Every step has a circuit breaker
+     * whatever this says: a kernel fault or a watchdog demotion opens
+     * it and moves the step onto its reference kernel. The guard switch
+     * decides only two things. Enabled, outputs are scanned and
+     * shadow-run, and the breaker uses the policy's thresholds, so a
+     * half-open probe can re-promote the fast kernel. Disabled (the
+     * default), nothing is scanned and the breaker opens on the first
+     * fault and never half-opens: the step stays on the reference until
+     * restore_step().
      */
     GuardPolicy guard;
 
@@ -128,28 +124,31 @@ struct EngineOptions {
 struct PlanStep {
     std::string node_name;
     std::string op_type;
+    /** The kernel that runs: the plan-time selection, or the reference
+     *  while the breaker is open. */
     std::unique_ptr<Layer> layer;
     std::vector<const Tensor *> inputs; ///< nullptr for omitted optionals.
     std::vector<Tensor *> outputs;
     /** Value names of the outputs (index-aligned with outputs). */
     std::vector<std::string> output_names;
     Shape output_shape;
-    /** Plan-time init, retained so a failing kernel can be replaced by
-     *  the reference implementation without recompiling. */
+    /** Plan-time init, retained so the reference implementation can be
+     *  instantiated without recompiling. */
     LayerInit init;
-    /** True while the step executes on its fallback kernel (permanent
-     *  degradation, or an open circuit breaker in guard mode). */
+    /** True while `layer` is the reference kernel, i.e. while the
+     *  breaker is open. */
     bool degraded = false;
 
-    // --- Guarded execution ------------------------------------------------
+    // --- Fallback and guarded execution -----------------------------------
     /** Impl selected at plan time — what restore_step() re-promotes. */
     std::string selected_impl;
     /** Reference fallback impl ("" when no alternative exists). */
     std::string reference_impl;
-    /** Lazily instantiated reference layer, cached for shadow runs,
-     *  guard confirmations and breaker-open routing. */
-    std::unique_ptr<Layer> reference_layer;
-    /** Circuit-breaker state and trip counters (guard mode). */
+    /** The kernel not in `layer`: the lazily instantiated reference
+     *  (for fault retries, guard confirmations and shadow runs) while
+     *  the plan-time kernel runs, the plan-time kernel while degraded. */
+    std::unique_ptr<Layer> standby_layer;
+    /** Circuit-breaker state and trip counters. */
     StepHealth health;
     /** Primary invocations of this step (drives shadow sampling). */
     std::uint64_t invocations = 0;
@@ -240,22 +239,24 @@ class Engine
 
     /**
      * Demotes step @p index to its reference fallback kernel, exactly
-     * as a thrown KernelFault would; used by the watchdog to retire a
-     * backend that hung. With guarding enabled this opens the step's
-     * circuit breaker instead — same routing, but a half-open probe
-     * can re-promote the fast kernel after the cool-down. Not
-     * thread-safe against a concurrent run() on this engine — callers
-     * (the service) serialize per engine. Throws orpheus::Error when
-     * no alternative implementation exists.
+     * as a thrown KernelFault would: records a fault and opens the
+     * step's circuit breaker. Used by the watchdog to retire a backend
+     * that hung. With the guard enabled a half-open probe can
+     * re-promote the fast kernel after the cool-down; with it disabled
+     * the step stays demoted until restore_step(). Not thread-safe
+     * against a concurrent run() on this engine — callers (the
+     * service) serialize per engine. Throws orpheus::Error when no
+     * alternative implementation exists.
      */
     void demote_step(std::size_t index, const std::string &reason);
 
     /**
-     * Reverses demote_step / a tripped breaker: re-instantiates the
-     * kernel selected at plan time, closes the breaker and clears the
-     * degraded flag. The half-open probe path calls this after a clean
-     * verification; it is also the manual operator override. Same
-     * thread-safety contract as demote_step.
+     * Reverses demote_step / an open breaker: swaps the kernel selected
+     * at plan time back into the step (it was kept, prepared, in the
+     * standby slot), closes the breaker and clears the degraded flag.
+     * The half-open probe path calls this after a clean verification;
+     * it is also the manual operator override. Same thread-safety
+     * contract as demote_step.
      */
     void restore_step(std::size_t index);
 
@@ -400,44 +401,39 @@ class Engine
      * Runs @p layer's preparation stage (when prepare_kernels is on),
      * growing the shared workspace segment and rebinding every live
      * layer if the new requirement exceeds the current capacity. Called
-     * at plan time for every step, and again whenever a layer is
-     * (re-)instantiated on the fallback/restore/reference paths.
+     * at plan time for every step, and again when a step's reference
+     * layer is first instantiated.
      */
     void prepare_layer(Layer &layer);
 
     /** Hands the current workspace view to every instantiated layer
-     *  (plan layers, fallback replacements, cached reference layers). */
+     *  (both slots of every step). */
     void bind_workspace_all();
 
-    /** Executes step @p index with deadline checks, fault/delay
-     *  injection and the fallback policy. */
+    /** Executes step @p index: deadline check, breaker maintenance,
+     *  fault/delay injection, the fault fallback and, with the guard
+     *  enabled, output scanning and shadow sampling (see guard.hpp). */
     void execute_step(std::size_t index, const DeadlineToken &deadline);
 
-    /** Runs @p layer on @p step's tensors under the fault injector:
+    /** Runs @p step's layer on its tensors under the fault injector:
      *  delay, then fault, then forward, then corruption of the first
-     *  output. Both execution paths call this for the primary kernel. */
-    void forward_injected(PlanStep &step, Layer &layer,
-                          const DeadlineToken &deadline);
+     *  output. */
+    void forward_injected(PlanStep &step, const DeadlineToken &deadline);
 
-    /** Pre-guard execution path (guard disabled): fault fallback is a
-     *  one-way permanent degradation. */
-    void execute_step_unguarded(std::size_t index,
-                                const DeadlineToken &deadline);
+    // --- Breaker and guard internals --------------------------------------
 
-    /** Guarded execution path: output scanning, shadow sampling and
-     *  the circuit breaker (see guard.hpp). */
-    void execute_step_guarded(std::size_t index,
-                              const DeadlineToken &deadline);
-
-    /** Swaps step @p index onto its reference fallback kernel; throws
-     *  orpheus::Error when no alternative implementation exists. */
-    void degrade_step(std::size_t index, const std::string &reason);
-
-    // --- Guard internals --------------------------------------------------
-
-    /** The step's cached reference layer (instantiated on first use);
-     *  throws orpheus::Error when the step has no alternative. */
+    /** The step's reference layer: `layer` while degraded, else the
+     *  standby (instantiated on first use). Throws orpheus::Error when
+     *  the step has no alternative. */
     Layer &reference_layer(PlanStep &step);
+
+    /**
+     * The one place a step changes kernels: swaps `layer` and
+     * `standby_layer` so that `layer` is the reference (@p to_reference)
+     * or the plan-time kernel, and keeps `degraded` and the profiler's
+     * impl name in step. A no-op when the step is already there.
+     */
+    void route_step(std::size_t index, bool to_reference);
 
     /** Scans the step's outputs; on a hit, re-runs on the reference
      *  implementation to confirm. Returns the confirmed verdict
@@ -453,8 +449,9 @@ class Engine
     /**
      * The one writer of health facts: updates @p step's StepHealth and
      * adds @p event to the process-wide KernelHealthLedger under the
-     * step's current kernel. kBreakerOpen also opens the breaker and
-     * starts the cool-down; kRecovery closes it.
+     * step's plan-time kernel, the one its breaker guards. kBreakerOpen
+     * also opens the breaker and starts the cool-down; kRecovery
+     * closes it.
      */
     void note_health(PlanStep &step, HealthEvent event);
 
@@ -463,7 +460,7 @@ class Engine
     void record_trip(std::size_t index, GuardTrip kind,
                      const std::string &reason);
 
-    /** Opens the breaker: routes the step to the reference kernel and
+    /** Opens the breaker: swaps the step onto the reference kernel and
      *  starts the cool-down. */
     void open_breaker(std::size_t index, const std::string &reason);
 

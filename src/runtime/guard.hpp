@@ -4,10 +4,11 @@
  * circuit breakers.
  *
  * The watchdog (watchdog.hpp) catches kernels that hang and the
- * fallback policy (engine.hpp) catches kernels that throw — but a
+ * engine's fault fallback catches kernels that throw — but a
  * fast-but-miscompiled kernel that silently writes wrong numbers
- * triggers neither. The guard layer closes that gap with three
- * mechanisms, all off by default and costing one branch when off:
+ * triggers neither. The guard layer closes that gap with two
+ * detectors, both off by default and costing one branch when off, and
+ * tunes the breaker every step has anyway:
  *
  *  1. Output scanning: after each plan step, outputs are scanned for
  *     NaN/Inf and magnitude blow-ups in one vectorized pass.
@@ -15,24 +16,28 @@
  *     non-reference kernel, the step is re-run on the reference
  *     implementation and the results compared with absolute/relative/
  *     ULP tolerance, flagging divergence no scan can see.
- *  3. A per-step circuit breaker over a per-kernel health ledger
- *     (kernel_registry.hpp): repeated confirmed guard trips or kernel
- *     faults open the breaker, routing the step to the reference
- *     kernel; after a cool-down, a half-open probe re-tries the fast
- *     kernel (verified by a forced shadow comparison) so transient
- *     failures recover instead of degrading forever.
+ *  3. The per-step circuit breaker over a per-kernel health ledger
+ *     (kernel_registry.hpp) is the one way a step changes kernels:
+ *     kernel faults, watchdog demotions and (guard on) repeated
+ *     confirmed trips open it, swapping the step onto the reference
+ *     kernel. With the guard on, after a cool-down a half-open probe
+ *     re-tries the fast kernel (verified by a forced shadow
+ *     comparison) so transient failures recover instead of degrading
+ *     forever. With the guard off the breaker opens on the first
+ *     fault and never half-opens.
  *
  * A trip is only *confirmed* against the reference implementation: an
  * overflow-prone model that legitimately produces Inf does so on every
  * kernel, which the guard treats as the model's true answer rather
  * than corruption.
  *
- *                 trips >= open_after_trips
- *        CLOSED ----------------------------> OPEN
- *       ^  |  ^                                | cooldown_ms elapsed
- *       |  |  | probe clean                    v
- *       |  |  +----------------------------- HALF-OPEN
- *       |  |                                   |
+ *          trips >= open_after_trips (guard off: first fault)
+ *        CLOSED ----------------------------> OPEN: step.layer is the
+ *       ^  |  ^                                |   reference kernel
+ *       |  |  | probe clean                    | cooldown_ms elapsed
+ *       |  |  |                                v (guard on only)
+ *       |  |  +----------------------------- HALF-OPEN: fast kernel
+ *       |  |                                   |   swapped back in
  *       |  +--- clean run resets trip count    | probe trips/faults
  *       |                                      v
  *       +----- restore_step() (manual) <---- OPEN (cooldown restarts)
@@ -49,7 +54,9 @@ namespace orpheus {
 
 /** What the guard checks and how the breaker reacts (EngineOptions). */
 struct GuardPolicy {
-    /** Master switch; false keeps execution on the unguarded path. */
+    /** Master switch: whether outputs are scanned and shadow-run, and
+     *  whether the breaker uses the thresholds below. Off, the breaker
+     *  opens on the first kernel fault and never half-opens. */
     bool enabled = false;
 
     /** Scan step outputs for NaN/Inf. */
@@ -93,7 +100,8 @@ struct GuardPolicy {
     double cooldown_ms = 250.0;
 
     /** Allow half-open probes at all; false makes an open breaker
-     *  permanent (the pre-guard demotion behaviour). */
+     *  permanent until restore_step(), as it always is with the guard
+     *  off. */
     bool allow_recovery = true;
 };
 
@@ -149,7 +157,7 @@ ShadowComparison compare_shadow(const Tensor &fast, const Tensor &reference,
 /** Circuit-breaker state of one plan step. */
 enum class BreakerState {
     kClosed = 0, ///< Fast kernel active.
-    kOpen,       ///< Routed to the reference kernel, cooling down.
+    kOpen,       ///< On the reference kernel, cooling down.
     kHalfOpen,   ///< Probe in flight: fast kernel, forced verification.
 };
 

@@ -349,6 +349,47 @@ TEST(EngineFaultTolerance, UnguardedFaultReachesStepHealthAndLedger)
     EXPECT_EQ(ledger.record("Conv.im2col_gemm").faults, conv_steps);
 }
 
+/** Guard off, the fault fallback is the step's circuit breaker with
+ *  fixed thresholds: the first fault opens it, and it never half-opens,
+ *  however short the cool-down. restore_step() swaps the fast kernel
+ *  back in. */
+TEST(EngineFaultTolerance, UnguardedFaultOpensBreakerThatNeverHalfOpens)
+{
+    auto injector = std::make_shared<FaultInjector>();
+    EngineOptions options;
+    options.backend.forced_impl["MatMul"] = "minnl";
+    options.fault_injector = injector;
+    injector->arm("", "minnl");
+    Engine engine(matmul_graph(), options);
+    ASSERT_EQ(engine.steps().size(), 1u);
+    const PlanStep &step = engine.steps().front();
+
+    Tensor input = make_random(Shape({4, 8}), 0xfa0b);
+    engine.run(input);
+    EXPECT_EQ(step.health.state, BreakerState::kOpen);
+    EXPECT_EQ(step.health.opens_total, 1);
+    EXPECT_EQ(step.layer->impl_name(), step.reference_impl);
+
+    // An elapsed cool-down changes nothing with the guard off: no probe
+    // re-runs minnl, so the still-armed injector sees no new call.
+    GuardPolicy policy;
+    policy.cooldown_ms = 0;
+    engine.set_guard_policy(policy);
+    engine.run(input);
+    EXPECT_EQ(injector->faults_injected(), 1);
+    EXPECT_EQ(step.health.state, BreakerState::kOpen);
+    EXPECT_EQ(step.health.opens_total, 1);
+
+    injector->reset();
+    engine.restore_step(0);
+    EXPECT_EQ(step.health.state, BreakerState::kClosed);
+    EXPECT_EQ(step.layer->impl_name(), "minnl");
+    EngineOptions clean_options;
+    clean_options.backend.forced_impl["MatMul"] = "minnl";
+    Engine clean(matmul_graph(), clean_options);
+    EXPECT_EQ(max_abs_diff(engine.run(input), clean.run(input)), 0.0f);
+}
+
 /** A fault striking mid-run (second conv only) still completes with a
  *  numerically valid result. */
 TEST(EngineFaultTolerance, MidRunFaultDegradesOnlyTheFailingStep)
@@ -374,19 +415,7 @@ TEST(EngineFaultTolerance, MidRunFaultDegradesOnlyTheFailingStep)
     EXPECT_EQ(degraded_steps, 1);
 }
 
-// --- Policy off / no fallback available -----------------------------------
-
-TEST(EngineFaultTolerance, FallbackDisabledPropagatesKernelFault)
-{
-    EngineOptions options;
-    options.fallback_on_kernel_fault = false;
-    options.fault_injector = std::make_shared<FaultInjector>();
-    options.fault_injector->arm("", "");
-    Engine engine(models::tiny_cnn(), options);
-
-    Tensor input = make_random(Shape({1, 3, 8, 8}), 0xfa06);
-    EXPECT_THROW(engine.run(input), KernelFault);
-}
+// --- No fallback available ------------------------------------------------
 
 /** With the SIMD tier disabled, Gemm has only the reference
  *  implementation registered, so a fault there has nowhere to fall

@@ -353,8 +353,11 @@ TEST(GuardedEngine, BreakerOpensAfterRepeatedTripsAndRoutesToReference)
     Engine pinned(models::tiny_cnn(), pinned_options);
     EXPECT_EQ(max_abs_diff(outputs.begin()->second, pinned.run(input)),
               0.0f);
-    // The fast layer is still in place, only routed around.
-    EXPECT_EQ(engine.steps()[conv].layer->impl_name(), "im2col_gemm");
+    // The step now holds the kernel that runs; the plan-time selection
+    // is what a probe or restore_step() swaps back in.
+    EXPECT_EQ(engine.steps()[conv].layer->impl_name(),
+              engine.steps()[conv].reference_impl);
+    EXPECT_EQ(engine.steps()[conv].selected_impl, "im2col_gemm");
 }
 
 TEST(GuardedEngine, HalfOpenProbeRestoresFastKernelAfterCorruptionStops)
@@ -601,6 +604,27 @@ TEST(GuardedEngine, DemoteStepOpensBreakerAndRestoreStepCloses)
     clean_options.backend.forced_impl["Conv"] = "im2col_gemm";
     Engine clean(models::tiny_cnn(), clean_options);
     EXPECT_EQ(max_abs_diff(engine.run(input), clean.run(input)), 0.0f);
+}
+
+/** The watchdog must blame the kernel that actually runs: after a
+ *  demotion that is the reference, not the plan-time selection. */
+TEST(GuardedEngine, DemotedStepReportsReferenceKernelToMonitor)
+{
+    auto monitor = std::make_shared<ExecutionMonitor>();
+    EngineOptions options;
+    options.backend.forced_impl["MatMul"] = "minnl";
+    options.guard = enabled_policy();
+    options.execution_monitor = monitor;
+    Engine engine(matmul_graph(), options);
+    ASSERT_EQ(engine.steps().size(), 1u);
+    ASSERT_FALSE(engine.steps()[0].reference_impl.empty());
+
+    engine.demote_step(0, "watchdog: step hung");
+    engine.run(make_random(Shape({4, 8}), 0x6a11));
+    EXPECT_EQ(monitor->snapshot().impl_name,
+              engine.steps()[0].reference_impl);
+    EXPECT_EQ(engine.steps()[0].layer->impl_name(),
+              engine.steps()[0].reference_impl);
 }
 
 /** restore_step also reverses the legacy (guard-off) permanent
