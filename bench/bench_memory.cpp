@@ -7,10 +7,24 @@
  * bench reports, for every evaluation network, the planned arena size
  * against the no-reuse total, and times the planning pass itself (it
  * runs at model-load time, so it must stay cheap).
+ *
+ * It also sizes an EnginePool at 1 and 4 replicas: `pool_weight_mb_r<N>`
+ * is the distinct initializer bytes across the replicas' graphs (the
+ * pool simplifies the model once, so replicas share one folded weight
+ * set and r4 must equal r1), and `pool_rss_mb_r<N>` the rise in VmRSS
+ * while the pool is built (informational: it also counts arenas,
+ * workspaces and allocator state). Those cells are MiB, not ms.
  */
 #include "bench_util.hpp"
 
+#include <fstream>
+#include <unordered_set>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "graph/passes/pass.hpp"
+#include "runtime/engine_pool.hpp"
 #include "runtime/memory_planner.hpp"
 
 namespace {
@@ -54,6 +68,56 @@ planner_cell(::benchmark::State &state, const std::string &model)
                 total_ms / static_cast<double>(runs));
     footprints().push_back(
         FootprintRow{model, plan.arena_size, plan.naive_size});
+}
+
+/** This process's resident set (VmRSS) in MiB; 0 where /proc is
+ *  unavailable. */
+double
+vm_rss_mb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmRSS:") {
+            double kib = 0;
+            status >> kib;
+            return kib / 1024.0;
+        }
+        status.ignore(4096, '\n');
+    }
+    return 0.0;
+}
+
+/** Builds @p model's pool at 1 and 4 replicas and records its distinct
+ *  weight bytes and VmRSS rise (MiB). */
+void
+pool_cells(const std::string &model)
+{
+    for (const int replicas : {1, 4}) {
+        Graph graph = models::by_name(model);
+#if defined(__GLIBC__)
+        // Hand the previous pool's freed heap back first, or this pool
+        // reuses it and its rise reads near zero.
+        malloc_trim(0);
+#endif
+        const double rss_before = vm_rss_mb();
+        EnginePoolOptions options;
+        options.replicas = replicas;
+        EnginePool pool(std::move(graph), EngineOptions{}, options);
+        const double rss_rise = vm_rss_mb() - rss_before;
+
+        std::unordered_set<const void *> seen;
+        std::size_t weight_bytes = 0;
+        for (std::size_t i = 0; i < pool.replica_count(); ++i)
+            for (const auto &[name, weight] :
+                 pool.engine(i).graph().initializers())
+                if (seen.insert(weight.raw_data()).second)
+                    weight_bytes += weight.byte_size();
+        const std::string suffix = "_r" + std::to_string(replicas);
+        record_cell(model, "pool_weight_mb" + suffix,
+                    static_cast<double>(weight_bytes) / (1024.0 * 1024.0));
+        record_cell(model, "pool_rss_mb" + suffix, rss_rise);
+    }
 }
 
 } // namespace
@@ -105,6 +169,18 @@ main(int argc, char **argv)
                         ? 100.0 * (1.0 - planned_mib / naive_mib)
                         : 0.0);
     }
+
+    // After the ms table: these cells are MiB.
+    const std::size_t first_pool_cell = cells().size();
+    for (const std::string &model :
+         quick_mode() ? std::vector<std::string>{"tiny-cnn", "wrn-40-2"}
+                      : std::vector<std::string>{"tiny-cnn", "wrn-40-2",
+                                                 "resnet-50"})
+        pool_cells(model);
+    std::printf("\nengine pool weights and RSS rise (MiB):\n");
+    for (std::size_t i = first_pool_cell; i < cells().size(); ++i)
+        std::printf("%-16s %-18s %10.2f\n", cells()[i].row.c_str(),
+                    cells()[i].column.c_str(), cells()[i].mean_ms);
     print_csv("model", "metric");
     write_json("memory");
     return status;

@@ -36,8 +36,11 @@ weight_of(const Status &outcome)
     }
 }
 
-/** Deadline of the readmission probe inference. */
-constexpr double kProbeDeadlineMs = 1000.0;
+/** Deadline of a probe() inference (readmission and canary warm-up).
+ *  Generous because a probe runs the whole model, resnet-50 included,
+ *  on a first run and possibly under a sanitizer: a deadline miss
+ *  rejects a healthy replica or generation. */
+constexpr double kProbeDeadlineMs = 5000.0;
 
 } // namespace
 
@@ -70,9 +73,9 @@ EnginePool::Lease::~Lease()
 EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
                        EnginePoolOptions options)
     : options_(std::move(options)),
-      full_policy_(engine_options.guard),
-      pack_cache_(engine_options.pack_cache != nullptr
-                      ? engine_options.pack_cache
+      engine_options_(std::move(engine_options)),
+      pack_cache_(engine_options_.pack_cache != nullptr
+                      ? engine_options_.pack_cache
                       : std::make_shared<ConstantPackCache>())
 {
     ORPHEUS_CHECK(options_.replicas >= 1,
@@ -83,33 +86,20 @@ EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
                       << options_.warm_spares);
 
     // Brownout fidelity: same guard, no shadow sampling.
-    brownout_policy_ = full_policy_;
+    brownout_policy_ = engine_options_.guard;
     brownout_policy_.shadow_every_n = 0;
 
-    replica_storage_count_ = static_cast<std::size_t>(options_.replicas) +
-                             static_cast<std::size_t>(options_.warm_spares);
-    monitors_.reserve(replica_storage_count_);
-    replicas_.reserve(replica_storage_count_);
-    for (std::size_t i = 0; i < replica_storage_count_; ++i) {
+    simplify(graph);
+    replicas_.resize(static_cast<std::size_t>(options_.replicas) +
+                     static_cast<std::size_t>(options_.warm_spares));
+    for (std::size_t i = 0; i < replicas_.size(); ++i)
         monitors_.push_back(std::make_shared<ExecutionMonitor>());
-        EngineOptions per_replica = engine_options;
-        per_replica.execution_monitor = monitors_.back();
-        per_replica.pack_cache = pack_cache_;
-        if (i < options_.per_replica_injectors.size() &&
-            options_.per_replica_injectors[i] != nullptr)
-            per_replica.fault_injector = options_.per_replica_injectors[i];
-        Replica replica;
-        // The last replica may consume the caller's graph; the rest
-        // compile from copies. Every replica after the first hits the
-        // shared pack cache instead of rebuilding constant packs.
-        replica.engine = std::make_unique<Engine>(
-            i + 1 == replica_storage_count_ ? std::move(graph)
-                                            : Graph(graph),
-            std::move(per_replica));
-        replica.state = i < static_cast<std::size_t>(options_.replicas)
-                            ? ReplicaState::kActive
-                            : ReplicaState::kSpare;
-        replicas_.push_back(std::move(replica));
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+        // Every replica after the first hits the shared pack cache
+        // instead of rebuilding constant packs.
+        replicas_[i].engine = compile_replica(graph, i, pack_cache_);
+        if (i >= static_cast<std::size_t>(options_.replicas))
+            replicas_[i].state = ReplicaState::kSpare;
     }
 
     batch_capacity_ = replicas_.front().engine->batch_capacity();
@@ -117,6 +107,44 @@ EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
          replicas_.front().engine->request_inputs())
         probe_inputs_.emplace(input.name,
                               Tensor(input.shape, input.dtype));
+}
+
+void
+EnginePool::simplify(Graph &model) const
+{
+    model.validate();
+    if (engine_options_.apply_simplifications)
+        simplify_graph(model);
+}
+
+std::unique_ptr<Engine>
+EnginePool::compile_replica(const Graph &model, std::size_t replica,
+                            std::shared_ptr<ConstantPackCache> cache) const
+{
+    EngineOptions options = engine_options_;
+    options.apply_simplifications = false;
+    options.pack_cache = std::move(cache);
+    options.execution_monitor = monitors_.at(replica);
+    if (replica < options_.per_replica_injectors.size() &&
+        options_.per_replica_injectors[replica] != nullptr)
+        options.fault_injector = options_.per_replica_injectors[replica];
+    return std::make_unique<Engine>(Graph(model), std::move(options));
+}
+
+Status
+EnginePool::probe(Engine &engine) const
+{
+    std::map<std::string, Tensor> outputs;
+    const Status verdict = engine.try_run(
+        probe_inputs_, outputs, DeadlineToken::after_ms(kProbeDeadlineMs));
+    if (!verdict.is_ok())
+        return verdict;
+    // A guard-less engine returns OK on silently corrupted outputs.
+    for (const auto &[name, tensor] : outputs)
+        if (!scan_floats(tensor).all_finite())
+            return data_corruption_error("probe output '" + name +
+                                         "' contains non-finite values");
+    return verdict;
 }
 
 std::size_t
@@ -168,10 +196,10 @@ EnginePool::sync_degraded_mode_locked(std::size_t id)
 {
     Replica &replica = replicas_[id];
     if (replica.degraded_applied == degraded_mode_ ||
-        !full_policy_.enabled)
+        !engine_options_.guard.enabled)
         return;
-    replica.engine->set_guard_policy(degraded_mode_ ? brownout_policy_
-                                                    : full_policy_);
+    replica.engine->set_guard_policy(
+        degraded_mode_ ? brownout_policy_ : engine_options_.guard);
     replica.degraded_applied = degraded_mode_;
 }
 
@@ -292,10 +320,9 @@ EnginePool::acquire(const DeadlineToken &deadline,
         replica.leased = true; // Exclusive for the probe.
         ++stats_.probes;
         lock.unlock();
-        std::string failure;
-        const bool clean = revive(candidate, &failure);
+        const Status verdict = revive(candidate);
         lock.lock();
-        if (clean) {
+        if (verdict.is_ok()) {
             replica.state = ReplicaState::kActive;
             replica.health_penalty = 0;
             replica.last_fault.clear();
@@ -309,6 +336,7 @@ EnginePool::acquire(const DeadlineToken &deadline,
         }
         ++stats_.probe_failures;
         replica.leased = false;
+        const std::string failure = verdict.to_string();
         replica.last_fault = "probe failed: " + failure;
         replica_free_.notify_all();
         ORPHEUS_WARN("engine pool: replica " << candidate
@@ -481,8 +509,8 @@ EnginePool::reset_windows()
         replica.window = ReplicaWindow{};
 }
 
-bool
-EnginePool::revive(std::size_t id, std::string *failure)
+Status
+EnginePool::revive(std::size_t id)
 {
     Engine &engine = *replicas_[id].engine;
     try {
@@ -490,15 +518,9 @@ EnginePool::revive(std::size_t id, std::string *failure)
             if (engine.steps()[step].degraded)
                 engine.restore_step(step);
     } catch (const std::exception &error) {
-        *failure = error.what();
-        return false;
+        return internal_error(error.what());
     }
-    std::map<std::string, Tensor> outputs;
-    const Status verdict = engine.try_run(
-        probe_inputs_, outputs, DeadlineToken::after_ms(kProbeDeadlineMs));
-    if (!verdict.is_ok())
-        *failure = verdict.to_string();
-    return verdict.is_ok();
+    return probe(engine);
 }
 
 void

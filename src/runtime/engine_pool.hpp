@@ -5,10 +5,15 @@
  *
  * A single Engine is a single point of failure: one wedged or
  * breaker-opened step degrades every request in flight. The pool
- * compiles N replicas from one graph (sharing one ConstantPackCache, so
+ * validates and simplifies the model once, compiles N replicas from
+ * copies of that one simplified graph (the copies share every weight
+ * Buffer, folded ones included, and one ConstantPackCache, so weights,
  * prepacked weights, Winograd U and quantized row sums are allocated
  * once per model rather than once per replica) and routes each request
- * to the healthiest free replica.
+ * to the healthiest free replica. The pool owns the replica lifecycle:
+ * compile_replica() is the one place a replica engine is built (the
+ * model registry calls it for each new generation too) and probe() the
+ * one health probe (readmission and canary warm-up alike).
  *
  * Per-replica health is a decaying penalty score fed by outcomes:
  * guard-confirmed corruption, kernel faults and watchdog hangs add
@@ -18,8 +23,9 @@
  * applied at lease release, so a replica is always drained before it
  * is touched. Readmission is probe-gated: when the pool runs out of
  * healthy replicas it restores the quarantined replica's demoted steps
- * via Engine::restore_step, runs a zero-input probe inference under a
- * probe deadline, and only readmits on a clean result — a persistently
+ * via Engine::restore_step, runs probe() (a zero-input inference under
+ * the probe deadline, whose outputs must be finite) and only readmits
+ * on a clean result — a persistently
  * faulty replica stays out and acquire() fails fast with
  * kResourceExhausted instead of hanging.
  *
@@ -167,10 +173,14 @@ class EnginePool
     static constexpr std::size_t kNoReplica = static_cast<std::size_t>(-1);
 
     /**
-     * Compiles replicas + warm_spares engines from @p graph. All
-     * replicas share one ConstantPackCache (attached through
-     * EngineOptions::pack_cache) and get a private ExecutionMonitor
-     * whose index in monitors() equals the replica id. Throws on
+     * Simplifies @p graph once (simplify()) and compiles replicas +
+     * warm_spares engines from it through compile_replica(), so every
+     * replica shares the one folded weight set. @p engine_options is
+     * the template for every replica engine, including those the model
+     * registry compiles for later generations. All replicas of the
+     * model share one ConstantPackCache (the template's, or a fresh
+     * one) and get a private ExecutionMonitor whose index in
+     * monitors() equals the replica id. Throws on validation or
      * compile errors, exactly like Engine's constructor.
      */
     EnginePool(Graph graph, EngineOptions engine_options,
@@ -271,6 +281,38 @@ class EnginePool
     // --- Model lifecycle (generations) ------------------------------------
 
     /**
+     * Validates @p model (an imported graph is untrusted input, so
+     * validation runs before any pass) and, unless the engine template
+     * turns simplifications off, runs the standard simplification
+     * pipeline on it. Runs once per model: the pool's constructor and
+     * the registry's LOADING phase call it, then compile every replica
+     * from the result. Throws on a malformed graph.
+     */
+    void simplify(Graph &model) const;
+
+    /**
+     * The one place a replica engine is built: compiles a copy of the
+     * simplified @p model (sharing its weight Buffers) from the engine
+     * template with replica @p replica's monitor and per-replica
+     * injector, packing constants through @p cache and skipping the
+     * simplification pipeline (simplify() already ran it). Reads only
+     * state fixed at construction, so it takes no lock and may run
+     * while the pool serves. Throws on compile errors.
+     */
+    std::unique_ptr<Engine>
+    compile_replica(const Graph &model, std::size_t replica,
+                    std::shared_ptr<ConstantPackCache> cache) const;
+
+    /**
+     * The one replica health probe: a zero-input request under the
+     * probe deadline. Fails on a non-OK status and, with
+     * kDataCorruption, on a non-finite output, so a guard-less engine
+     * that silently produces NaN does not pass. The caller must hold
+     * @p engine exclusively (a lease, or a replica marked leased).
+     */
+    Status probe(Engine &engine) const;
+
+    /**
      * Drain-and-swap: fences replica @p id off from new leases, waits
      * (within @p drain_deadline) for its current lease to be released,
      * then exchanges its engine for @p engine tagged with
@@ -284,9 +326,9 @@ class EnginePool
      * is destroyed in that case. A quarantined replica is readmitted
      * as active by the swap (its replacement engine is fresh).
      *
-     * The new engine must observe the pool's per-replica contracts:
-     * compile it against monitors()[id] so watchdog attribution keeps
-     * working across the swap.
+     * Build @p engine with compile_replica(model, id, cache): it
+     * carries replica @p id's monitor (so watchdog attribution keeps
+     * working across the swap) and per-replica injector.
      */
     std::unique_ptr<Engine> swap_replica(std::size_t id,
                                          std::unique_ptr<Engine> engine,
@@ -349,7 +391,7 @@ class EnginePool
     }
 
     /** Replicas + warm spares. */
-    std::size_t replica_count() const { return replica_storage_count_; }
+    std::size_t replica_count() const { return replicas_.size(); }
 
     /**
      * Requests one fused run may coalesce on any replica: the compiled
@@ -364,10 +406,6 @@ class EnginePool
 
     /** The shared prepacked-constant cache (entries/bytes/hits). */
     const ConstantPackCache &pack_cache() const { return *pack_cache_; }
-
-    /** The pool's construction options (immutable; model registry
-     *  reads the per-replica injectors when recompiling replicas). */
-    const EnginePoolOptions &options() const { return options_; }
 
     EnginePoolStats stats() const;
     std::vector<ReplicaSnapshot> snapshot() const;
@@ -416,19 +454,19 @@ class EnginePool
      *  holds mutex_ and the replica is leased (exclusive). */
     void sync_degraded_mode_locked(std::size_t id);
 
-    /** Restore + probe of a quarantined replica. Called WITHOUT mutex_
-     *  (the probe is a full inference); the replica must already be
-     *  marked leased. Returns true when the replica is clean. */
-    bool revive(std::size_t id, std::string *failure);
+    /** Restore + probe() of a quarantined replica. Called WITHOUT
+     *  mutex_ (the probe is a full inference); the replica must
+     *  already be marked leased. OK when the replica is clean. */
+    Status revive(std::size_t id);
 
     std::size_t count_in_rotation_locked() const;
 
     EnginePoolOptions options_;
-    GuardPolicy full_policy_;
+    /** Template for every replica engine (full guard policy included). */
+    EngineOptions engine_options_;
     GuardPolicy brownout_policy_;
     std::shared_ptr<ConstantPackCache> pack_cache_;
     std::vector<std::shared_ptr<ExecutionMonitor>> monitors_;
-    std::size_t replica_storage_count_ = 0;
     std::int64_t batch_capacity_ = 1;
     /** Zero-valued inputs matching the per-request signature (probe
      *  runs; a probe is a single request even on a batched engine). */

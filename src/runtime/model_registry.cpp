@@ -20,8 +20,15 @@ constexpr double kMaxErrorRateExcess = 0.05;
  *  (histogram buckets are ~30 % wide; keep >= 2). */
 constexpr double kMaxP99Ratio = 4.0;
 
-/** Per-replica drain deadline during swaps; also bounds each canary
- *  warm-up probe. */
+/** Samples each window needs before its P99 is judged. Below 100 a
+ *  "P99" is the window's largest sample, so one preempted request on a
+ *  ~0.02 ms model (tiny-cnn runs inside the histogram's first, 50 µs,
+ *  bucket, where the reported bound is the recorded maximum) would
+ *  decide the verdict. */
+constexpr std::int64_t kMinP99Samples = 100;
+
+/** Per-replica drain deadline during swaps; also bounds the wait for
+ *  each canary warm-up probe's lease. */
 constexpr double kDrainDeadlineMs = 5000;
 
 double
@@ -72,8 +79,7 @@ to_string(GenerationState state)
     return "invalid";
 }
 
-ModelRegistry::ModelRegistry(EnginePool &pool, EngineOptions engine_options)
-    : pool_(pool), engine_options_(std::move(engine_options))
+ModelRegistry::ModelRegistry(EnginePool &pool) : pool_(pool)
 {
     // The signature gate compares incoming (per-request) graphs, so it
     // must use the per-request signature — with batching on, the
@@ -91,20 +97,6 @@ ModelRegistry::ModelRegistry(EnginePool &pool, EngineOptions engine_options)
     info.state = GenerationState::kActive;
     info.detail = "compiled-in seed model";
     generations_.push_back(std::move(info));
-}
-
-std::unique_ptr<Engine>
-ModelRegistry::compile_for_replica(
-    const Graph &graph, std::size_t replica,
-    const std::shared_ptr<ConstantPackCache> &cache)
-{
-    EngineOptions options = engine_options_;
-    options.pack_cache = cache;
-    options.execution_monitor = pool_.monitors().at(replica);
-    const auto &injectors = pool_.options().per_replica_injectors;
-    if (replica < injectors.size() && injectors[replica] != nullptr)
-        options.fault_injector = injectors[replica];
-    return std::make_unique<Engine>(Graph(graph), std::move(options));
 }
 
 Status
@@ -128,27 +120,9 @@ ModelRegistry::probe_canary(std::size_t replica)
     if (!lease.valid())
         return why;
 
-    std::map<std::string, Tensor> inputs;
-    for (const ValueInfo &input : signature_.inputs)
-        inputs.emplace(input.name, Tensor(input.shape, input.dtype));
-    std::map<std::string, Tensor> outputs;
     const auto started = std::chrono::steady_clock::now();
-    Status verdict = lease.engine().try_run(
-        inputs, outputs, DeadlineToken::after_ms(kDrainDeadlineMs));
+    const Status verdict = pool_.probe(lease.engine());
     const double run_ms = elapsed_ms_since(started);
-
-    // A guard-less engine returns OK on a silently corrupted model;
-    // scan the probe outputs so a NaN-producing generation is rejected
-    // regardless of guard configuration, and release the lease with
-    // that final verdict so the pool charges the replica for it.
-    // (outputs stays empty unless try_run succeeded.)
-    for (const auto &[name, tensor] : outputs) {
-        if (!scan_floats(tensor).all_finite()) {
-            verdict = data_corruption_error("canary probe output '" + name +
-                                            "' contains non-finite values");
-            break;
-        }
-    }
     pool_.release(std::move(lease), verdict, run_ms);
     return verdict;
 }
@@ -228,13 +202,15 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
                           "no active replica available to canary on"),
                       GenerationState::kQuarantined);
 
-    // One ConstantPackCache per generation: the first compile pays the
-    // prepack cost here, off the hot path; every subsequent replica of
-    // this generation hits the cache.
+    // The pool simplifies the generation once; every replica compiles
+    // from that graph and shares its weights. One ConstantPackCache per
+    // generation: the first compile pays the prepack cost here, off the
+    // hot path; every subsequent replica of this generation hits it.
     auto cache = std::make_shared<ConstantPackCache>();
     std::unique_ptr<Engine> canary_engine;
     try {
-        canary_engine = compile_for_replica(graph, canary, cache);
+        pool_.simplify(graph);
+        canary_engine = pool_.compile_replica(graph, canary, cache);
     } catch (const std::exception &error) {
         return reject(model_rejected_error(
                           std::string("generation failed to compile: ") +
@@ -309,8 +285,8 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
             verdict << "canary error rate " << can.error_rate()
                     << " exceeds incumbent " << incumbent.error_rate()
                     << " by more than " << kMaxErrorRateExcess;
-        } else if (can.latency.count() > 0 &&
-                   incumbent.latency.count() > 0) {
+        } else if (can.latency.count() >= kMinP99Samples &&
+                   incumbent.latency.count() >= kMinP99Samples) {
             const double incumbent_p99 =
                 incumbent.latency.percentile(0.99);
             const double canary_p99 = can.latency.percentile(0.99);
@@ -338,7 +314,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
             continue;
         std::unique_ptr<Engine> replacement;
         try {
-            replacement = compile_for_replica(graph, snap.id, cache);
+            replacement = pool_.compile_replica(graph, snap.id, cache);
         } catch (const std::exception &error) {
             rolling_detail << "; replica " << snap.id
                            << " recompile failed: " << error.what();
@@ -364,10 +340,6 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
                 info.state = GenerationState::kRetired;
         active_generation_ = report.generation;
         active_model_ = graph.name();
-        // Pin the new generation's pack cache (the swapped engines
-        // reference it too); the retired generation's cache — if it
-        // was registry-owned — is released here.
-        active_cache_ = cache;
         rollout_in_progress_ = false;
     }
     std::string detail = "promoted to " +

@@ -3,6 +3,12 @@
  * ModelRegistry — versioned model lifecycle on top of EnginePool:
  * off-hot-path preparation, canary rollout, automatic rollback.
  *
+ * The registry keeps generation policy only: the signature gate, the
+ * canary slice, the verdict, rollback and generation bookkeeping. How a
+ * replica engine is simplified, built and probed is the pool's
+ * (EnginePool::simplify, compile_replica, probe), so a new generation's
+ * engines are made exactly as the seed model's were.
+ *
  * Updating a deployed model must not drop requests. The registry turns
  * "replace the model" into a staged state machine per *generation* (one
  * loaded model version):
@@ -15,26 +21,31 @@
  *   QUARANTINED                         ROLLED_BACK            ACTIVE
  *                                    (incumbent untouched)  (old gen RETIRED)
  *
- *  - LOADING: the new generation's engine is compiled entirely off the
- *    hot path, with its *own* ConstantPackCache (plan-time preparation
- *    from PR 4 runs here, so prepacking cost is paid before any live
- *    request sees the generation). The graph signature must match the
- *    incumbent's — clients keep sending the same tensors.
+ *  - LOADING: the graph signature must match the incumbent's — clients
+ *    keep sending the same tensors. The pool then validates and
+ *    simplifies the graph once and compiles the canary's engine from
+ *    it, entirely off the hot path, with the generation's *own*
+ *    ConstantPackCache (plan-time preparation runs here, so prepacking
+ *    cost is paid before any live request sees the generation).
  *  - CANARY: one replica is drained (EnginePool::swap_replica — new
  *    leases skip it, in-flight ones finish, so capacity never dips
- *    below N−1) and swapped to the new generation. Zero-input warm-up
- *    probes catch hard-broken models even with no traffic; then a
- *    configurable slice of live acquires is routed to the canary while
- *    per-replica outcome/latency windows accumulate.
- *  - Verdict: the canary's corruption/fault/hang rate and P99 are
- *    compared against the merged incumbent windows. Fail → the
+ *    below N−1) and swapped to the new generation. Warm-up probes
+ *    (EnginePool::probe, the same probe that gates readmission) catch
+ *    hard-broken models even with no traffic; then a configurable
+ *    slice of live acquires is routed to the canary while per-replica
+ *    outcome/latency windows accumulate.
+ *  - Verdict: the canary's corruption/fault/hang rate is compared
+ *    against the merged incumbent windows, and so is its P99 once both
+ *    windows hold enough samples for a P99 to be more than their
+ *    maximum. Fail → the
  *    displaced incumbent engine (kept aside) is swapped straight back,
  *    the generation is quarantined, and roll_out returns the typed
  *    kModelRejected status. The incumbent never stopped serving.
  *  - ROLLING: on pass, the remaining replicas and warm spares are
- *    drained-and-swapped one at a time (the generation's pack cache
- *    makes each compile a cache hit). The old generation is RETIRED and
- *    its pack cache released.
+ *    compiled from the same simplified graph (sharing its weights; the
+ *    generation's pack cache makes each prepare a cache hit) and
+ *    drained-and-swapped one at a time. The old generation is RETIRED;
+ *    its weights and pack cache go with its last engine.
  *
  * Thread-safe: roll_out serialises against itself (a second concurrent
  * rollout is rejected with kFailedPrecondition, not queued), and all
@@ -72,9 +83,9 @@ struct RolloutOptions {
     /** Slice of live acquires routed to the canary replica. */
     double canary_fraction = 0.25;
 
-    /** Zero-input probe inferences run on the canary before it takes
-     *  live traffic; any non-OK or non-finite result rejects the
-     *  generation outright. */
+    /** Warm-up probes (EnginePool::probe) run on the canary before it
+     *  takes live traffic; any failed probe rejects the generation
+     *  outright. */
     int warmup_probes = 2;
 
     /** Live canary samples required before the verdict; 0 skips the
@@ -112,13 +123,11 @@ class ModelRegistry
 {
   public:
     /**
-     * Wraps @p pool. @p engine_options is the template for compiling
-     * new generations (fault injector, guard policy, ...); the
-     * registry overrides the pack cache (one per generation) and the
-     * execution monitor (the target replica's, so watchdog attribution
-     * survives swaps). The incumbent model becomes generation 1.
+     * Wraps @p pool, whose engine template also compiles every new
+     * generation (through EnginePool::compile_replica, with one pack
+     * cache per generation). The incumbent model becomes generation 1.
      */
-    ModelRegistry(EnginePool &pool, EngineOptions engine_options);
+    explicit ModelRegistry(EnginePool &pool);
 
     ModelRegistry(const ModelRegistry &) = delete;
     ModelRegistry &operator=(const ModelRegistry &) = delete;
@@ -161,24 +170,18 @@ class ModelRegistry
         std::vector<ValueInfo> outputs;
     };
 
-    /** Compiles @p graph for replica @p replica of generation @p id.
-     *  Throws on compile errors (caller maps to kModelRejected). */
-    std::unique_ptr<Engine>
-    compile_for_replica(const Graph &graph, std::size_t replica,
-                        const std::shared_ptr<ConstantPackCache> &cache);
-
     /** Signature compatibility of @p graph vs the incumbent. */
     Status check_signature(const Graph &graph) const;
 
-    /** Runs one zero-input inference on the canary replica; non-OK or
-     *  non-finite outputs reject the generation. */
+    /** Runs EnginePool::probe on a lease of the canary replica and
+     *  releases the lease with its verdict, so the pool charges the
+     *  replica for a failed probe. */
     Status probe_canary(std::size_t replica);
 
     void set_state(std::uint64_t generation, GenerationState state,
                    std::string detail = std::string());
 
     EnginePool &pool_;
-    EngineOptions engine_options_;
 
     mutable std::mutex mutex_;
     std::vector<GenerationInfo> generations_;
@@ -188,9 +191,6 @@ class ModelRegistry
     std::int64_t rollbacks_ = 0;
     bool rollout_in_progress_ = false;
     Signature signature_;
-    /** Active generation's pack cache, pinned so rollback targets stay
-     *  warm; the pool itself pins generation 1's. */
-    std::shared_ptr<ConstantPackCache> active_cache_;
 };
 
 } // namespace orpheus

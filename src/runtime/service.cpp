@@ -64,7 +64,7 @@ retry_backoff_for_attempt_ms(const ServiceOptions &options, int attempt,
 InferenceService::InferenceService(Graph graph,
                                    EngineOptions engine_options,
                                    ServiceOptions options)
-    : engine_options_(std::move(engine_options)), options_(options)
+    : options_(options)
 {
     ORPHEUS_CHECK(options_.workers >= 1,
                   "service needs >= 1 worker, got " << options_.workers);
@@ -85,7 +85,7 @@ InferenceService::InferenceService(Graph graph,
     // plans its arena/workspace once at the max_batch bucket and then
     // serves any occupancy up to it.
     if (options_.max_batch > 1)
-        engine_options_.max_batch = options_.max_batch;
+        engine_options.max_batch = options_.max_batch;
 
     EnginePoolOptions pool_options;
     pool_options.replicas = options_.replicas > 0 ? options_.replicas
@@ -93,9 +93,9 @@ InferenceService::InferenceService(Graph graph,
     pool_options.warm_spares = options_.warm_spares;
     pool_options.quarantine_threshold = options_.quarantine_threshold;
     pool_options.per_replica_injectors = options_.per_replica_injectors;
-    pool_ = std::make_unique<EnginePool>(std::move(graph), engine_options_,
-                                         std::move(pool_options));
-    registry_ = std::make_unique<ModelRegistry>(*pool_, engine_options_);
+    pool_ = std::make_unique<EnginePool>(
+        std::move(graph), std::move(engine_options), std::move(pool_options));
+    registry_ = std::make_unique<ModelRegistry>(*pool_);
     footprint_ = pool_->engine(0).request_footprint_bytes();
     // The model may refuse batching (see Engine::batch_fallback_reason);
     // the assembler honours what the engines actually compiled.
@@ -272,7 +272,8 @@ InferenceService::queued_locked() const
 }
 
 double
-InferenceService::estimated_wait_ms_locked(std::size_t lane) const
+InferenceService::estimated_wait_ms_locked(std::size_t lane,
+                                           std::size_t in_flight) const
 {
     // A lane with queued work but no service history yet must still
     // weigh on the estimate — skipping it made a full (but cold)
@@ -283,7 +284,7 @@ InferenceService::estimated_wait_ms_locked(std::size_t lane) const
     double borrowed_ms = 0;
     for (std::size_t c = 0; c < kPriorityClasses; ++c)
         borrowed_ms = std::max(borrowed_ms, lane_service_ms_locked(c));
-    double wait_ms = 0;
+    double wait_ms = static_cast<double>(in_flight) * borrowed_ms;
     for (std::size_t c = 0; c <= lane; ++c) {
         if (lanes_[c].empty())
             continue;
@@ -865,15 +866,12 @@ InferenceService::shutdown(double deadline_ms)
                               "shedding queued work";
                 forced = true;
             } else if (deadline.has_deadline()) {
-                // Tight deadline: estimate the backlog cost from the
-                // recent latency P50 and shed the batch lane first,
-                // keeping real-time and interactive requests flowing.
-                const double per_request_ms =
-                    latency_.count() > 0 ? latency_.percentile(0.50)
-                                         : 1.0;
-                const double backlog_ms =
-                    per_request_ms * static_cast<double>(
-                                         queued_locked() + in_flight_);
+                // Tight deadline: price the backlog (every lane plus the
+                // work in flight) with admission's wait estimate and
+                // shed the batch lane first, keeping real-time and
+                // interactive requests flowing.
+                const double backlog_ms = estimated_wait_ms_locked(
+                    priority_index(RequestPriority::kBatch), in_flight_);
                 if (backlog_ms > deadline.remaining_ms()) {
                     std::deque<Request> &batch =
                         lanes_[priority_index(RequestPriority::kBatch)];

@@ -442,8 +442,10 @@ class InferenceService
      * Graceful shutdown: stops admission immediately (new submissions
      * are rejected with kFailedPrecondition), then drains. While the
      * deadline allows, queued work is flushed through the workers;
-     * when the remaining budget cannot cover the backlog (estimated
-     * from the recent latency P50), batch-priority work is shed first
+     * when the remaining budget cannot cover the backlog (queued and
+     * in-flight work priced by admission's per-lane service-time
+     * estimate, divided by the worker count), batch-priority work is
+     * shed first
      * with kResourceExhausted, keeping interactive requests. When the
      * deadline expires outright, everything still queued is shed and
      * in-flight requests are cancelled through their replica monitors.
@@ -538,9 +540,12 @@ class InferenceService
      *  is not invisible to admission; a fully cold service (no
      *  history anywhere) still estimates 0 and never rejects on
      *  feasibility. submit() adds the expected batch-window wait on
-     *  top when the request's budget would actually pay it. Caller
+     *  top when the request's budget would actually pay it.
+     *  shutdown() prices its whole backlog with the same estimate,
+     *  adding @p in_flight requests at the slowest lane's P50. Caller
      *  holds mutex_. */
-    double estimated_wait_ms_locked(std::size_t lane) const;
+    double estimated_wait_ms_locked(std::size_t lane,
+                                    std::size_t in_flight = 0) const;
     /** @p lane's recent service-time P50 (ms), 0 before it has any
      *  history. Caller holds mutex_. */
     double lane_service_ms_locked(std::size_t lane) const;
@@ -555,7 +560,6 @@ class InferenceService
     void update_brownout_locked();
     void on_hang(const HangReport &report);
 
-    EngineOptions engine_options_;
     ServiceOptions options_;
     std::unique_ptr<EnginePool> pool_;
     std::unique_ptr<ModelRegistry> registry_;

@@ -447,6 +447,41 @@ TEST(EnginePool, AllReplicasQuarantinedFailsFastNotHang)
     EXPECT_GE(pool.stats().probe_failures, 1);
 }
 
+/** Readmission runs the same probe as a canary warm-up: with the guard
+ *  off the engine reports OK on NaN outputs, so the probe itself must
+ *  reject them and keep the replica out. */
+TEST(EnginePool, ReadmissionProbeRejectsNonFiniteOutput)
+{
+    set_global_num_threads(1);
+    const auto injector = std::make_shared<FaultInjector>();
+    EnginePoolOptions pool_options;
+    pool_options.replicas = 1;
+    pool_options.per_replica_injectors = {injector};
+    EnginePool pool(models::tiny_cnn(), {}, pool_options);
+
+    // Two hangs (1.6 each) cross the 3.0 threshold at a neutral release.
+    Status why;
+    EnginePool::Lease lease = pool.acquire(DeadlineToken::after_ms(5000),
+                                           EnginePool::kNoReplica, &why);
+    ASSERT_TRUE(lease.valid()) << why.to_string();
+    pool.report_hang(0, 0, "synthetic hang");
+    pool.report_hang(0, 0, "synthetic hang");
+    pool.release(std::move(lease),
+                 deadline_exceeded_error("synthetic deadline"));
+    ASSERT_EQ(pool.stats().quarantined_replicas, 1u);
+
+    injector->arm_corruption("", "", CorruptionKind::kNaNPoke);
+    lease = pool.acquire(DeadlineToken::after_ms(5000),
+                         EnginePool::kNoReplica, &why);
+    EXPECT_FALSE(lease.valid());
+    EXPECT_EQ(why.code(), StatusCode::kResourceExhausted)
+        << why.to_string();
+    const EnginePoolStats stats = pool.stats();
+    EXPECT_EQ(stats.probe_failures, 1);
+    EXPECT_EQ(stats.readmissions, 0);
+    EXPECT_EQ(stats.quarantined_replicas, 1u);
+}
+
 TEST(EnginePool, WarmSparePromotedWhenReplicaQuarantined)
 {
     set_global_num_threads(1);

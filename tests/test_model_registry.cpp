@@ -9,9 +9,13 @@
  *    when it is broken outright, or by the live error-rate verdict when
  *    it corrupts under traffic — with the typed kModelRejected status
  *    while the incumbent keeps serving;
+ *  - a generation that is slow on its canary is rolled back by the
+ *    latency (P99) verdict;
  *  - signature-incompatible models never touch the pool;
+ *  - every replica of a generation shares one folded weight set;
  *  - shutdown(deadline) sheds only batch-priority work when the
- *    deadline is tight and returns with no leases held.
+ *    deadline is tight (pricing the backlog per worker) and returns
+ *    with no leases held.
  *
  * Timing-dependent cases use injected delays an order of magnitude
  * larger than the thresholds they cross, so they hold on slow CI.
@@ -282,6 +286,58 @@ TEST(ModelRegistry, LiveCanaryRolledBackWhileIncumbentServes)
     EXPECT_TRUE(service.run(cnn_inputs(0x40e)).status.is_ok());
 }
 
+/** The latency verdict: a generation that runs ~20 ms per request on
+ *  its canary, against a ~0.02 ms incumbent, must be rolled back once
+ *  both windows hold enough samples for a P99. */
+TEST(ModelRegistry, SlowCanaryRolledBackByLatencyVerdict)
+{
+    set_global_num_threads(1);
+    const auto canary_injector = std::make_shared<FaultInjector>();
+    ServiceOptions options;
+    options.workers = 2;
+    options.replicas = 2;
+    options.max_queue_depth = 64;
+    options.enable_watchdog = false;
+    options.per_replica_injectors = {canary_injector, nullptr};
+    InferenceService service(models::tiny_cnn(), {}, options);
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::int64_t> failed{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 2; ++c)
+        clients.emplace_back([&] {
+            while (!stop.load(std::memory_order_relaxed))
+                if (!service.submit(cnn_inputs(0x431)).get().status.is_ok())
+                    ++failed;
+        });
+
+    // Replica 0 is the first active replica, so it takes the canary;
+    // its injector slows the first step of whatever engine it runs.
+    const std::string first_node =
+        service.pool().engine(0).steps().front().node_name;
+    canary_injector->arm_delay(first_node, "", /*delay_ms=*/20);
+    RolloutOptions rollout;
+    rollout.canary_fraction = 0.5;
+    rollout.min_canary_samples = 100;
+    rollout.observe_timeout_ms = 30'000;
+    const RolloutReport report =
+        service.reload(tiny_cnn_version("tiny-cnn-slow"), rollout);
+    canary_injector->reset();
+
+    stop.store(true);
+    for (std::thread &client : clients)
+        client.join();
+
+    EXPECT_EQ(report.status.code(), StatusCode::kModelRejected);
+    EXPECT_TRUE(report.rolled_back);
+    EXPECT_GE(report.canary_samples, 100);
+    EXPECT_NE(report.detail.find("P99"), std::string::npos) << report.detail;
+    EXPECT_EQ(failed.load(), 0);
+    EXPECT_EQ(service.registry().active_generation(), 1u);
+    for (const ReplicaSnapshot &replica : service.pool().snapshot())
+        EXPECT_EQ(replica.generation, 1u);
+}
+
 TEST(ModelRegistry, SignatureMismatchRejectedWithoutTouchingPool)
 {
     set_global_num_threads(1);
@@ -320,6 +376,69 @@ TEST(ModelRegistry, RollOutFileOnDirectoryRejectedWithoutThrowing)
         << report.status.message();
     EXPECT_EQ(service.registry().active_generation(), 1u);
     EXPECT_TRUE(service.run(cnn_inputs(0x410)).status.is_ok());
+}
+
+// --- One simplified graph per generation -----------------------------------
+
+/** Leases replica @p replica, runs @p inputs and checks the outputs are
+ *  bitwise @p expected. */
+void
+expect_replica_output(EnginePool &pool, std::size_t replica,
+                      const std::map<std::string, Tensor> &inputs,
+                      const std::map<std::string, Tensor> &expected)
+{
+    Status why;
+    EnginePool::Lease lease =
+        pool.acquire_specific(replica, DeadlineToken::after_ms(5000), &why);
+    ASSERT_TRUE(lease.valid()) << why.to_string();
+    std::map<std::string, Tensor> outputs;
+    const Status status = lease.engine().try_run(inputs, outputs);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    for (const auto &[name, tensor] : expected)
+        EXPECT_EQ(max_abs_diff(outputs.at(name), tensor), 0.0f)
+            << "replica " << replica << " output " << name;
+    pool.release(std::move(lease), status);
+}
+
+/** The pool simplifies each model once: every replica of a generation,
+ *  the seed model's and a reloaded one's alike, reads each weight
+ *  (BN-folded conv weights included) from the same Buffer, and still
+ *  matches a standalone engine bitwise. */
+TEST(ModelRegistry, ReplicasShareOneFoldedWeightSetPerGeneration)
+{
+    set_global_num_threads(1);
+    EnginePoolOptions pool_options;
+    pool_options.replicas = 3;
+    EnginePool pool(models::tiny_cnn(), {}, pool_options);
+    ModelRegistry registry(pool);
+
+    Engine reference(models::tiny_cnn(), {});
+    ASSERT_TRUE(reference.simplification_report().changed());
+    const auto inputs = cnn_inputs(0x432);
+    const auto expected = reference.run(inputs);
+
+    const auto expect_one_weight_set = [&](const char *phase) {
+        const Graph &first = pool.engine(0).graph();
+        for (const Node &node : first.nodes())
+            EXPECT_NE(node.op_type(), "BatchNormalization")
+                << phase << ": the pool must have folded BN";
+        ASSERT_FALSE(first.initializers().empty());
+        for (const auto &[name, weight] : first.initializers())
+            for (std::size_t i = 1; i < pool.replica_count(); ++i)
+                EXPECT_EQ(pool.engine(i).graph().initializer(name).raw_data(),
+                          weight.raw_data())
+                    << phase << ": replica " << i << " initializer "
+                    << name;
+        for (std::size_t i = 0; i < pool.replica_count(); ++i)
+            expect_replica_output(pool, i, inputs, expected);
+    };
+    expect_one_weight_set("seed model");
+
+    const RolloutReport report =
+        registry.roll_out(tiny_cnn_version("tiny-cnn-v2"));
+    ASSERT_TRUE(report.status.is_ok()) << report.status.to_string();
+    ASSERT_EQ(report.replicas_swapped, 3u);
+    expect_one_weight_set("after reload");
 }
 
 // --- Acceptance (c): tight shutdown deadline sheds batch work only ----------
@@ -386,6 +505,63 @@ TEST(ModelRegistry, TightShutdownDeadlineShedsOnlyBatchWork)
     EXPECT_FALSE(
         service.submit(cnn_inputs(0x415)).get().status.is_ok());
     EXPECT_EQ(service.stats().shutdown_shed, 2);
+}
+
+/** The backlog is priced per worker, at service time: two workers
+ *  drain two requests in flight and four queued, at ~100 ms each, in
+ *  ~300 ms, which a 600 ms deadline covers with a 2x margin. An
+ *  estimate that counts queue time (queue+run P50 ~200 ms after a
+ *  queued seed) and ignores the worker count reads ~1200 ms, twice the
+ *  deadline, and would shed the batch work for nothing. */
+TEST(ModelRegistry, ShutdownPricesBacklogPerWorker)
+{
+    set_global_num_threads(1);
+    Graph graph = models::tiny_cnn();
+    const std::string first_node = graph.nodes().front().name();
+    EngineOptions engine_options;
+    engine_options.fault_injector = std::make_shared<FaultInjector>();
+    engine_options.fault_injector->arm_delay(first_node, "",
+                                             /*delay_ms=*/100);
+
+    ServiceOptions options;
+    options.workers = 2;
+    options.max_queue_depth = 16;
+    options.enable_watchdog = false;
+    InferenceService service(std::move(graph), engine_options, options);
+
+    // Seed: six requests queue on two workers, so the ~100 ms service
+    // time is learned while queue+run latency reads ~200 ms at P50.
+    std::vector<std::future<InferenceResponse>> seed;
+    for (int i = 0; i < 6; ++i)
+        seed.push_back(service.submit(
+            cnn_inputs(0x440 + static_cast<std::uint64_t>(i))));
+    for (auto &future : seed)
+        ASSERT_TRUE(future.get().status.is_ok());
+
+    // Occupy both workers, then queue batch and interactive work.
+    std::vector<std::future<InferenceResponse>> pending;
+    for (int i = 0; i < 2; ++i)
+        pending.push_back(service.submit(
+            cnn_inputs(0x450 + static_cast<std::uint64_t>(i))));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.queue_depth() > 0 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (int i = 0; i < 4; ++i)
+        pending.push_back(service.submit(
+            cnn_inputs(0x460 + static_cast<std::uint64_t>(i)),
+            DeadlineToken(), 0,
+            i % 2 == 0 ? RequestPriority::kBatch
+                       : RequestPriority::kInteractive));
+
+    const ShutdownReport report = service.shutdown(/*deadline_ms=*/600);
+    EXPECT_TRUE(report.status.is_ok()) << report.status.to_string();
+    EXPECT_EQ(report.shed, 0);
+    EXPECT_EQ(report.flushed, 4);
+    for (auto &future : pending)
+        EXPECT_TRUE(future.get().status.is_ok());
+    EXPECT_EQ(service.stats().shutdown_shed, 0);
 }
 
 TEST(ModelRegistry, UnlimitedShutdownFlushesEverything)
