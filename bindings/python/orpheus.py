@@ -214,7 +214,8 @@ class Engine:
         return list(out)
 
     def profile_csv(self) -> str:
-        """Per-layer profile (CSV) accumulated over previous runs."""
+        """Per-layer timing (CSV) over every previous run, one row per plan
+        step: node,op,impl,output_shape,calls,total_ms,mean_ms."""
         needed = _lib.orpheus_engine_profile_csv(self._handle, None, 0)
         buffer = ctypes.create_string_buffer(needed + 1)
         _lib.orpheus_engine_profile_csv(self._handle, buffer, needed + 1)

@@ -31,10 +31,7 @@ main(int argc, char **argv)
     try {
         const FrameworkPersonality personality =
             personality_by_name(personality_name);
-        EngineOptions options = personality.options;
-        options.enable_profiling = true;
-
-        Engine engine(models::by_name(model_name), options);
+        Engine engine(models::by_name(model_name), personality.options);
         std::printf("profiling %s under the %s personality "
                     "(%d repetitions, 1 thread)...\n\n",
                     model_name.c_str(), personality.name.c_str(),

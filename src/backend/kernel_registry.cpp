@@ -151,7 +151,7 @@ KernelRegistry::instantiate(const KernelDef &def, const LayerInit &init) const
     ORPHEUS_ASSERT(layer != nullptr, "factory for " << def.op_type << "."
                                                     << def.impl_name
                                                     << " returned null");
-    layer->set_impl_name(def.impl_name);
+    layer->impl_name_ = def.impl_name;
     return layer;
 }
 

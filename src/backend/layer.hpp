@@ -325,10 +325,10 @@ class Layer
     /** Registry implementation name, e.g. "conv.im2col_gemm". */
     const std::string &impl_name() const { return impl_name_; }
 
-    /** Set once by the registry immediately after construction. */
-    void set_impl_name(std::string name) { impl_name_ = std::move(name); }
-
   private:
+    /** Set once, by KernelRegistry::instantiate right after
+     *  construction. */
+    friend class KernelRegistry;
     std::string impl_name_;
 };
 

@@ -5,6 +5,7 @@
 
 #include "capi/status_map.hpp"
 #include "core/threadpool.hpp"
+#include "eval/layer_bench.hpp"
 #include "eval/personalities.hpp"
 #include "models/model_zoo.hpp"
 #include "onnx/importer.hpp"
@@ -50,10 +51,7 @@ options_for(const char *personality)
 {
     const std::string name =
         personality != nullptr ? personality : "orpheus";
-    orpheus::EngineOptions options =
-        orpheus::personality_by_name(name).options;
-    options.enable_profiling = true;
-    return options;
+    return orpheus::personality_by_name(name).options;
 }
 
 const orpheus::ValueInfo *
@@ -554,7 +552,8 @@ orpheus_engine_profile_csv(const orpheus_engine *engine, char *buffer,
         set_error("null argument");
         return ORPHEUS_ERR_INVALID_ARGUMENT;
     }
-    const std::string csv = engine->impl.profiler().csv();
+    const std::string csv =
+        orpheus::layer_timings_to_csv(orpheus::layer_timings(engine->impl));
     if (size > 0) {
         const size_t copied = std::min(size - 1, csv.size());
         std::memcpy(buffer, csv.data(), copied);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Wall-clock timing utilities used by the profiler and the experiment
- * harness. Header-only.
+ * Wall-clock timing utilities used by the experiment harness, kernel
+ * auto-tuning and the service. Header-only.
  */
 #pragma once
 

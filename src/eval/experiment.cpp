@@ -31,9 +31,9 @@ ExperimentResult
 time_inference(Engine &engine, const ExperimentConfig &config,
                std::uint64_t input_seed)
 {
-    ORPHEUS_CHECK(engine.graph().inputs().size() == 1,
+    ORPHEUS_CHECK(engine.request_inputs().size() == 1,
                   "time_inference expects a single-input graph");
-    const ValueInfo &input_info = engine.graph().inputs().front();
+    const ValueInfo &input_info = engine.request_inputs().front();
     Rng rng(input_seed);
     Tensor input = random_tensor(input_info.shape, rng, -1.0f, 1.0f);
 

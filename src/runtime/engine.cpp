@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "core/logging.hpp"
-#include "core/timer.hpp"
 
 namespace orpheus {
 
@@ -169,8 +168,6 @@ Engine::compile()
         step.reference_impl =
             fallback != nullptr ? fallback->impl_name : std::string();
 
-        profiler_.add_step(step.node_name, step.op_type,
-                           step.layer->impl_name(), step.output_shape);
         ORPHEUS_DEBUG("plan step " << steps_.size() << ": "
                                    << step.node_name << " -> "
                                    << step.layer->impl_name());
@@ -461,18 +458,26 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
         }
     }
 
-    // Routing is decided: step.layer is the kernel that runs.
+    // Routing is decided: step.layer is the kernel that runs. The step
+    // is timed from here until it returns or throws.
+    const auto started = std::chrono::steady_clock::now();
     ExecutionMonitor *monitor = options_.execution_monitor.get();
     if (monitor != nullptr)
-        monitor->begin_step(index, step.node_name, step.layer->impl_name());
+        monitor->begin_step(index, step.node_name, step.layer->impl_name(),
+                            started);
     struct EndStep {
+        PlanStep &step;
         ExecutionMonitor *monitor;
+        std::chrono::steady_clock::time_point started;
         ~EndStep()
         {
+            step.run_ms += std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - started)
+                               .count();
             if (monitor != nullptr)
                 monitor->end_step();
         }
-    } end_step{monitor};
+    } end_step{step, monitor, started};
 
     // Kernels reach the deadline through the thread-local cancellation
     // hook: parallel_for splits chunks into tiles and checks it at
@@ -607,7 +612,6 @@ Engine::route_step(std::size_t index, bool to_reference)
         reference_layer(step); // Throws now if no fallback is registered.
     std::swap(step.layer, step.standby_layer);
     step.degraded = to_reference;
-    profiler_.set_impl_name(index, step.layer->impl_name());
 }
 
 GuardVerdict
@@ -755,17 +759,8 @@ Engine::execute_plan(const DeadlineToken &deadline)
         }
     } end_request{monitor};
 
-    if (options_.enable_profiling) {
-        Timer timer;
-        for (std::size_t i = 0; i < steps_.size(); ++i) {
-            timer.start();
-            execute_step(i, deadline);
-            profiler_.record(i, timer.elapsed_ms());
-        }
-    } else {
-        for (std::size_t i = 0; i < steps_.size(); ++i)
-            execute_step(i, deadline);
-    }
+    for (std::size_t i = 0; i < steps_.size(); ++i)
+        execute_step(i, deadline);
 }
 
 Status

@@ -31,7 +31,6 @@
 #include "runtime/fault_injector.hpp"
 #include "runtime/guard.hpp"
 #include "runtime/memory_planner.hpp"
-#include "runtime/profiler.hpp"
 #include "runtime/selection.hpp"
 #include "runtime/watchdog.hpp"
 
@@ -45,9 +44,6 @@ struct EngineOptions {
 
     SelectionStrategy selection = SelectionStrategy::kHeuristic;
     int autotune_runs = 3;
-
-    /** Accumulate per-layer timings on every run(). */
-    bool enable_profiling = false;
 
     /**
      * Place intermediates in the planned arena. Disabling gives every
@@ -150,8 +146,17 @@ struct PlanStep {
     std::unique_ptr<Layer> standby_layer;
     /** Circuit-breaker state and trip counters. */
     StepHealth health;
-    /** Primary invocations of this step (drives shadow sampling). */
+    /** Invocations of this step, returned or thrown (drives shadow
+     *  sampling). */
     std::uint64_t invocations = 0;
+    /**
+     * Wall time of those invocations in ms, shadow and fallback runs
+     * included: the one per-step timer (eval/layer_bench.hpp renders
+     * it). Written by the executing thread; like `health`, read it
+     * only while the engine is idle (standalone, or under a held
+     * lease).
+     */
+    double run_ms = 0.0;
 };
 
 class Engine
@@ -305,9 +310,6 @@ class Engine
         return request_outputs_;
     }
 
-    Profiler &profiler() { return profiler_; }
-    const Profiler &profiler() const { return profiler_; }
-
     /** Arena bytes used for intermediates (0 when the planner is off). */
     std::size_t arena_bytes() const { return memory_plan_.arena_size; }
 
@@ -412,7 +414,9 @@ class Engine
 
     /** Executes step @p index: deadline check, breaker maintenance,
      *  fault/delay injection, the fault fallback and, with the guard
-     *  enabled, output scanning and shadow sampling (see guard.hpp). */
+     *  enabled, output scanning and shadow sampling (see guard.hpp).
+     *  Counts and times the step once routing is decided, whether it
+     *  returns or throws. */
     void execute_step(std::size_t index, const DeadlineToken &deadline);
 
     /** Runs @p step's layer on its tensors under the fault injector:
@@ -430,8 +434,8 @@ class Engine
     /**
      * The one place a step changes kernels: swaps `layer` and
      * `standby_layer` so that `layer` is the reference (@p to_reference)
-     * or the plan-time kernel, and keeps `degraded` and the profiler's
-     * impl name in step. A no-op when the step is already there.
+     * or the plan-time kernel, and keeps `degraded` in step. A no-op
+     * when the step is already there.
      */
     void route_step(std::size_t index, bool to_reference);
 
@@ -513,7 +517,6 @@ class Engine
     /** Storage for every non-initializer value, keyed by name. */
     std::map<std::string, Tensor> values_;
     std::vector<PlanStep> steps_;
-    Profiler profiler_;
     std::map<std::string, std::vector<std::pair<std::string, double>>>
         autotune_log_;
 };

@@ -132,11 +132,14 @@ EnginePool::compile_replica(const Graph &model, std::size_t replica,
 }
 
 Status
-EnginePool::probe(Engine &engine) const
+EnginePool::probe(Engine &engine, const DeadlineToken &caller) const
 {
+    DeadlineToken deadline = DeadlineToken::after_ms(kProbeDeadlineMs);
+    const auto caller_point = caller.deadline_point();
+    if (caller_point && *caller_point < *deadline.deadline_point())
+        deadline = DeadlineToken::at(*caller_point);
     std::map<std::string, Tensor> outputs;
-    const Status verdict = engine.try_run(
-        probe_inputs_, outputs, DeadlineToken::after_ms(kProbeDeadlineMs));
+    const Status verdict = engine.try_run(probe_inputs_, outputs, deadline);
     if (!verdict.is_ok())
         return verdict;
     // A guard-less engine returns OK on silently corrupted outputs.
@@ -320,7 +323,7 @@ EnginePool::acquire(const DeadlineToken &deadline,
         replica.leased = true; // Exclusive for the probe.
         ++stats_.probes;
         lock.unlock();
-        const Status verdict = revive(candidate);
+        const Status verdict = revive(candidate, deadline);
         lock.lock();
         if (verdict.is_ok()) {
             replica.state = ReplicaState::kActive;
@@ -334,11 +337,21 @@ EnginePool::acquire(const DeadlineToken &deadline,
                                                     "readmitted");
             return Lease(this, candidate, replica.engine.get());
         }
-        ++stats_.probe_failures;
         replica.leased = false;
+        replica_free_.notify_all();
+        if (verdict.code() == StatusCode::kDeadlineExceeded &&
+            deadline.expired()) {
+            // The caller's deadline cut the probe short: no verdict on
+            // the replica, which stays quarantined for the next probe.
+            if (why != nullptr)
+                *why = deadline_exceeded_error(
+                    "deadline expired during the readmission probe: " +
+                    verdict.to_string());
+            return Lease();
+        }
+        ++stats_.probe_failures;
         const std::string failure = verdict.to_string();
         replica.last_fault = "probe failed: " + failure;
-        replica_free_.notify_all();
         ORPHEUS_WARN("engine pool: replica " << candidate
                                              << " failed its readmission "
                                                 "probe: "
@@ -510,7 +523,7 @@ EnginePool::reset_windows()
 }
 
 Status
-EnginePool::revive(std::size_t id)
+EnginePool::revive(std::size_t id, const DeadlineToken &caller)
 {
     Engine &engine = *replicas_[id].engine;
     try {
@@ -520,7 +533,7 @@ EnginePool::revive(std::size_t id)
     } catch (const std::exception &error) {
         return internal_error(error.what());
     }
-    return probe(engine);
+    return probe(engine, caller);
 }
 
 void

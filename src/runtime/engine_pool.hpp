@@ -24,8 +24,9 @@
  * is touched. Readmission is probe-gated: when the pool runs out of
  * healthy replicas it restores the quarantined replica's demoted steps
  * via Engine::restore_step, runs probe() (a zero-input inference under
- * the probe deadline, whose outputs must be finite) and only readmits
- * on a clean result — a persistently
+ * the probe deadline, or the acquirer's if that comes first, whose
+ * outputs must be finite) and only readmits on a clean result — a
+ * persistently
  * faulty replica stays out and acquire() fails fast with
  * kResourceExhausted instead of hanging.
  *
@@ -242,7 +243,9 @@ class EnginePool
      * attempts probe-gated readmission of the least-unhealthy one and,
      * if that fails, returns an invalid lease with @p why set to
      * kResourceExhausted ("all replicas quarantined") — never a hang.
-     * An expired @p deadline surfaces as kDeadlineExceeded.
+     * An expired @p deadline surfaces as kDeadlineExceeded, also when
+     * it cuts the readmission probe short: that probe gives no verdict,
+     * so the replica stays quarantined and no probe failure is counted.
      * @p priority is the wait-line hint: while a real-time acquirer is
      * waiting, normal acquirers defer to it (see LeasePriority).
      */
@@ -305,12 +308,13 @@ class EnginePool
 
     /**
      * The one replica health probe: a zero-input request under the
-     * probe deadline. Fails on a non-OK status and, with
-     * kDataCorruption, on a non-finite output, so a guard-less engine
-     * that silently produces NaN does not pass. The caller must hold
-     * @p engine exclusively (a lease, or a replica marked leased).
+     * probe deadline, or @p caller's deadline when that is earlier.
+     * Fails on a non-OK status and, with kDataCorruption, on a
+     * non-finite output, so a guard-less engine that silently produces
+     * NaN does not pass. The caller must hold @p engine exclusively (a
+     * lease, or a replica marked leased).
      */
-    Status probe(Engine &engine) const;
+    Status probe(Engine &engine, const DeadlineToken &caller = {}) const;
 
     /**
      * Drain-and-swap: fences replica @p id off from new leases, waits
@@ -454,10 +458,11 @@ class EnginePool
      *  holds mutex_ and the replica is leased (exclusive). */
     void sync_degraded_mode_locked(std::size_t id);
 
-    /** Restore + probe() of a quarantined replica. Called WITHOUT
-     *  mutex_ (the probe is a full inference); the replica must
-     *  already be marked leased. OK when the replica is clean. */
-    Status revive(std::size_t id);
+    /** Restore + probe() of a quarantined replica, bounded by
+     *  @p caller's deadline too. Called WITHOUT mutex_ (the probe is a
+     *  full inference); the replica must already be marked leased. OK
+     *  when the replica is clean. */
+    Status revive(std::size_t id, const DeadlineToken &caller);
 
     std::size_t count_in_rotation_locked() const;
 

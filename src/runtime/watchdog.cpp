@@ -24,7 +24,8 @@ ExecutionMonitor::end_request()
 void
 ExecutionMonitor::begin_step(std::size_t step_index,
                              const std::string &node_name,
-                             const std::string &impl_name)
+                             const std::string &impl_name,
+                             std::chrono::steady_clock::time_point started)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     step_active_ = true;
@@ -32,7 +33,7 @@ ExecutionMonitor::begin_step(std::size_t step_index,
     step_index_ = step_index;
     node_name_ = node_name;
     impl_name_ = impl_name;
-    step_started_ = std::chrono::steady_clock::now();
+    step_started_ = started;
 }
 
 void

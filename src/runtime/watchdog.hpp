@@ -8,7 +8,9 @@
  * that gap from the outside: the engine publishes "step N of request R
  * started at time T on node X / impl Y" into an ExecutionMonitor, and a
  * dedicated watchdog thread polls the monitors, flagging any step that
- * has been running longer than the hang threshold. The InferenceService
+ * has been running longer than the hang threshold. T is the timestamp
+ * the engine's step timer took (Engine::execute_step times every step
+ * once), so begin_step reads no clock of its own. The InferenceService
  * reacts by cancelling the request's token (un-wedging cooperative
  * kernels) and demoting the offending step to the reference
  * implementation for subsequent requests — the same degradation path a
@@ -57,8 +59,11 @@ class ExecutionMonitor
     void begin_request(DeadlineToken token);
     void end_request();
 
+    /** Marks step @p step_index active since @p started (the engine's
+     *  step-timer timestamp). */
     void begin_step(std::size_t step_index, const std::string &node_name,
-                    const std::string &impl_name);
+                    const std::string &impl_name,
+                    std::chrono::steady_clock::time_point started);
     void end_step();
 
     Snapshot snapshot() const;

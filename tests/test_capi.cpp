@@ -2,6 +2,7 @@
 #include "capi/orpheus_c.h"
 
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,44 @@ TEST(CApi, ProfileCsvAfterRuns)
     const int full_length = orpheus_engine_profile_csv(engine, tiny, 8);
     EXPECT_EQ(full_length, length);
     EXPECT_EQ(std::strlen(tiny), 7u);
+
+    orpheus_engine_destroy(engine);
+}
+
+/** The C profile is the one per-layer CSV: its exact header, then one
+ *  row per plan step counting every run. */
+TEST(CApi, ProfileCsvCountsEveryRunPerStep)
+{
+    orpheus_engine *engine = orpheus_engine_create_zoo("tiny-mlp", nullptr);
+    ASSERT_NE(engine, nullptr);
+
+    std::vector<float> input(32, 0.5f);
+    std::vector<float> output(10);
+    for (int run = 0; run < 2; ++run)
+        ASSERT_EQ(orpheus_engine_run(engine, input.data(), input.size(),
+                                     output.data(), output.size()),
+                  ORPHEUS_OK);
+
+    std::string csv(static_cast<std::size_t>(
+                        orpheus_engine_profile_csv(engine, nullptr, 0)),
+                    '\0');
+    orpheus_engine_profile_csv(engine, csv.data(), csv.size() + 1);
+    std::istringstream lines(csv);
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, "node,op,impl,output_shape,calls,total_ms,mean_ms");
+    int rows = 0;
+    while (std::getline(lines, line)) {
+        // node,op,impl,"shape",calls,total_ms,mean_ms — the quoted
+        // shape may hold commas, so read the fields after it.
+        const std::size_t shape_end = line.rfind("\",");
+        ASSERT_NE(shape_end, std::string::npos) << line;
+        const std::string calls = line.substr(
+            shape_end + 2, line.find(',', shape_end + 2) - shape_end - 2);
+        EXPECT_EQ(calls, "2") << line;
+        ++rows;
+    }
+    EXPECT_EQ(rows, orpheus_engine_step_count(engine));
 
     orpheus_engine_destroy(engine);
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "eval/layer_bench.hpp"
 #include "models/builder.hpp"
 #include "models/model_zoo.hpp"
 #include "test_util.hpp"
@@ -108,25 +109,59 @@ TEST(Engine, SimplificationsReducePlanSize)
                  1e-3f);
 }
 
-TEST(Engine, ProfilerRecordsEveryStep)
+TEST(Engine, StepTimerRecordsEveryStep)
 {
-    EngineOptions options;
-    options.enable_profiling = true;
-    Engine engine(models::tiny_cnn(), options);
+    Engine engine(models::tiny_cnn());
     Tensor input = make_random(Shape({1, 3, 8, 8}), 0xe14);
     (void)engine.run(input);
     (void)engine.run(input);
 
-    const Profiler &profiler = engine.profiler();
-    ASSERT_EQ(profiler.steps().size(), engine.steps().size());
-    for (const LayerProfile &step : profiler.steps())
-        EXPECT_EQ(step.calls, 2);
-    EXPECT_GT(profiler.total_ms(), 0.0);
-    EXPECT_NE(profiler.report().find("total:"), std::string::npos);
-    EXPECT_NE(profiler.csv().find("node,op,impl"), std::string::npos);
+    const std::vector<LayerTiming> timings = layer_timings(engine);
+    ASSERT_EQ(timings.size(), engine.steps().size());
+    double total_ms = 0.0;
+    for (const LayerTiming &timing : timings) {
+        EXPECT_EQ(timing.calls, 2);
+        total_ms += timing.total_ms;
+    }
+    EXPECT_GT(total_ms, 0.0);
+    EXPECT_NE(layer_timings_to_string(timings).find("mean ms"),
+              std::string::npos);
+    EXPECT_EQ(layer_timings_to_csv(timings).rfind(
+                  "node,op,impl,output_shape,calls,total_ms,mean_ms\n", 0),
+              0u);
 
-    engine.profiler().reset();
-    EXPECT_EQ(engine.profiler().steps().front().calls, 0);
+    // profile_layers excludes its warm-up: two repetitions on a fresh
+    // engine report two calls per step, not three.
+    Engine fresh(models::tiny_cnn());
+    for (const LayerTiming &timing : profile_layers(fresh, 2))
+        EXPECT_EQ(timing.calls, 2);
+}
+
+/** A step's timing row names the kernel that runs now: the reference
+ *  after a demotion, the plan-time kernel again after a restore. */
+TEST(Engine, StepTimingFollowsTheRunningKernel)
+{
+    Engine engine(models::tiny_cnn());
+    std::size_t index = 0;
+    while (index < engine.steps().size() &&
+           engine.steps()[index].reference_impl.empty())
+        ++index;
+    ASSERT_LT(index, engine.steps().size());
+    const PlanStep &step = engine.steps()[index];
+
+    Tensor input = make_random(Shape({1, 3, 8, 8}), 0xe16);
+    (void)engine.run(input);
+    (void)engine.run(input);
+    engine.demote_step(index, "test demotion");
+    (void)engine.run(input);
+    LayerTiming row = layer_timings(engine).at(index);
+    EXPECT_EQ(row.impl_name, step.reference_impl);
+    EXPECT_EQ(row.calls, 3);
+
+    engine.restore_step(index);
+    row = layer_timings(engine).at(index);
+    EXPECT_EQ(row.impl_name, step.selected_impl);
+    EXPECT_EQ(row.calls, 3);
 }
 
 TEST(Engine, PlanSummaryListsEveryStep)

@@ -447,6 +447,54 @@ TEST(EnginePool, AllReplicasQuarantinedFailsFastNotHang)
     EXPECT_GE(pool.stats().probe_failures, 1);
 }
 
+/** The readmission probe runs under the acquirer's deadline too: a
+ *  hung probe returns kDeadlineExceeded when that deadline passes, not
+ *  after the probe deadline, and gives no verdict on the replica. */
+TEST(EnginePool, ReadmissionProbeBoundedByCallerDeadline)
+{
+    set_global_num_threads(1);
+    const auto injector = std::make_shared<FaultInjector>();
+    EnginePoolOptions pool_options;
+    pool_options.replicas = 1;
+    pool_options.per_replica_injectors = {injector};
+    EnginePool pool(models::tiny_cnn(), {}, pool_options);
+
+    // Three kInternal releases (1.0 each) reach the 3.0 threshold.
+    for (int i = 0; i < 3; ++i) {
+        Status why;
+        EnginePool::Lease lease =
+            pool.acquire(DeadlineToken::after_ms(5000),
+                         EnginePool::kNoReplica, &why);
+        ASSERT_TRUE(lease.valid()) << why.to_string();
+        pool.release(std::move(lease), internal_error("synthetic fault"));
+    }
+    ASSERT_EQ(pool.stats().quarantined_replicas, 1u);
+
+    injector->arm_delay("", "", /*delay_ms=*/20000);
+    const auto started = std::chrono::steady_clock::now();
+    Status why;
+    EnginePool::Lease lease = pool.acquire(DeadlineToken::after_ms(100),
+                                           EnginePool::kNoReplica, &why);
+    const double waited_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - started)
+            .count();
+    EXPECT_FALSE(lease.valid());
+    EXPECT_EQ(why.code(), StatusCode::kDeadlineExceeded) << why.to_string();
+    EXPECT_LT(waited_ms, 1000.0);
+    EXPECT_EQ(pool.stats().probe_failures, 0);
+    EXPECT_EQ(pool.stats().quarantined_replicas, 1u);
+
+    // With the delay gone the next acquire readmits the replica.
+    injector->reset();
+    lease = pool.acquire(DeadlineToken::after_ms(5000),
+                         EnginePool::kNoReplica, &why);
+    ASSERT_TRUE(lease.valid()) << why.to_string();
+    pool.release(std::move(lease), Status::ok());
+    EXPECT_EQ(pool.stats().readmissions, 1);
+    EXPECT_EQ(pool.stats().probe_failures, 0);
+}
+
 /** Readmission runs the same probe as a canary warm-up: with the guard
  *  off the engine reports OK on NaN outputs, so the probe itself must
  *  reject them and keep the replica out. */

@@ -139,7 +139,6 @@ TEST(Personalities, Figure2SetIsTheComparisonSet)
 TEST(LayerBench, SharesSumToOne)
 {
     EngineOptions options;
-    options.enable_profiling = true;
     Engine engine(models::tiny_cnn(), options);
     const auto timings = profile_layers(engine, /*repetitions=*/2);
     ASSERT_EQ(timings.size(), engine.steps().size());
@@ -156,16 +155,29 @@ TEST(LayerBench, SharesSumToOne)
         EXPECT_GE(timings[i - 1].share, timings[i].share);
 }
 
-TEST(LayerBench, RequiresProfilingEngine)
+/** Both harnesses build their input from the per-request signature,
+ *  not from the batch-scaled graph a batch-capable engine compiled. */
+TEST(LayerBench, HarnessesRunOnBatchCapableEngine)
 {
-    Engine engine(models::tiny_cnn());
-    EXPECT_THROW(profile_layers(engine), Error);
+    EngineOptions options;
+    options.max_batch = 4;
+    Engine engine(models::tiny_cnn(), options);
+    ASSERT_EQ(engine.batch_capacity(), 4);
+
+    const auto timings = profile_layers(engine, /*repetitions=*/2);
+    ASSERT_EQ(timings.size(), engine.steps().size());
+    for (const LayerTiming &timing : timings)
+        EXPECT_EQ(timing.calls, 2);
+
+    ExperimentConfig config;
+    config.warmup_runs = 1;
+    config.timed_runs = 2;
+    EXPECT_EQ(time_inference(engine, config).stats.count, 2u);
 }
 
 TEST(LayerBench, ReportsRenderable)
 {
     EngineOptions options;
-    options.enable_profiling = true;
     Engine engine(models::tiny_mlp(), options);
     const auto timings = profile_layers(engine, 1);
     const std::string table = layer_timings_to_string(timings);

@@ -333,10 +333,9 @@ save_model(const Graph &graph, const std::string &path)
 }
 
 EngineOptions
-engine_options(const CliOptions &cli, bool profiling)
+engine_options(const CliOptions &cli)
 {
     EngineOptions options = personality_by_name(cli.personality).options;
-    options.enable_profiling = profiling;
     if (cli.autotune)
         options.selection = SelectionStrategy::kAutoTune;
     return options;
@@ -442,7 +441,7 @@ cmd_info(const CliOptions &cli)
                 static_cast<long long>(parameters),
                 static_cast<double>(weight_bytes) / (1024 * 1024));
 
-    Engine engine(std::move(graph), engine_options(cli, false));
+    Engine engine(std::move(graph), engine_options(cli));
     std::printf("  plan steps after simplification: %zu\n",
                 engine.steps().size());
     std::printf("  activation arena: %.2f MiB (no reuse: %.2f MiB)\n\n",
@@ -512,7 +511,7 @@ cmd_run(const CliOptions &cli)
         personality_by_name(cli.personality);
     set_global_num_threads(personality.effective_threads(cli.threads));
 
-    EngineOptions options = engine_options(cli, cli.profile);
+    EngineOptions options = engine_options(cli);
     apply_guard_and_chaos(cli, options);
     print_cpu_features();
     if (!cli.traffic_class.empty())
@@ -652,7 +651,7 @@ cmd_serve(const CliOptions &cli)
         start = comma + 1;
     }
 
-    EngineOptions eng_options = engine_options(cli, false);
+    EngineOptions eng_options = engine_options(cli);
     apply_guard_and_chaos(cli, eng_options);
     InferenceService service(load_model(cli.positional[0]), eng_options,
                              service_options);
