@@ -458,6 +458,11 @@ class EnginePool
      *  holds mutex_ and the replica is leased (exclusive). */
     void sync_degraded_mode_locked(std::size_t id);
 
+    /** Waits on replica_free_ (a release, a probe verdict or a state
+     *  change), at most until @p deadline. @p lock holds mutex_. */
+    void wait_for_release(std::unique_lock<std::mutex> &lock,
+                          const DeadlineToken &deadline);
+
     /** Restore + probe() of a quarantined replica, bounded by
      *  @p caller's deadline too. Called WITHOUT mutex_ (the probe is a
      *  full inference); the replica must already be marked leased. OK

@@ -449,7 +449,8 @@ TEST(EnginePool, AllReplicasQuarantinedFailsFastNotHang)
 
 /** The readmission probe runs under the acquirer's deadline too: a
  *  hung probe returns kDeadlineExceeded when that deadline passes, not
- *  after the probe deadline, and gives no verdict on the replica. */
+ *  after the probe deadline, and gives no verdict on the replica; an
+ *  acquirer waiting on another's probe also stops at its deadline. */
 TEST(EnginePool, ReadmissionProbeBoundedByCallerDeadline)
 {
     set_global_num_threads(1);
@@ -484,6 +485,32 @@ TEST(EnginePool, ReadmissionProbeBoundedByCallerDeadline)
     EXPECT_LT(waited_ms, 1000.0);
     EXPECT_EQ(pool.stats().probe_failures, 0);
     EXPECT_EQ(pool.stats().quarantined_replicas, 1u);
+
+    // While another acquirer's probe runs, a second acquirer waits for
+    // its verdict only within its own deadline.
+    std::thread prober([&] {
+        Status prober_why;
+        EnginePool::Lease probed = pool.acquire(
+            DeadlineToken::after_ms(1500), EnginePool::kNoReplica,
+            &prober_why);
+        EXPECT_FALSE(probed.valid());
+        EXPECT_EQ(prober_why.code(), StatusCode::kDeadlineExceeded)
+            << prober_why.to_string();
+    });
+    while (pool.stats().probes < 2)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto waiting = std::chrono::steady_clock::now();
+    lease = pool.acquire(DeadlineToken::after_ms(100),
+                         EnginePool::kNoReplica, &why);
+    const double waited_for_verdict_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - waiting)
+            .count();
+    prober.join();
+    EXPECT_FALSE(lease.valid());
+    EXPECT_EQ(why.code(), StatusCode::kDeadlineExceeded) << why.to_string();
+    EXPECT_LT(waited_for_verdict_ms, 1000.0);
+    EXPECT_EQ(pool.stats().probe_failures, 0);
 
     // With the delay gone the next acquire readmits the replica.
     injector->reset();
