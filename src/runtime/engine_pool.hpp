@@ -26,8 +26,7 @@
  * via Engine::restore_step, runs probe() (a zero-input inference under
  * the probe deadline, or the acquirer's if that comes first, whose
  * outputs must be finite) and only readmits on a clean result — a
- * persistently
- * faulty replica stays out and acquire() fails fast with
+ * persistently faulty replica stays out and acquire() fails fast with
  * kResourceExhausted instead of hanging.
  *
  *   ACTIVE ──(penalty ≥ threshold at release)──▶ QUARANTINED
