@@ -1,10 +1,17 @@
-#include "runtime/deadline.hpp"
+#include "core/deadline.hpp"
 
 #include <algorithm>
 #include <limits>
 #include <thread>
 
 namespace orpheus {
+
+namespace {
+
+/** Token of the innermost live ScopedDeadline on this thread. */
+thread_local const DeadlineToken *t_deadline = nullptr;
+
+} // namespace
 
 DeadlineToken
 DeadlineToken::unlimited()
@@ -89,9 +96,21 @@ DeadlineToken::can_cover_ms(double ms) const
 }
 
 ScopedDeadline::ScopedDeadline(const DeadlineToken &token)
+    : token_(token), previous_(t_deadline)
 {
-    if (token.valid())
-        scope_.emplace([token] { return token.expired(); });
+    if (token_.valid())
+        t_deadline = &token_;
+}
+
+ScopedDeadline::~ScopedDeadline()
+{
+    t_deadline = previous_;
+}
+
+const DeadlineToken *
+current_deadline()
+{
+    return t_deadline;
 }
 
 void

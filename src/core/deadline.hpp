@@ -6,9 +6,12 @@
  * state: it expires either when its wall-clock budget runs out or when
  * some other party (the admission controller, the hang watchdog) calls
  * cancel(). The engine threads the token through Engine::run → step
- * execution → ThreadPool::parallel_for, so a long-running kernel stops
- * at the next tile boundary and the request returns kDeadlineExceeded
- * instead of blocking a worker indefinitely.
+ * execution, where a ScopedDeadline installs it as the thread's one
+ * cancellation hook; ThreadPool::parallel_for reads that hook and hands
+ * the token's address to its workers, so a long-running kernel stops at
+ * the next tile boundary and the request returns kDeadlineExceeded
+ * instead of blocking a worker indefinitely. Nothing on that path heap
+ * allocates: the scope's copy of the token is a refcount bump.
  *
  * Expiry is detected at *cancellation points* (step boundaries, tile
  * boundaries, injected-delay slices) — there is no preemption, which is
@@ -23,7 +26,6 @@
 #include <optional>
 
 #include "core/status.hpp"
-#include "core/threadpool.hpp"
 
 namespace orpheus {
 
@@ -109,18 +111,35 @@ class DeadlineToken
 };
 
 /**
- * Installs @p token as the current thread's cooperative-cancellation
- * check (see ScopedCancellation) for the scope's lifetime; a null token
- * installs nothing. Used by the engine around each kernel invocation.
+ * Installs a copy of @p token as the current thread's cancellation hook
+ * (current_deadline()) for the scope's lifetime. While it is installed,
+ * parallel_for calls issued from this thread split each worker's chunk
+ * into tiles and stop at the first tile boundary after the token
+ * expires. A null token installs nothing, so an enclosing scope stays
+ * in force. Scopes nest: the destructor restores the previous hook.
+ * Used by the engine around each kernel invocation.
  */
 class ScopedDeadline
 {
   public:
     explicit ScopedDeadline(const DeadlineToken &token);
+    ~ScopedDeadline();
+
+    ScopedDeadline(const ScopedDeadline &) = delete;
+    ScopedDeadline &operator=(const ScopedDeadline &) = delete;
 
   private:
-    std::optional<ScopedCancellation> scope_;
+    /** Owned copy: the hook never points at the caller's argument,
+     *  which may be a temporary. */
+    DeadlineToken token_;
+    const DeadlineToken *previous_;
 };
+
+/**
+ * The token the innermost live ScopedDeadline on this thread installed,
+ * or nullptr when none is active.
+ */
+const DeadlineToken *current_deadline();
 
 /**
  * Sleeps for @p ms milliseconds in ~1 ms slices, checking @p token

@@ -10,32 +10,29 @@ namespace orpheus {
 
 namespace {
 
-/** Cancellation check of the current thread (empty when none). */
-thread_local std::function<bool()> t_cancel_check;
-
 /**
- * Tiles per worker chunk when a cancellation check is active. The check
- * runs once per tile, so a cancelled loop stops within one tile of
- * work — this bound is what the deadline tests verify against.
+ * Tiles per worker chunk when a deadline is installed. The check runs
+ * once per tile, so a cancelled loop stops within one tile of work —
+ * this bound is what the deadline tests verify against.
  */
 constexpr std::int64_t kCancellationTiles = 8;
 
 /**
- * Executes body over [begin, end), tiled with cancellation checks when
- * @p cancel is non-empty; plain single call otherwise.
+ * Executes body over [begin, end), tiled with expiry checks when
+ * @p deadline is non-null; plain single call otherwise.
  */
 void
 run_chunk(std::int64_t begin, std::int64_t end, const LoopBody &body,
-          const std::function<bool()> &cancel)
+          const DeadlineToken *deadline)
 {
-    if (!cancel) {
+    if (deadline == nullptr) {
         body(begin, end);
         return;
     }
     const std::int64_t tile = std::max<std::int64_t>(
         1, (end - begin + kCancellationTiles - 1) / kCancellationTiles);
     for (std::int64_t at = begin; at < end; at += tile) {
-        if (cancel())
+        if (deadline->expired())
             throw DeadlineExceededError(
                 "parallel_for cancelled at tile boundary");
         body(at, std::min(end, at + tile));
@@ -43,23 +40,6 @@ run_chunk(std::int64_t begin, std::int64_t end, const LoopBody &body,
 }
 
 } // namespace
-
-ScopedCancellation::ScopedCancellation(std::function<bool()> is_cancelled)
-    : previous_(std::move(t_cancel_check))
-{
-    t_cancel_check = std::move(is_cancelled);
-}
-
-ScopedCancellation::~ScopedCancellation()
-{
-    t_cancel_check = std::move(previous_);
-}
-
-const std::function<bool()> &
-current_cancellation()
-{
-    return t_cancel_check;
-}
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads))
@@ -94,12 +74,12 @@ ThreadPool::parallel_for(std::int64_t count, LoopBody body)
 {
     if (count <= 0)
         return;
-    const std::function<bool()> cancel = t_cancel_check;
-    if (cancel && cancel())
+    const DeadlineToken *deadline = current_deadline();
+    if (deadline != nullptr && deadline->expired())
         throw DeadlineExceededError(
             "cancelled before parallel_for dispatch");
     if (num_threads_ == 1 || count == 1) {
-        run_chunk(0, count, body, cancel);
+        run_chunk(0, count, body, deadline);
         return;
     }
 
@@ -121,7 +101,7 @@ ThreadPool::parallel_for(std::int64_t count, LoopBody body)
                 std::min<std::int64_t>((i + 1) * chunk, count);
         }
         body_ = body;
-        cancel_check_ = cancel;
+        deadline_ = deadline;
         first_error_ = nullptr;
         pending_ = num_threads_ - 1;
         ++generation_;
@@ -132,7 +112,7 @@ ThreadPool::parallel_for(std::int64_t count, LoopBody body)
     const Task own = tasks_[0];
     if (own.begin < own.end) {
         try {
-            run_chunk(own.begin, own.end, body, cancel);
+            run_chunk(own.begin, own.end, body, deadline);
         } catch (...) {
             record_error(std::current_exception());
         }
@@ -143,7 +123,7 @@ ThreadPool::parallel_for(std::int64_t count, LoopBody body)
         std::unique_lock<std::mutex> lock(mutex_);
         work_done_.wait(lock, [this] { return pending_ == 0; });
         body_ = LoopBody();
-        cancel_check_ = nullptr;
+        deadline_ = nullptr;
         std::swap(error, first_error_);
     }
     if (error)
@@ -157,7 +137,7 @@ ThreadPool::worker_loop(int worker_index)
     while (true) {
         Task task;
         LoopBody body;
-        std::function<bool()> cancel;
+        const DeadlineToken *deadline = nullptr;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             work_ready_.wait(lock, [this, seen_generation] {
@@ -168,11 +148,11 @@ ThreadPool::worker_loop(int worker_index)
             seen_generation = generation_;
             task = tasks_[static_cast<std::size_t>(worker_index)];
             body = body_;
-            cancel = cancel_check_;
+            deadline = deadline_;
         }
         if (task.begin < task.end) {
             try {
-                run_chunk(task.begin, task.end, body, cancel);
+                run_chunk(task.begin, task.end, body, deadline);
             } catch (...) {
                 // Never let an exception escape the worker thread (that
                 // would std::terminate the process); hand it to the

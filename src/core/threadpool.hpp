@@ -7,28 +7,33 @@
  * A process-wide pool (global_thread_pool) is created lazily; kernels
  * call parallel_for, which degrades to a plain serial loop when the
  * configured thread count is 1 — this is how the single-thread
- * evaluation from the paper (Figure 2) is enforced.
+ * evaluation from the paper (Figure 2) is enforced. A request deadline
+ * reaches the loop through the calling thread's ScopedDeadline
+ * (core/deadline.hpp), which parallel_for reads and checks per tile.
  */
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "core/deadline.hpp"
+
 namespace orpheus {
 
 /**
  * Non-owning reference to a loop body callable — the parallel_for
- * argument type. Unlike std::function, constructing one never heap
- * allocates, which keeps steady-state kernel dispatch allocation-free
- * even for capturing lambdas. The referenced callable must outlive the
- * parallel_for call; that always holds because parallel_for blocks
- * until every chunk has finished.
+ * argument type. Unlike an owning type-erased wrapper, constructing
+ * one never heap allocates, which keeps steady-state kernel dispatch
+ * allocation-free even for capturing lambdas. That holds under a
+ * ScopedDeadline too: the cancellation hook the pool hands its workers
+ * is a plain DeadlineToken pointer. The referenced callable must
+ * outlive the parallel_for call; that always holds because
+ * parallel_for blocks until every chunk has finished.
  */
 class LoopBody
 {
@@ -60,37 +65,6 @@ class LoopBody
     void (*invoke_)(const void *, std::int64_t, std::int64_t) = nullptr;
 };
 
-/**
- * Installs a cooperative-cancellation check for the current thread.
- *
- * While a ScopedCancellation is alive, parallel_for calls issued from
- * this thread split each worker's chunk into tiles and evaluate the
- * check at every tile boundary; when it returns true the loop stops and
- * DeadlineExceededError propagates to the parallel_for caller. This is
- * how a request deadline (runtime/deadline.hpp) reaches into long-
- * running kernels without every kernel signature carrying a token.
- *
- * Scopes nest: the previous check is restored on destruction.
- */
-class ScopedCancellation
-{
-  public:
-    explicit ScopedCancellation(std::function<bool()> is_cancelled);
-    ~ScopedCancellation();
-
-    ScopedCancellation(const ScopedCancellation &) = delete;
-    ScopedCancellation &operator=(const ScopedCancellation &) = delete;
-
-  private:
-    std::function<bool()> previous_;
-};
-
-/**
- * The cancellation check installed on the current thread, or an empty
- * function when none is active.
- */
-const std::function<bool()> &current_cancellation();
-
 class ThreadPool
 {
   public:
@@ -118,10 +92,10 @@ class ThreadPool
      *    exception thrown by any chunk is captured and rethrown on the
      *    calling thread once every worker has finished; the pool stays
      *    usable afterwards.
-     *  - When the calling thread has a ScopedCancellation installed,
-     *    chunks execute in tiles and every worker re-checks the
-     *    cancellation at each tile boundary; a fired check raises
-     *    DeadlineExceededError on the caller. An already-fired check
+     *  - When the calling thread has a ScopedDeadline installed,
+     *    chunks execute in tiles and every worker re-checks the token
+     *    at each tile boundary; an expired token raises
+     *    DeadlineExceededError on the caller. An already-expired token
      *    fails fast before any work is dispatched.
      *  - Concurrent parallel_for calls from different threads are
      *    serialized on an internal dispatch mutex, so one pool can be
@@ -151,8 +125,13 @@ class ThreadPool
     std::condition_variable work_ready_;
     std::condition_variable work_done_;
     LoopBody body_;
-    /** Cancellation check of the dispatching caller (may be empty). */
-    std::function<bool()> cancel_check_;
+    /**
+     * The dispatching caller's current_deadline() (may be null). Like
+     * body_, it stays valid for the whole dispatch: the caller's
+     * ScopedDeadline outlives parallel_for, which blocks until every
+     * worker has finished.
+     */
+    const DeadlineToken *deadline_ = nullptr;
     std::exception_ptr first_error_;
     std::vector<Task> tasks_;
     std::uint64_t generation_ = 0;

@@ -24,10 +24,10 @@
 
 #include "backend/backend_config.hpp"
 #include "backend/kernel_registry.hpp"
+#include "core/deadline.hpp"
 #include "graph/graph.hpp"
 #include "graph/passes/pass.hpp"
 #include "graph/shape_inference.hpp"
-#include "runtime/deadline.hpp"
 #include "runtime/fault_injector.hpp"
 #include "runtime/guard.hpp"
 #include "runtime/memory_planner.hpp"

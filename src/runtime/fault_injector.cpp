@@ -135,31 +135,6 @@ FaultInjector::decide(const std::string &node_name,
     return decision;
 }
 
-bool
-FaultInjector::should_fail(const std::string &node_name,
-                           const std::string &impl_name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return fault_.hit(node_name, impl_name);
-}
-
-double
-FaultInjector::delay_ms(const std::string &node_name,
-                        const std::string &impl_name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return delay_.hit(node_name, impl_name) ? delay_ms_ : 0;
-}
-
-CorruptionKind
-FaultInjector::corruption(const std::string &node_name,
-                          const std::string &impl_name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return corruption_.hit(node_name, impl_name) ? corruption_kind_
-                                                 : CorruptionKind::kNone;
-}
-
 std::int64_t
 FaultInjector::faults_injected() const
 {

@@ -134,30 +134,6 @@ class FaultInjector
                              const std::string &impl_name,
                              const std::string &model_name = std::string());
 
-    /**
-     * Called by the engine before each kernel invocation; returns true
-     * if this invocation must fail. Advances the match counter.
-     */
-    bool should_fail(const std::string &node_name,
-                     const std::string &impl_name);
-
-    /**
-     * Called by the engine before each kernel invocation; returns the
-     * milliseconds this invocation must stall (0 when none). Advances
-     * the delay match counter.
-     */
-    double delay_ms(const std::string &node_name,
-                    const std::string &impl_name);
-
-    /**
-     * Called by the engine after each *primary* kernel invocation
-     * (never on guard confirmation, shadow or fallback re-runs);
-     * returns the corruption to apply to the step's output (kNone when
-     * none). Advances the corruption match counter.
-     */
-    CorruptionKind corruption(const std::string &node_name,
-                              const std::string &impl_name);
-
     /** Total faults injected since the last arm()/reset(). */
     std::int64_t faults_injected() const;
 

@@ -12,8 +12,9 @@ namespace orpheus {
 
 /**
  * Fixed-size geometric latency histogram: 64 buckets from 50 µs with
- * ratio 1.3 cover ~50 µs to ~13 min at ≤30 % resolution. record() is
- * O(log buckets); callers serialise access under their own mutex.
+ * ratio 1.3 cover ~50 µs to ~13 min at ≤30 % resolution. record() is a
+ * linear scan over the 63 finite bucket bounds (O(buckets), no heap);
+ * callers serialise access under their own mutex.
  */
 class LatencyHistogram
 {

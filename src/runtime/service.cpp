@@ -198,8 +198,6 @@ InferenceService::submit(std::map<std::string, Tensor> inputs,
         infeasible = !token.can_cover_ms(wait_ms);
     }
     if (expired || infeasible) {
-        ++stats_.deadline_exceeded;
-        ++stats_.rejected_infeasible;
         ++stats_.class_infeasible[lane];
         lock.unlock();
         promise.set_value(rejected(deadline_exceeded_error(
@@ -515,10 +513,9 @@ InferenceService::finish_request_locked(std::size_t lane, bool shed,
 {
     if (response.status.is_ok())
         ++stats_.completed_ok;
-    else if (response.status.code() == StatusCode::kDeadlineExceeded) {
-        ++stats_.deadline_exceeded;
+    else if (response.status.code() == StatusCode::kDeadlineExceeded)
         ++stats_.class_deadline_miss[lane];
-    } else if (response.status.code() == StatusCode::kDataCorruption)
+    else if (response.status.code() == StatusCode::kDataCorruption)
         ++stats_.data_corruption;
     else if (shed)
         ; // Counted as brownout_shed, not a failure.
@@ -528,9 +525,7 @@ InferenceService::finish_request_locked(std::size_t lane, bool shed,
         // Per-class accounting covers every worker-finished request
         // (deadline misses land at their queue time) so histogram
         // counts + sheds partition `submitted`.
-        const double total = response.queue_ms + response.run_ms;
-        class_latency_[lane].record(total);
-        ++stats_.class_count[lane];
+        class_latency_[lane].record(response.queue_ms + response.run_ms);
         if (response.status.is_ok() && response.run_ms > 0)
             class_service_[lane].record(response.run_ms);
     }
@@ -757,11 +752,17 @@ InferenceService::stats() const
         merged.latency_p50_ms = latency_.percentile(0.50);
         merged.latency_p99_ms = latency_.percentile(0.99);
         merged.latency_p999_ms = latency_.percentile(0.999);
+        // Each of these facts is counted once, per class; the totals
+        // are derived here so they cannot drift from their parts.
         for (std::size_t c = 0; c < kPriorityClasses; ++c) {
+            merged.class_count[c] = class_latency_[c].count();
+            merged.rejected_infeasible += merged.class_infeasible[c];
+            merged.deadline_exceeded += merged.class_deadline_miss[c];
             merged.class_p50_ms[c] = class_latency_[c].percentile(0.50);
             merged.class_p99_ms[c] = class_latency_[c].percentile(0.99);
             merged.class_p999_ms[c] = class_latency_[c].percentile(0.999);
         }
+        merged.deadline_exceeded += merged.rejected_infeasible;
         merged.batch_mean_occupancy =
             merged.batches_formed > 0
                 ? static_cast<double>(merged.batched_requests) /

@@ -71,7 +71,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/deadline.hpp"
+#include "core/deadline.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/engine_pool.hpp"
 #include "runtime/latency_histogram.hpp"

@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/deadline.hpp"
+#include "core/deadline.hpp"
 
 namespace orpheus {
 

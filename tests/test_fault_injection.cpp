@@ -30,7 +30,7 @@ using testing::make_random;
 TEST(FaultInjector, UnarmedNeverFails)
 {
     FaultInjector injector;
-    EXPECT_FALSE(injector.should_fail("conv1", "im2col_gemm"));
+    EXPECT_FALSE(injector.decide("conv1", "im2col_gemm").fail);
     EXPECT_EQ(injector.calls_seen(), 0);
     EXPECT_EQ(injector.faults_injected(), 0);
 }
@@ -39,9 +39,9 @@ TEST(FaultInjector, MatchesNodeAndImplPatterns)
 {
     FaultInjector injector;
     injector.arm("conv1", "im2col_gemm");
-    EXPECT_FALSE(injector.should_fail("conv2", "im2col_gemm"));
-    EXPECT_FALSE(injector.should_fail("conv1", "direct"));
-    EXPECT_TRUE(injector.should_fail("conv1", "im2col_gemm"));
+    EXPECT_FALSE(injector.decide("conv2", "im2col_gemm").fail);
+    EXPECT_FALSE(injector.decide("conv1", "direct").fail);
+    EXPECT_TRUE(injector.decide("conv1", "im2col_gemm").fail);
     EXPECT_EQ(injector.calls_seen(), 1);
     EXPECT_EQ(injector.faults_injected(), 1);
 }
@@ -50,9 +50,9 @@ TEST(FaultInjector, FailFromCallSkipsEarlierInvocations)
 {
     FaultInjector injector;
     injector.arm("", "", /*fail_from_call=*/2);
-    EXPECT_FALSE(injector.should_fail("n", "a"));
-    EXPECT_FALSE(injector.should_fail("n", "a"));
-    EXPECT_TRUE(injector.should_fail("n", "a"));
+    EXPECT_FALSE(injector.decide("n", "a").fail);
+    EXPECT_FALSE(injector.decide("n", "a").fail);
+    EXPECT_TRUE(injector.decide("n", "a").fail);
     EXPECT_EQ(injector.calls_seen(), 3);
     EXPECT_EQ(injector.faults_injected(), 1);
 }
@@ -61,8 +61,8 @@ TEST(FaultInjector, MaxFaultsCapsInjections)
 {
     FaultInjector injector;
     injector.arm("", "", 0, /*max_faults=*/1);
-    EXPECT_TRUE(injector.should_fail("n", "a"));
-    EXPECT_FALSE(injector.should_fail("n", "a"));
+    EXPECT_TRUE(injector.decide("n", "a").fail);
+    EXPECT_FALSE(injector.decide("n", "a").fail);
     EXPECT_EQ(injector.faults_injected(), 1);
 }
 
@@ -70,9 +70,9 @@ TEST(FaultInjector, ResetDisarms)
 {
     FaultInjector injector;
     injector.arm("", "");
-    EXPECT_TRUE(injector.should_fail("n", "a"));
+    EXPECT_TRUE(injector.decide("n", "a").fail);
     injector.reset();
-    EXPECT_FALSE(injector.should_fail("n", "a"));
+    EXPECT_FALSE(injector.decide("n", "a").fail);
     EXPECT_EQ(injector.calls_seen(), 0);
     EXPECT_EQ(injector.faults_injected(), 0);
 }
@@ -82,7 +82,7 @@ TEST(FaultInjector, ResetDisarms)
 TEST(FaultInjector, DelayUnarmedReturnsZero)
 {
     FaultInjector injector;
-    EXPECT_EQ(injector.delay_ms("conv1", "im2col_gemm"), 0.0);
+    EXPECT_EQ(injector.decide("conv1", "im2col_gemm").delay_ms, 0.0);
     EXPECT_EQ(injector.delay_calls_seen(), 0);
     EXPECT_EQ(injector.delays_injected(), 0);
 }
@@ -91,13 +91,14 @@ TEST(FaultInjector, DelayMatchesPatternsIndependentlyOfFaults)
 {
     FaultInjector injector;
     injector.arm_delay("conv1", "im2col_gemm", 25.0);
-    EXPECT_EQ(injector.delay_ms("conv2", "im2col_gemm"), 0.0);
-    EXPECT_EQ(injector.delay_ms("conv1", "direct"), 0.0);
-    EXPECT_EQ(injector.delay_ms("conv1", "im2col_gemm"), 25.0);
+    EXPECT_EQ(injector.decide("conv2", "im2col_gemm").delay_ms, 0.0);
+    EXPECT_EQ(injector.decide("conv1", "direct").delay_ms, 0.0);
+    const InjectionDecision hit = injector.decide("conv1", "im2col_gemm");
+    EXPECT_EQ(hit.delay_ms, 25.0);
+    // Delay arming does not fault anything.
+    EXPECT_FALSE(hit.fail);
     EXPECT_EQ(injector.delay_calls_seen(), 1);
     EXPECT_EQ(injector.delays_injected(), 1);
-    // Delay arming does not fault anything.
-    EXPECT_FALSE(injector.should_fail("conv1", "im2col_gemm"));
 }
 
 TEST(FaultInjector, DelayFromCallAndCapHonoured)
@@ -105,12 +106,12 @@ TEST(FaultInjector, DelayFromCallAndCapHonoured)
     FaultInjector injector;
     injector.arm_delay("", "", 10.0, /*delay_from_call=*/1,
                        /*max_delays=*/1);
-    EXPECT_EQ(injector.delay_ms("n", "a"), 0.0);  // ordinal 0: skipped
-    EXPECT_EQ(injector.delay_ms("n", "a"), 10.0); // ordinal 1: delayed
-    EXPECT_EQ(injector.delay_ms("n", "a"), 0.0);  // cap reached
+    EXPECT_EQ(injector.decide("n", "a").delay_ms, 0.0);  // ordinal 0: skipped
+    EXPECT_EQ(injector.decide("n", "a").delay_ms, 10.0); // ordinal 1: delayed
+    EXPECT_EQ(injector.decide("n", "a").delay_ms, 0.0);  // cap reached
     EXPECT_EQ(injector.delays_injected(), 1);
     injector.reset();
-    EXPECT_EQ(injector.delay_ms("n", "a"), 0.0);
+    EXPECT_EQ(injector.decide("n", "a").delay_ms, 0.0);
     EXPECT_EQ(injector.delay_calls_seen(), 0);
 }
 

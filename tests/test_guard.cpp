@@ -218,14 +218,15 @@ TEST(CorruptionInjection, MatcherHonoursOrdinalAndCap)
     FaultInjector injector;
     injector.arm_corruption("n", "impl", CorruptionKind::kNaNPoke,
                             /*corrupt_from_call=*/1, /*max_corruptions=*/1);
-    EXPECT_EQ(injector.corruption("n", "other"), CorruptionKind::kNone);
-    EXPECT_EQ(injector.corruption("n", "impl"), CorruptionKind::kNone);
-    EXPECT_EQ(injector.corruption("n", "impl"), CorruptionKind::kNaNPoke);
-    EXPECT_EQ(injector.corruption("n", "impl"), CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "other").corruption, CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl").corruption, CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl").corruption,
+              CorruptionKind::kNaNPoke);
+    EXPECT_EQ(injector.decide("n", "impl").corruption, CorruptionKind::kNone);
     EXPECT_EQ(injector.corruptions_injected(), 1);
     EXPECT_EQ(injector.corruption_calls_seen(), 3);
     injector.reset();
-    EXPECT_EQ(injector.corruption("n", "impl"), CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl").corruption, CorruptionKind::kNone);
 }
 
 // --- Engine: guarded execution end to end ---------------------------------

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <new>
 
+#include "core/threadpool.hpp"
 #include "models/builder.hpp"
 #include "models/model_zoo.hpp"
 #include "quant/quantizer.hpp"
@@ -588,6 +589,33 @@ TEST(Prepare, SteadyStateDepthwiseStepsDoNotAllocate)
             << ") allocated in the steady state";
     }
     EXPECT_EQ(depthwise_steps, 2);
+}
+
+/** A live request deadline reaches parallel_for as a plain pointer, so a
+ *  run under one allocates exactly what the same run under a null token
+ *  does (the request-boundary map and output copies), serial or not. */
+TEST(Prepare, LiveDeadlineAddsNoAllocation)
+{
+    const std::map<std::string, Tensor> inputs = {
+        {"input", make_random(Shape({1, 3, 8, 8}), 0xac)}};
+    for (int threads : {1, 2}) {
+        set_global_num_threads(threads);
+        Engine engine(models::tiny_cnn());
+        const auto allocations = [&](const DeadlineToken &token) {
+            (void)engine.run(inputs, token); // Warm-up with this token.
+            g_alloc_count.store(0);
+            g_counting.store(true);
+            (void)engine.run(inputs, token);
+            g_counting.store(false);
+            return g_alloc_count.load();
+        };
+        const std::int64_t baseline = allocations(DeadlineToken());
+        EXPECT_EQ(allocations(DeadlineToken::after_ms(1e9)), baseline)
+            << "at " << threads << " kernel threads";
+        EXPECT_EQ(allocations(DeadlineToken::unlimited()), baseline)
+            << "at " << threads << " kernel threads";
+    }
+    set_global_num_threads(1);
 }
 
 TEST(Prepare, SteadyStateQuantizedConvDoesNotAllocate)

@@ -205,7 +205,9 @@ TEST(ThreadPoolExceptions, SerialPathPropagatesToo)
 TEST(ThreadPoolCancellation, AlreadyCancelledFailsFastWithNoWork)
 {
     ThreadPool pool(4);
-    ScopedCancellation cancelled([] { return true; });
+    DeadlineToken token = DeadlineToken::unlimited();
+    token.cancel();
+    ScopedDeadline cancelled(token);
     std::atomic<int> executed{0};
     EXPECT_THROW(pool.parallel_for(100,
                                    [&](std::int64_t, std::int64_t) {
@@ -220,14 +222,14 @@ TEST(ThreadPoolCancellation, AlreadyCancelledFailsFastWithNoWork)
 TEST(ThreadPoolCancellation, CancellationStopsAtTileBoundary)
 {
     ThreadPool pool(1);
-    std::atomic<bool> cancel{false};
-    ScopedCancellation scope([&] { return cancel.load(); });
+    DeadlineToken token = DeadlineToken::unlimited();
+    ScopedDeadline scope(token);
     std::atomic<std::int64_t> processed{0};
     EXPECT_THROW(
         pool.parallel_for(64,
                           [&](std::int64_t begin, std::int64_t end) {
                               processed.fetch_add(end - begin);
-                              cancel.store(true);
+                              token.cancel();
                           }),
         DeadlineExceededError);
     // With 8 tiles over 64 iterations, the first tile (8 iterations)
@@ -239,14 +241,14 @@ TEST(ThreadPoolCancellation, CancellationStopsAtTileBoundary)
 TEST(ThreadPoolCancellation, ParallelWorkersObserveCancellation)
 {
     ThreadPool pool(4);
-    std::atomic<bool> cancel{false};
-    ScopedCancellation scope([&] { return cancel.load(); });
+    DeadlineToken token = DeadlineToken::unlimited();
+    ScopedDeadline scope(token);
     std::atomic<std::int64_t> processed{0};
     EXPECT_THROW(
         pool.parallel_for(1024,
                           [&](std::int64_t begin, std::int64_t end) {
                               processed.fetch_add(end - begin);
-                              cancel.store(true);
+                              token.cancel();
                           }),
         DeadlineExceededError);
     EXPECT_LT(processed.load(), 1024);
@@ -254,20 +256,25 @@ TEST(ThreadPoolCancellation, ParallelWorkersObserveCancellation)
 
 TEST(ThreadPoolCancellation, ScopeRestoresPreviousCheckOnExit)
 {
-    EXPECT_FALSE(static_cast<bool>(current_cancellation()));
+    EXPECT_EQ(current_deadline(), nullptr);
     {
-        ScopedCancellation outer([] { return false; });
-        EXPECT_TRUE(static_cast<bool>(current_cancellation()));
+        ScopedDeadline outer(DeadlineToken::unlimited());
+        const DeadlineToken *outer_token = current_deadline();
+        ASSERT_NE(outer_token, nullptr);
+        EXPECT_FALSE(outer_token->expired());
         {
-            ScopedCancellation inner([] { return true; });
-            EXPECT_TRUE(current_cancellation()());
+            ScopedDeadline inner(DeadlineToken::after_ms(0));
+            ASSERT_NE(current_deadline(), nullptr);
+            EXPECT_NE(current_deadline(), outer_token);
+            EXPECT_TRUE(current_deadline()->expired());
         }
-        EXPECT_FALSE(current_cancellation()());
+        EXPECT_EQ(current_deadline(), outer_token);
+        EXPECT_FALSE(current_deadline()->expired());
     }
-    EXPECT_FALSE(static_cast<bool>(current_cancellation()));
+    EXPECT_EQ(current_deadline(), nullptr);
 }
 
-/** No ScopedCancellation installed: the body runs untiled (one call
+/** No ScopedDeadline installed: the body runs untiled (one call
  *  per chunk), preserving the historical chunking contract. */
 TEST(ThreadPoolCancellation, NoCheckMeansNoTiling)
 {
