@@ -11,10 +11,13 @@
  *   - model weight footprint, fp32 vs int8, and
  *   - output drift (max |prob difference|) against the float model.
  *
- * Orpheus's fp32 GEMM is heavily vectorised while the int8 path is a
- * portable scalar kernel, so on wide-SIMD hosts int8 is not expected to
- * win on *time*; the footprint column is where quantization pays on
- * memory-constrained edge targets.
+ * The engine runs int8 convs as `im2col_qgemm_<isa>` (the SIMD integer
+ * GEMM where the build has one), but that path still writes an explicit
+ * column matrix per group, lowers depthwise to per-channel GEMMs and
+ * never splits work across threads, while the fp32 conv packs its
+ * windows straight into a register-blocked fp32 micro-kernel. So int8
+ * is not expected to win on *time*; the footprint column is where
+ * quantization pays on memory-constrained edge targets.
  */
 #include "bench_util.hpp"
 
@@ -139,9 +142,11 @@ main(int argc, char **argv)
                     fp32_mib / int8_mib, drift.quantized_convs,
                     drift.max_drift);
     }
-    std::printf("\n(time: the int8 kernel is portable scalar code while "
-                "the fp32 GEMM uses the host's full SIMD width; on edge "
-                "targets the ~4x weight-footprint saving is the win.)\n");
+    std::printf("\n(time: int8 convs run im2col_qgemm_<isa>, which writes "
+                "a column matrix per group and lowers depthwise to "
+                "per-channel GEMMs, against the fp32 packed-window GEMM; on "
+                "edge targets the ~4x weight-footprint saving is the "
+                "win.)\n");
     print_csv("model", "precision");
     write_json("quantization");
     return status;

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <queue>
 #include <sstream>
 #include <unordered_set>
@@ -57,6 +58,39 @@ void
 Graph::remove_initializer(const std::string &name)
 {
     initializers_.erase(name);
+}
+
+Tensor
+Graph::take_writable_initializer(const std::string &name)
+{
+    auto it = initializers_.find(name);
+    ORPHEUS_CHECK(it != initializers_.end(), "no initializer named " << name);
+
+    std::size_t reads = is_graph_output(name) ? 1 : 0;
+    for (const Node &node : nodes_)
+        reads += static_cast<std::size_t>(
+            std::count(node.inputs().begin(), node.inputs().end(), name));
+    const bool sole_reader = reads == 1;
+
+    // A count of 1 cannot race upward: another reference could only be
+    // made by copying this graph's own Tensor, and the caller holds the
+    // graph by non-const reference. A count above 1 may fall to 1 at any
+    // time, which only costs a needless clone. When the count reads 1,
+    // the acquire fence orders this thread's writes after the accesses
+    // of a holder that released its copy on another thread.
+    const std::shared_ptr<Buffer> &buffer = it->second.buffer();
+    const bool sole_owner = buffer != nullptr && buffer.use_count() == 1 &&
+                            buffer->owns_memory();
+    if (sole_owner && sole_reader) {
+        std::atomic_thread_fence(std::memory_order_acquire);
+        Tensor taken = std::move(it->second);
+        initializers_.erase(it);
+        return taken;
+    }
+    Tensor copy = it->second.clone();
+    if (sole_reader)
+        initializers_.erase(it);
+    return copy;
 }
 
 bool

@@ -83,6 +83,18 @@ class Graph
     /** Removes an initializer if present. */
     void remove_initializer(const std::string &name);
 
+    /**
+     * Hands a pass the initializer @p name as a tensor it may write,
+     * for rewriting the one node input that reads it. Returns the
+     * stored tensor itself (no copy) when nothing else can see its
+     * storage: the graph's tensor is the buffer's only reference, the
+     * buffer owns its memory, exactly one node input reads @p name and
+     * it is not a graph output. Otherwise returns a clone(). Removes
+     * @p name from the graph unless another reader still needs it.
+     * Throws orpheus::Error when absent.
+     */
+    Tensor take_writable_initializer(const std::string &name);
+
     bool is_graph_input(const std::string &name) const;
     bool is_graph_output(const std::string &name) const;
 

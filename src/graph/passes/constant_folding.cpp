@@ -7,7 +7,9 @@
  * layer:
  *
  *  - Constant nodes become initializers.
- *  - Reshape/Flatten of an initializer becomes a reshaped initializer.
+ *  - Reshape/Flatten of an initializer becomes a reshaped initializer,
+ *    sharing the source's storage when the node was its only reader
+ *    (Graph::take_writable_initializer).
  *
  * Arithmetic over constants (rare in inference graphs once BN folding
  * has run) is intentionally left to the runtime.
@@ -64,7 +66,7 @@ class ConstantFoldingPass : public GraphPass
     static void
     fold_reshape(Graph &graph, const Node &node)
     {
-        const Tensor &data = graph.initializer(node.input(0));
+        const Shape &data_shape = graph.initializer(node.input(0)).shape();
         const Tensor &spec = graph.initializer(node.input(1));
         const std::int64_t *dims = spec.data<std::int64_t>();
 
@@ -77,7 +79,7 @@ class ConstantFoldingPass : public GraphPass
                 wildcard = static_cast<int>(d);
                 resolved[d] = 1;
             } else if (dims[d] == 0) {
-                resolved[d] = data.shape().dim(static_cast<int>(d));
+                resolved[d] = data_shape.dim(static_cast<int>(d));
                 known *= resolved[d];
             } else {
                 resolved[d] = dims[d];
@@ -86,27 +88,29 @@ class ConstantFoldingPass : public GraphPass
         }
         if (wildcard >= 0)
             resolved[static_cast<std::size_t>(wildcard)] =
-                data.numel() / known;
+                data_shape.numel() / known;
 
-        graph.add_initializer(node.output(0),
-                              data.reshape(Shape(resolved)).clone());
+        graph.add_initializer(
+            node.output(0), graph.take_writable_initializer(node.input(0))
+                                .reshape(Shape(resolved)));
     }
 
     static void
     fold_flatten(Graph &graph, const Node &node)
     {
-        const Tensor &data = graph.initializer(node.input(0));
+        const Shape &data_shape = graph.initializer(node.input(0)).shape();
         const int axis =
             static_cast<int>(node.attrs().get_int("axis", 1));
         Shape::dim_type rows = 1, cols = 1;
-        for (int d = 0; d < static_cast<int>(data.shape().rank()); ++d) {
+        for (int d = 0; d < static_cast<int>(data_shape.rank()); ++d) {
             if (d < axis)
-                rows *= data.shape().dim(d);
+                rows *= data_shape.dim(d);
             else
-                cols *= data.shape().dim(d);
+                cols *= data_shape.dim(d);
         }
-        graph.add_initializer(node.output(0),
-                              data.reshape(Shape({rows, cols})).clone());
+        graph.add_initializer(
+            node.output(0), graph.take_writable_initializer(node.input(0))
+                                .reshape(Shape({rows, cols})));
     }
 };
 

@@ -11,7 +11,9 @@
  *
  * This removes one full tensor traversal per conv at inference time and
  * is the single most valuable simplification for the paper's networks
- * (every conv in all five models is conv+BN).
+ * (every conv in all five models is conv+BN). An imported weight is
+ * scaled in place (Graph::take_writable_initializer), so compiling a
+ * model never holds two copies of its conv weights.
  */
 #include "graph/passes/pass.hpp"
 
@@ -75,18 +77,20 @@ class FoldBatchNormPass : public GraphPass
         if (conv.has_input(2) && !graph.has_initializer(conv.input(2)))
             return false;
 
-        const Tensor &weight = graph.initializer(conv.input(1));
         const Tensor &gamma = graph.initializer(bn.input(1));
         const Tensor &beta = graph.initializer(bn.input(2));
         const Tensor &mean = graph.initializer(bn.input(3));
         const Tensor &var = graph.initializer(bn.input(4));
         const float eps = bn.attrs().get_float("epsilon", 1e-5f);
 
-        const std::int64_t out_channels = weight.shape().dim(0);
+        const std::int64_t out_channels =
+            graph.initializer(conv.input(1)).shape().dim(0);
         if (gamma.numel() != out_channels)
             return false;
 
-        Tensor new_weight = weight.clone();
+        // Scaled in place when the conv is the weight's only reader and
+        // nothing else shares its storage; a copy otherwise.
+        Tensor new_weight = graph.take_writable_initializer(conv.input(1));
         Tensor new_bias(Shape({out_channels}), DataType::kFloat32);
 
         const float *g = gamma.data<float>();
@@ -96,7 +100,7 @@ class FoldBatchNormPass : public GraphPass
         float *wp = new_weight.data<float>();
         float *bp = new_bias.data<float>();
 
-        const std::int64_t per_filter = weight.numel() / out_channels;
+        const std::int64_t per_filter = new_weight.numel() / out_channels;
         for (std::int64_t o = 0; o < out_channels; ++o) {
             const float scale = g[o] / std::sqrt(vr[o] + eps);
             for (std::int64_t k = 0; k < per_filter; ++k)

@@ -61,6 +61,37 @@ TEST(Graph, InitializerAccess)
     EXPECT_FALSE(graph.has_initializer("w"));
 }
 
+TEST(Graph, TakeWritableInitializerCopiesWhatOthersCanSee)
+{
+    Graph graph("g");
+    graph.add_input("x", Shape({2}));
+    graph.add_initializer("sole", Tensor::from_values(Shape({2}), {1, 2}));
+    graph.add_initializer("twice", Tensor::from_values(Shape({2}), {3, 4}));
+    graph.add_initializer("out", Tensor::from_values(Shape({2}), {5, 6}));
+    graph.add_node(op_names::kAdd, {"x", "sole"}, {"a"});
+    graph.add_node(op_names::kAdd, {"a", "twice"}, {"b"});
+    graph.add_node(op_names::kAdd, {"b", "twice"}, {"c"});
+    graph.add_node(op_names::kAdd, {"c", "out"}, {"y"});
+    graph.add_output("y");
+    graph.add_output("out");
+
+    // One reader, one owner: the stored tensor itself, taken out.
+    const void *sole = graph.initializer("sole").raw_data();
+    EXPECT_EQ(graph.take_writable_initializer("sole").raw_data(), sole);
+    EXPECT_FALSE(graph.has_initializer("sole"));
+
+    // Two readers, or a graph output: a copy, and the name stays.
+    for (const char *name : {"twice", "out"}) {
+        const void *stored = graph.initializer(name).raw_data();
+        Tensor taken = graph.take_writable_initializer(name);
+        EXPECT_NE(taken.raw_data(), stored) << name;
+        taken.fill(0.0f);
+        ASSERT_TRUE(graph.has_initializer(name)) << name;
+        EXPECT_NE(graph.initializer(name).data<float>()[0], 0.0f) << name;
+    }
+    EXPECT_THROW(graph.take_writable_initializer("missing"), Error);
+}
+
 TEST(Graph, ProducerAndConsumers)
 {
     Graph graph = linear_graph();

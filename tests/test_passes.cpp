@@ -1,9 +1,14 @@
 /** @file Unit + equivalence tests for the graph simplification passes. */
 #include "graph/passes/pass.hpp"
 
+#include <cmath>
+#include <cstring>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "models/builder.hpp"
+#include "models/model_zoo.hpp"
 #include "runtime/engine.hpp"
 #include "test_util.hpp"
 
@@ -102,6 +107,161 @@ TEST(FoldBatchNorm, FoldsIntoConvAndPreservesNumerics)
     }
 
     expect_equivalent_after_simplification(std::move(graph));
+}
+
+/** A conv+BN graph whose initializers each own their storage alone. */
+Graph
+conv_bn_graph(std::uint64_t seed)
+{
+    GraphBuilder b("g", seed);
+    std::string x = b.input("input", Shape({1, 3, 8, 8}));
+    b.output(b.batchnorm(b.conv_k(x, 8, 3, 1, 1)));
+    return b.take();
+}
+
+/** Weight of the first Conv node in @p graph. */
+const Tensor &
+conv_weight(const Graph &graph)
+{
+    for (const Node &node : graph.nodes()) {
+        if (node.op_type() == op_names::kConv)
+            return graph.initializer(node.input(1));
+    }
+    throw Error("graph has no Conv");
+}
+
+bool
+same_bytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() && a.dtype() == b.dtype() &&
+           std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()) == 0;
+}
+
+TEST(FoldBatchNorm, SoleOwnedWeightIsScaledInPlace)
+{
+    Graph graph = conv_bn_graph(0xf01);
+    const void *imported = conv_weight(graph).raw_data();
+    const Tensor original = conv_weight(graph).clone();
+
+    // The copy shares every buffer, so folding it must clone the weight
+    // and leave this graph's bytes alone.
+    Graph shared = graph;
+    simplify_graph(shared);
+    EXPECT_NE(conv_weight(shared).raw_data(), imported);
+    EXPECT_TRUE(same_bytes(conv_weight(graph), original));
+
+    // The folded copy dropped its reference: now the weight is sole-owned.
+    simplify_graph(graph);
+    EXPECT_EQ(conv_weight(graph).raw_data(), imported);
+    EXPECT_TRUE(same_bytes(conv_weight(graph), conv_weight(shared)))
+        << "in-place and cloned folds must agree bit for bit";
+}
+
+TEST(FoldBatchNorm, NeverWritesThroughAWrappedWeight)
+{
+    Graph graph = conv_bn_graph(0xf02);
+    const std::string name = graph.nodes().front().input(1);
+    const Tensor original = graph.initializer(name).clone();
+    std::vector<float> caller_memory(
+        original.data<float>(), original.data<float>() + original.numel());
+    graph.remove_initializer(name);
+    graph.add_initializer(
+        name, Tensor(original.shape(), DataType::kFloat32,
+                     Buffer::wrap(caller_memory.data(),
+                                  caller_memory.size() * sizeof(float))));
+
+    Graph owned = conv_bn_graph(0xf02);
+    simplify_graph(owned);
+    simplify_graph(graph);
+    EXPECT_NE(conv_weight(graph).raw_data(), caller_memory.data());
+    EXPECT_EQ(std::memcmp(caller_memory.data(), original.raw_data(),
+                          original.byte_size()),
+              0);
+    EXPECT_TRUE(same_bytes(conv_weight(graph), conv_weight(owned)));
+}
+
+TEST(FoldBatchNorm, WeightReadByTwoConvsIsNotScaledTwice)
+{
+    Graph graph("g");
+    graph.add_input("x", Shape({1, 2, 6, 6}));
+    graph.add_initializer("w", make_random(Shape({4, 2, 3, 3}), 0xf03));
+    for (const char *branch : {"1", "2"}) {
+        const std::string b = branch;
+        const std::uint64_t seed = 0xf10 + static_cast<std::uint64_t>(b[0]);
+        graph.add_initializer("gamma" + b, make_random(Shape({4}), seed));
+        graph.add_initializer("beta" + b,
+                              make_random(Shape({4}), seed + 1));
+        graph.add_initializer("mean" + b,
+                              make_random(Shape({4}), seed + 2));
+        graph.add_initializer("var" + b,
+                              make_random(Shape({4}), seed + 3, 0.5f, 2.0f));
+        AttributeMap conv_attrs;
+        conv_attrs.set("kernel_shape", std::vector<std::int64_t>{3, 3});
+        graph.add_node(op_names::kConv, {"x", "w"}, {"c" + b},
+                       std::move(conv_attrs));
+        graph.add_node(op_names::kBatchNormalization,
+                       {"c" + b, "gamma" + b, "beta" + b, "mean" + b,
+                        "var" + b},
+                       {"y" + b});
+        graph.add_output("y" + b);
+    }
+    const Tensor original = graph.initializer("w").clone();
+    const void *storage = graph.initializer("w").raw_data();
+
+    EXPECT_TRUE(make_fold_batchnorm_pass()->run(graph));
+    EXPECT_EQ(count_ops(graph, op_names::kBatchNormalization), 0u);
+    for (const Node &conv : graph.nodes()) {
+        const std::string b = conv.output(0).substr(1);
+        const Tensor &gamma = graph.initializer("gamma" + b);
+        const Tensor &var = graph.initializer("var" + b);
+        Tensor expected = original.clone();
+        float *e = expected.data<float>();
+        for (std::int64_t o = 0; o < 4; ++o) {
+            const float scale = gamma.data<float>()[o] /
+                                std::sqrt(var.data<float>()[o] + 1e-5f);
+            for (std::int64_t k = 0; k < 18; ++k)
+                e[o * 18 + k] *= scale;
+        }
+        EXPECT_TRUE(same_bytes(graph.initializer(conv.input(1)), expected))
+            << "branch " << b;
+    }
+    // The first fold cloned the shared weight; the second, by then its
+    // only reader, scaled the original in place.
+    EXPECT_FALSE(graph.has_initializer("w"));
+    EXPECT_EQ(graph.initializer(graph.nodes()[1].input(1)).raw_data(),
+              storage);
+}
+
+TEST(FoldBatchNorm, ResNet50FoldsWithoutNewWeightStorage)
+{
+    Graph graph = models::resnet50();
+    const auto distinct_bytes = [](const Graph &g) {
+        std::set<const Buffer *> seen;
+        std::size_t bytes = 0;
+        for (const auto &[name, tensor] : g.initializers()) {
+            (void)name;
+            if (seen.insert(tensor.buffer().get()).second)
+                bytes += tensor.buffer()->size();
+        }
+        return bytes;
+    };
+    std::set<const void *> imported;
+    for (const auto &[name, tensor] : graph.initializers()) {
+        (void)name;
+        imported.insert(tensor.raw_data());
+    }
+    const std::size_t before = distinct_bytes(graph);
+
+    simplify_graph(graph);
+    EXPECT_EQ(count_ops(graph, op_names::kBatchNormalization), 0u);
+    EXPECT_LE(distinct_bytes(graph), before);
+    for (const Node &node : graph.nodes()) {
+        if (node.op_type() != op_names::kConv)
+            continue;
+        EXPECT_EQ(imported.count(graph.initializer(node.input(1)).raw_data()),
+                  1u)
+            << node.name() << " folded into new storage";
+    }
 }
 
 TEST(FoldBatchNorm, LeavesBnWithMultipleConsumersOfConv)
@@ -260,6 +420,55 @@ TEST(ConstantFolding, ReshapeOfInitializerFolds)
     ASSERT_TRUE(graph.has_initializer("wr"));
     EXPECT_EQ(graph.initializer("wr").shape(), Shape({1, 6}));
     EXPECT_EQ(graph.initializer("wr").data<float>()[5], 6.0f);
+}
+
+/** Reshape and Flatten of two initializers feeding one Add chain. */
+Graph
+reshape_flatten_graph()
+{
+    Graph graph("g");
+    graph.add_input("x", Shape({1, 6}));
+    graph.add_initializer("w", make_random(Shape({2, 3}), 0xc1));
+    graph.add_initializer("spec", Tensor::from_int64s({1, -1}));
+    graph.add_initializer("v", make_random(Shape({1, 2, 3}), 0xc2));
+    graph.add_node(op_names::kReshape, {"w", "spec"}, {"wr"});
+    graph.add_node(op_names::kFlatten, {"v"}, {"vf"});
+    graph.add_node(op_names::kAdd, {"x", "wr"}, {"a"});
+    graph.add_node(op_names::kAdd, {"a", "vf"}, {"y"});
+    graph.add_output("y");
+    return graph;
+}
+
+TEST(ConstantFolding, SoleOwnedReshapeAndFlattenKeepTheirStorage)
+{
+    Graph graph = reshape_flatten_graph();
+    const void *w = graph.initializer("w").raw_data();
+    const void *v = graph.initializer("v").raw_data();
+
+    EXPECT_TRUE(make_constant_folding_pass()->run(graph));
+    EXPECT_EQ(graph.initializer("wr").shape(), Shape({1, 6}));
+    EXPECT_EQ(graph.initializer("vf").shape(), Shape({1, 6}));
+    EXPECT_EQ(graph.initializer("wr").raw_data(), w);
+    EXPECT_EQ(graph.initializer("vf").raw_data(), v);
+    EXPECT_FALSE(graph.has_initializer("w"));
+    EXPECT_FALSE(graph.has_initializer("v"));
+    EXPECT_NO_THROW(graph.validate());
+}
+
+TEST(ConstantFolding, SharedReshapeSourceIsCopied)
+{
+    Graph graph = reshape_flatten_graph();
+    const Graph shared = graph;
+
+    EXPECT_TRUE(make_constant_folding_pass()->run(graph));
+    EXPECT_NE(graph.initializer("wr").raw_data(),
+              shared.initializer("w").raw_data());
+    EXPECT_NE(graph.initializer("vf").raw_data(),
+              shared.initializer("v").raw_data());
+    EXPECT_EQ(std::memcmp(graph.initializer("wr").raw_data(),
+                          shared.initializer("w").raw_data(),
+                          shared.initializer("w").byte_size()),
+              0);
 }
 
 TEST(EliminateDeadNodes, RemovesUnreachableAndGcsInitializers)

@@ -1,6 +1,9 @@
 /** @file Tests for the quantization subsystem: parameter selection,
  *  quantized kernels, calibration and whole-model PTQ. */
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +65,85 @@ TEST(QuantParams, SymmetricInt8)
     const QuantParams p = choose_int8_symmetric_params(3.0f);
     EXPECT_EQ(p.zero_point, 0);
     EXPECT_NEAR(p.scale, 3.0f / 127.0f, 1e-6f);
+}
+
+/**
+ * The closed-form symmetric int8 quantiser of MXNet's quantize test:
+ * q = sign(x) * min(|x| * 127 / abs_max + 0.5, 127), truncated toward
+ * zero, i.e. scale 127 / max|x|, round half away from zero and clamp to
+ * +-127. Evaluated in double.
+ */
+std::int32_t
+int8_closed_form(float x, float abs_max)
+{
+    const double q =
+        std::min(std::fabs(static_cast<double>(x)) * 127.0 / abs_max + 0.5,
+                 127.0);
+    return static_cast<std::int32_t>(q) * (x < 0.0f ? -1 : 1);
+}
+
+std::vector<std::int32_t>
+quantize_int8_values(const std::vector<float> &values, float abs_max)
+{
+    const Tensor input = Tensor::from_values(
+        Shape({static_cast<std::int64_t>(values.size())}), values);
+    Tensor output(input.shape(), DataType::kInt8);
+    quantize_to_int8(input, choose_int8_symmetric_params(abs_max), output);
+    return std::vector<std::int32_t>(
+        output.data<std::int8_t>(),
+        output.data<std::int8_t>() + output.numel());
+}
+
+TEST(Quantize, Int8SymmetricMatchesClosedFormOnTies)
+{
+    // abs_max 127 and 63.5 make the scale exactly 1 and 0.5, so these
+    // values scale to exact .5 ties; values past abs_max clamp.
+    const std::vector<std::pair<float, std::vector<float>>> cases = {
+        {127.0f,
+         {0.5f, -0.5f, 1.5f, -1.5f, 2.5f, -2.5f, 126.5f, -126.5f, 0.0f,
+          -0.0f, 0.49f, -0.49f, 127.0f, -127.0f, 200.0f, -200.0f}},
+        {63.5f, {0.25f, -0.25f, 0.75f, -0.75f, 1.25f, -1.25f, 63.25f,
+                 -63.25f, 63.5f, -63.5f, 64.0f, -1e6f}},
+    };
+    for (const auto &[abs_max, values] : cases) {
+        const std::vector<std::int32_t> got =
+            quantize_int8_values(values, abs_max);
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            EXPECT_EQ(got[i], int8_closed_form(values[i], abs_max))
+                << "x = " << values[i] << ", abs_max = " << abs_max;
+        }
+    }
+    EXPECT_EQ(quantize_int8_values({2.5f, -2.5f, 200.0f, -200.0f}, 127.0f),
+              (std::vector<std::int32_t>{3, -3, 127, -127}));
+}
+
+TEST(Quantize, Int8SymmetricMatchesClosedFormOnRandomValues)
+{
+    const Tensor values = make_random(Shape({4096}), 0x9a2, -2.7f, 2.7f);
+    float lo, hi;
+    tensor_min_max(values, lo, hi);
+    const float abs_max = std::max(std::fabs(lo), std::fabs(hi));
+    const QuantParams params = choose_int8_symmetric_params(abs_max);
+    EXPECT_EQ(params.zero_point, 0);
+    EXPECT_EQ(params.scale, abs_max / 127.0f);
+
+    const float *x = values.data<float>();
+    const std::vector<std::int32_t> got = quantize_int8_values(
+        std::vector<float>(x, x + values.numel()), abs_max);
+    std::int64_t compared = 0;
+    for (std::int64_t i = 0; i < values.numel(); ++i) {
+        // Within float rounding of a tie the fp32 kernel may round
+        // either way; everywhere else it must match the closed form.
+        const double scaled = std::fabs(static_cast<double>(x[i])) *
+                              127.0 / abs_max;
+        if (std::fabs(scaled - std::floor(scaled) - 0.5) < 1e-4)
+            continue;
+        ++compared;
+        EXPECT_EQ(got[static_cast<std::size_t>(i)],
+                  int8_closed_form(x[i], abs_max))
+            << "x = " << x[i];
+    }
+    EXPECT_GT(compared, 4000);
 }
 
 // --- Tensor round trips ---------------------------------------------------

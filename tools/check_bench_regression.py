@@ -8,10 +8,10 @@ more than the threshold (default 10 %).
 
 Robustness against machine and scheduler noise:
 
- - Multiple result (and baseline) directories are merged by per-cell
-   MINIMUM: the fastest observation of a cell is the least disturbed
-   one, so CI runs each gated bench a few times and passes every
-   output directory.
+ - Multiple result (and baseline) directories are merged per cell by
+   the fastest observation, the least disturbed one: the MINIMUM of a
+   time, the MAXIMUM of a throughput. CI runs each gated bench a few
+   times and passes every output directory.
  - Raw milliseconds are not comparable across machines, so each cell
    is scored as its share of the file's total cell time
    (cell / sum(cells)). A regression shifts the suite's time toward
@@ -29,6 +29,9 @@ Robustness against machine and scheduler noise:
    percentage, so no normalisation is needed (or wanted). Baselines
    for quality-only benches should commit just the _pct cells; count
    cells (retries, quarantines, ...) vary legitimately run to run.
+ - Columns ending in "_rps" are throughputs: higher is better. They
+   are excluded from the normalisation and gated exactly like the
+   "_pct" cells, but merge across runs by maximum.
  - Columns ending in "_ms" are absolute latency bounds (e.g. the
    overload bench's per-class tail cells, whose service time is pinned
    by fault injection so raw milliseconds ARE comparable): they are
@@ -59,12 +62,18 @@ def load_cells(path):
     }
 
 
-def min_merge(paths):
-    """Per-cell minimum across several runs of the same bench."""
+def merge_runs(paths):
+    """Per-cell merge across several runs of the same bench: the
+    maximum of a throughput cell, the minimum of any other."""
     merged = {}
     for path in paths:
         for key, value in load_cells(path).items():
-            merged[key] = min(merged.get(key, float("inf")), value)
+            if key not in merged:
+                merged[key] = value
+            elif is_throughput(key):
+                merged[key] = max(merged[key], value)
+            else:
+                merged[key] = min(merged[key], value)
     return merged
 
 
@@ -74,20 +83,31 @@ def is_quality(key):
     return key[1].endswith("_pct")
 
 
+def is_throughput(key):
+    """Throughput cells ("*_rps" columns): higher is better, gated
+    absolutely rather than as a share of suite time."""
+    return key[1].endswith("_rps")
+
+
 def is_bound(key):
     """Absolute-bound cells ("*_ms" columns): lower is better, gated
     absolutely as an upper bound rather than as a share of suite time."""
     return key[1].endswith("_ms")
 
 
+def is_time(key):
+    """Cells scored as a share of the file's total time."""
+    return not (is_quality(key) or is_throughput(key) or is_bound(key))
+
+
 def scores(cells):
     """Each time cell's share of the file's total time."""
-    total = sum(value for key, value in cells.items()
-                if value > 0 and not is_quality(key) and not is_bound(key))
+    times = {key: value for key, value in cells.items()
+             if value > 0 and is_time(key)}
+    total = sum(times.values())
     if total <= 0:
         return {}
-    return {key: value / total for key, value in cells.items()
-            if value > 0 and not is_quality(key) and not is_bound(key)}
+    return {key: value / total for key, value in times.items()}
 
 
 def check_bench(slug, baseline_dirs, results_dirs, threshold, floor_ms,
@@ -105,8 +125,8 @@ def check_bench(slug, baseline_dirs, results_dirs, threshold, floor_ms,
         return [f"{slug}: no results {name} under "
                 f"{', '.join(results_dirs)} (bench not run?)"]
 
-    baseline_cells = min_merge(baseline_paths)
-    result_cells = min_merge(results_paths)
+    baseline_cells = merge_runs(baseline_paths)
+    result_cells = merge_runs(results_paths)
     baseline_scores = scores(baseline_cells)
     result_scores = scores(result_cells)
 
@@ -114,7 +134,8 @@ def check_bench(slug, baseline_dirs, results_dirs, threshold, floor_ms,
         quality_threshold = threshold
     failures = []
     gated = skipped = 0
-    for key in sorted(k for k in baseline_cells if is_quality(k)):
+    for key in sorted(k for k in baseline_cells
+                      if is_quality(k) or is_throughput(k)):
         row, column = key
         base = baseline_cells[key]
         if key not in result_cells:
@@ -124,8 +145,9 @@ def check_bench(slug, baseline_dirs, results_dirs, threshold, floor_ms,
         gated += 1
         new = result_cells[key]
         if new < base * (1 - quality_threshold):
+            kind = "throughput" if is_throughput(key) else "quality"
             failures.append(
-                f"{slug}: ({row}, {column}) quality dropped "
+                f"{slug}: ({row}, {column}) {kind} dropped "
                 f"{base:.2f} -> {new:.2f} "
                 f"(gate {base * (1 - quality_threshold):.2f})")
     for key in sorted(k for k in baseline_cells if is_bound(k)):
@@ -173,15 +195,16 @@ def main():
         description="fail on >threshold normalised bench regressions")
     parser.add_argument("--baseline", action="append", required=True,
                         help="directory with committed BENCH_*.json "
-                             "(repeatable; merged by per-cell min)")
+                             "(repeatable; merged per cell)")
     parser.add_argument("--results", action="append", required=True,
                         help="directory with fresh BENCH_*.json "
-                             "(repeatable; merged by per-cell min)")
+                             "(repeatable; merged per cell)")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative normalised regression allowed")
     parser.add_argument("--quality-threshold", type=float, default=None,
                         help="relative drop allowed on *_pct quality "
-                             "cells (default: --threshold). Speedup "
+                             "and *_rps throughput cells (default: "
+                             "--threshold). Speedup "
                              "cells (e.g. gemm's simd_speedup_pct) are "
                              "ratios of two timings, so they tolerate a "
                              "different noise band than time shares")
