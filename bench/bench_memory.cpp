@@ -9,11 +9,17 @@
  * runs at model-load time, so it must stay cheap).
  *
  * It also sizes an EnginePool at 1 and 4 replicas: `pool_weight_mb_r<N>`
- * is the distinct initializer bytes across the replicas' graphs (the
- * pool simplifies the model once, so replicas share one folded weight
- * set and r4 must equal r1), and `pool_rss_mb_r<N>` the rise in VmRSS
- * while the pool is built (informational: it also counts arenas,
- * workspaces and allocator state). Those cells are MiB, not ms.
+ * is the distinct initializer storage across the replicas' graphs (the
+ * pool simplifies the model once and its first compile lowers the GEMM
+ * weights into panel order in place of the originals, so replicas share
+ * one folded, packed weight set and r4 must equal r1), and
+ * `pool_rss_mb_r<N>` the rise in VmRSS while the pool is built
+ * (informational: it also counts arenas, workspaces and allocator
+ * state). `import_weight_mb` is the model's initializer bytes as built,
+ * before any pass: the pool holds one copy of each weight (panels are
+ * the size of their weight), so r1 does not exceed it (CI allows 15 %),
+ * where a kept original would read about 2x. Those cells are MiB, not
+ * ms.
  */
 #include "bench_util.hpp"
 
@@ -93,6 +99,12 @@ vm_rss_mb()
 void
 pool_cells(const std::string &model)
 {
+    std::size_t import_bytes = 0;
+    const Graph imported = models::by_name(model);
+    for (const auto &[name, weight] : imported.initializers())
+        import_bytes += weight.buffer()->size();
+    record_cell(model, "import_weight_mb",
+                static_cast<double>(import_bytes) / (1024.0 * 1024.0));
     for (const int replicas : {1, 4}) {
         Graph graph = models::by_name(model);
 #if defined(__GLIBC__)
@@ -112,7 +124,7 @@ pool_cells(const std::string &model)
             for (const auto &[name, weight] :
                  pool.engine(i).graph().initializers())
                 if (seen.insert(weight.raw_data()).second)
-                    weight_bytes += weight.byte_size();
+                    weight_bytes += weight.buffer()->size();
         const std::string suffix = "_r" + std::to_string(replicas);
         record_cell(model, "pool_weight_mb" + suffix,
                     static_cast<double>(weight_bytes) / (1024.0 * 1024.0));

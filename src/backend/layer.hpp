@@ -10,13 +10,15 @@
  *
  *   1. construct  — from a LayerInit (static shapes, attributes,
  *                   resolved constant inputs): decode hyper-parameters.
- *   2. prepare    — once at plan time: build prepacked constant caches
- *                   (packed weights, Winograd U, quantized row sums) and
- *                   report the per-invocation workspace requirement via
- *                   the PlanContext. The engine sizes one workspace
- *                   segment to the maximum across the plan (steps run
- *                   sequentially, so they share it) and hands it back
- *                   through bind_workspace().
+ *   2. prepare    — once at plan time, after the engine has lowered
+ *                   each constant input into the layout the layer asked
+ *                   for (constant_layout): build derived constants
+ *                   (spatial-pack weight order, Winograd U, quantized
+ *                   row sums) and report the per-invocation workspace
+ *                   requirement via the PlanContext. The engine sizes
+ *                   one workspace segment to the maximum across the plan
+ *                   (steps run sequentially, so they share it) and hands
+ *                   it back through bind_workspace().
  *   3. forward    — per inference with the resolved runtime tensors;
  *                   steady-state execution carves all scratch from the
  *                   bound workspace and performs no heap allocation.
@@ -30,9 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -86,106 +86,6 @@ struct LayerInit {
 };
 
 /**
- * Cache of immutable prepacked constant tensors, shared between engine
- * replicas compiled from the same model.
- *
- * A prepared layer's constant caches (spatial-pack weight packs,
- * Winograd U, quantized weight row sums) are pure functions of the
- * model's initializers, so N replicas of one model need exactly one
- * copy. The engine pool hands every replica the same cache through
- * EngineOptions::pack_cache; layers acquire packs by key and hold a
- * shared_ptr-to-const, which makes cross-replica immutability a type
- * system guarantee rather than a convention.
- *
- * Thread-safe: replicas may lazily instantiate reference layers (and
- * thus acquire packs) concurrently. The builder runs under the cache
- * lock so a pack is built at most once; builds are rare plan-time /
- * degradation-time events, never the steady state.
- */
-class ConstantPackCache
-{
-  public:
-    using FloatPack = std::shared_ptr<const std::vector<float>>;
-    using Int32Pack = std::shared_ptr<const std::vector<std::int32_t>>;
-
-    FloatPack
-    acquire_f32(const std::string &key,
-                const std::function<std::vector<float>()> &build)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = f32_.find(key);
-        if (it != f32_.end()) {
-            ++hits_;
-            return it->second;
-        }
-        ++misses_;
-        auto pack = std::make_shared<const std::vector<float>>(build());
-        bytes_ += pack->size() * sizeof(float);
-        f32_.emplace(key, pack);
-        return pack;
-    }
-
-    Int32Pack
-    acquire_i32(const std::string &key,
-                const std::function<std::vector<std::int32_t>()> &build)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = i32_.find(key);
-        if (it != i32_.end()) {
-            ++hits_;
-            return it->second;
-        }
-        ++misses_;
-        auto pack =
-            std::make_shared<const std::vector<std::int32_t>>(build());
-        bytes_ += pack->size() * sizeof(std::int32_t);
-        i32_.emplace(key, pack);
-        return pack;
-    }
-
-    /** Distinct packs held. */
-    std::size_t
-    entries() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return f32_.size() + i32_.size();
-    }
-
-    /** Total bytes of cached pack storage (each pack counted once,
-     *  however many replicas reference it). */
-    std::size_t
-    bytes() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return bytes_;
-    }
-
-    /** Cache hits — acquisitions served without building. */
-    std::int64_t
-    hits() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return hits_;
-    }
-
-    /** Cache misses — acquisitions that built the pack. */
-    std::int64_t
-    misses() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return misses_;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::string, FloatPack> f32_;
-    std::map<std::string, Int32Pack> i32_;
-    std::size_t bytes_ = 0;
-    std::int64_t hits_ = 0;
-    std::int64_t misses_ = 0;
-};
-
-/**
  * Plan-time accumulator for a layer's per-invocation scratch needs.
  *
  * prepare() calls reserve() once per scratch buffer; every reservation
@@ -193,10 +93,10 @@ class ConstantPackCache
  * aligned base addresses. The returned offset is stable for the life of
  * the layer — forward() resolves it against the Workspace bound later.
  *
- * Constant caches go through pack_f32/pack_i32 instead: with a shared
- * ConstantPackCache attached (engine pools) the pack is built once and
- * referenced by every replica; without one (standalone engines) the
- * layer gets a private copy, same code path.
+ * Derived constants go through derived() instead: with the engine's
+ * graph attached they are stored in it as initializers, so engine-pool
+ * replicas, which compile from copies of one lowered graph, share them;
+ * without a graph the layer gets a private copy, same code path.
  */
 class PlanContext
 {
@@ -205,7 +105,7 @@ class PlanContext
     static constexpr std::size_t kWorkspaceAlignment = 64;
 
     PlanContext() = default;
-    explicit PlanContext(ConstantPackCache *packs) : packs_(packs) {}
+    explicit PlanContext(Graph *graph) : graph_(graph) {}
 
     /** Reserves @p bytes of workspace; returns the aligned offset. */
     std::size_t
@@ -221,43 +121,25 @@ class PlanContext
     std::size_t workspace_bytes() const { return total_; }
 
     /**
-     * Acquires the immutable fp32 constant pack identified by @p key
-     * (conventionally "<node>/<impl>/<tag>"), building it via @p build
-     * on first acquisition. Shared across replicas when a cache is
-     * attached; private otherwise.
+     * The derived constant @p name (conventionally "<node>/<impl>/<tag>"),
+     * made by @p build the first time the attached graph is asked for
+     * it and stored there as an initializer; a graph copied from this
+     * one (every replica of a pool) then finds it. Without a graph,
+     * @p build runs for this layer alone.
      */
-    ConstantPackCache::FloatPack
-    pack_f32(const std::string &key,
-             const std::function<std::vector<float>()> &build)
+    Tensor
+    derived(const std::string &name, const std::function<Tensor()> &build)
     {
-        auto pack = packs_ != nullptr
-                        ? packs_->acquire_f32(key, build)
-                        : std::make_shared<const std::vector<float>>(build());
-        pack_bytes_ += pack->size() * sizeof(float);
-        return pack;
+        if (graph_ == nullptr)
+            return build();
+        if (!graph_->has_initializer(name))
+            graph_->add_initializer(name, build());
+        return graph_->initializer(name);
     }
-
-    /** Int32 variant of pack_f32 (quantized weight row sums). */
-    ConstantPackCache::Int32Pack
-    pack_i32(const std::string &key,
-             const std::function<std::vector<std::int32_t>()> &build)
-    {
-        auto pack =
-            packs_ != nullptr
-                ? packs_->acquire_i32(key, build)
-                : std::make_shared<const std::vector<std::int32_t>>(build());
-        pack_bytes_ += pack->size() * sizeof(std::int32_t);
-        return pack;
-    }
-
-    /** Bytes of constant packs this layer references (shared or
-     *  private) — footprint accounting, not workspace. */
-    std::size_t pack_bytes() const { return pack_bytes_; }
 
   private:
     std::size_t total_ = 0;
-    std::size_t pack_bytes_ = 0;
-    ConstantPackCache *packs_ = nullptr;
+    Graph *graph_ = nullptr;
 };
 
 /**
@@ -297,7 +179,23 @@ class Layer
     virtual ~Layer() = default;
 
     /**
-     * Plan-time preparation: build prepacked constant caches and reserve
+     * The layout this layer reads constant input @p input in (a packed
+     * GEMM weight: TensorLayout::kPanelA or kPanelB). A preparing engine
+     * lowers a weight that only this input reads into that layout
+     * before prepare(), in place of the original; every other constant
+     * stays row-major. The default reads everything row-major. A layer
+     * must still accept its constants row-major (an unprepared engine,
+     * a weight shared by two nodes).
+     */
+    virtual TensorLayout
+    constant_layout(std::size_t input) const
+    {
+        (void)input;
+        return {};
+    }
+
+    /**
+     * Plan-time preparation: build derived constants and reserve
      * per-invocation workspace via @p ctx. Called exactly once by the
      * engine, after construction and before the first forward(). The
      * default prepares nothing.

@@ -8,10 +8,12 @@
  * paper's "multiple implementations selected at runtime".
  *
  * Each implementation participates in the prepare stage (layer.hpp):
- * constant caches (spatial-pack weight packs, Winograd U) are built
- * once at plan time, and per-invocation scratch (im2col columns,
- * padded inputs, GEMM panels, Winograd staging) is reserved in the
- * engine workspace so steady-state forward() never heap-allocates.
+ * the GEMM implementations have the engine lower a constant weight into
+ * A panels in place of the original, the others derive their constants
+ * (spatial-pack weight order, Winograd U) once at plan time, and
+ * per-invocation scratch (im2col columns, padded inputs, GEMM panels,
+ * Winograd staging) is reserved in the engine workspace so steady-state
+ * forward() never heap-allocates.
  */
 #include "backend/kernel_registry.hpp"
 
@@ -112,6 +114,23 @@ class ConvIm2colGemmLayer : public ConvLayerBase
   public:
     using ConvLayerBase::ConvLayerBase;
 
+    /** A constant weight is read as A panels for the MR the packed
+     *  variant dispatches to on this layer's shape. */
+    TensorLayout
+    constant_layout(std::size_t input) const override
+    {
+        if (input != 1 || const_weight_ == nullptr ||
+            !gemm_variant_uses_packing(gemm_variant_))
+            return {};
+        TensorLayout layout;
+        layout.kind = TensorLayout::Kind::kPanelA;
+        layout.mr = gemm_packed_mr(gemm_variant_,
+                                   shape_args_.out_c / params_.group,
+                                   shape_args_.out_h * shape_args_.out_w);
+        layout.groups = static_cast<std::int32_t>(params_.group);
+        return layout;
+    }
+
     void
     prepare(PlanContext &ctx) override
     {
@@ -145,10 +164,10 @@ class ConvIm2colGemmLayer : public ConvLayerBase
 };
 
 /**
- * Spatial-pack conv: with constant weights (the usual case) the packed
- * weight cache is built once at plan time and the kernel's packing
- * stage disappears from every inference; runtime weights fall back to
- * per-call packing into workspace.
+ * Spatial-pack conv: with constant weights (the usual case) the weights
+ * in spatial-pack order are derived once at plan time and the kernel's
+ * packing stage disappears from every inference; runtime weights fall
+ * back to per-call packing into workspace.
  */
 class ConvSpatialPackLayer : public ConvLayerBase
 {
@@ -161,14 +180,17 @@ class ConvSpatialPackLayer : public ConvLayerBase
         const std::size_t pack_floats =
             conv2d_spatial_pack_weights_floats(shape_args_);
         if (const_weight_ != nullptr) {
-            // Constant weights: the pack is immutable, so it lives in
-            // the (possibly replica-shared) constant pack cache.
-            packed_weights_ = ctx.pack_f32(
+            // Constant weights: the pack is a derived initializer,
+            // shared by every replica compiled from the lowered graph.
+            packed_weights_ = ctx.derived(
                 node_name_ + "/spatial_pack/weights", [&] {
-                    std::vector<float> pack(pack_floats);
+                    Tensor pack(Shape({static_cast<std::int64_t>(
+                        pack_floats)}));
+                    const Tensor weight = unpack_weight(*const_weight_);
                     Conv2dArgs args = shape_args_;
-                    args.weight = const_weight_->data<float>();
-                    conv2d_spatial_pack_pack_weights(args, pack.data());
+                    args.weight = weight.data<float>();
+                    conv2d_spatial_pack_pack_weights(args,
+                                                     pack.data<float>());
                     return pack;
                 });
         } else {
@@ -187,14 +209,14 @@ class ConvSpatialPackLayer : public ConvLayerBase
     void
     rebind() override
     {
-        if (packed_weights_ != nullptr)
-            scratch_.packed_weights = packed_weights_->data();
+        if (packed_weights_.has_storage())
+            scratch_.packed_weights = packed_weights_.data<float>();
         else
             scratch_.weight_pack = workspace_.at<float>(weight_pack_offset_);
         scratch_.padded_input = workspace_.at<float>(padded_offset_);
     }
 
-    ConstantPackCache::FloatPack packed_weights_;
+    Tensor packed_weights_;
     std::size_t weight_pack_offset_ = 0;
     std::size_t padded_offset_ = 0;
 };
@@ -214,11 +236,13 @@ class ConvWinogradLayer : public ConvLayerBase
     prepare(PlanContext &ctx) override
     {
         if (const_weight_ != nullptr) {
-            cached_u_ = ctx.pack_f32(node_name_ + "/winograd/u", [&] {
-                return winograd_transform_weights(
-                    const_weight_->data<float>(),
+            cached_u_ = ctx.derived(node_name_ + "/winograd/u", [&] {
+                const std::vector<float> u = winograd_transform_weights(
+                    unpack_weight(*const_weight_).data<float>(),
                     const_weight_->shape().dim(0),
                     const_weight_->shape().dim(1));
+                return Tensor::from_values(
+                    Shape({static_cast<std::int64_t>(u.size())}), u);
             });
         }
         v_offset_ = ctx.reserve(conv2d_winograd_v_floats(shape_args_) *
@@ -236,7 +260,7 @@ class ConvWinogradLayer : public ConvLayerBase
     forward(const std::vector<const Tensor *> &inputs,
             const std::vector<Tensor *> &outputs) override
     {
-        if (cached_u_ == nullptr) {
+        if (!cached_u_.has_storage()) {
             // Runtime weights (or an unprepared layer): the per-call
             // transform path through the conv2d dispatcher.
             ConvLayerBase::forward(inputs, outputs);
@@ -259,7 +283,7 @@ class ConvWinogradLayer : public ConvLayerBase
         args.params = params_;
         args.activation = activation_;
         args.gemm_variant = gemm_variant_;
-        conv2d_winograd_pretransformed(args, cached_u_->data(),
+        conv2d_winograd_pretransformed(args, cached_u_.data<float>(),
                                        active_scratch());
     }
 
@@ -275,7 +299,7 @@ class ConvWinogradLayer : public ConvLayerBase
             scratch_.gemm.b_pack = workspace_.at<float>(b_pack_offset_);
     }
 
-    ConstantPackCache::FloatPack cached_u_;
+    Tensor cached_u_;
     std::size_t v_offset_ = 0;
     std::size_t m_offset_ = 0;
     std::size_t b_pack_offset_ = 0;

@@ -169,10 +169,10 @@ class QLinearConvLayer : public Layer
                 sizeof(std::int16_t));
         if (const_weight_ != nullptr) {
             weight_row_sums_ =
-                ctx.pack_i32(node_name_ + "/im2col_qgemm/row_sums", [&] {
-                    std::vector<std::int32_t> sums(
-                        static_cast<std::size_t>(out_c_));
-                    qconv2d_weight_row_sums(*const_weight_, sums.data());
+                ctx.derived(node_name_ + "/im2col_qgemm/row_sums", [&] {
+                    Tensor sums(Shape({out_c_}), DataType::kInt32);
+                    qconv2d_weight_row_sums(*const_weight_,
+                                            sums.data<std::int32_t>());
                     return sums;
                 });
         }
@@ -206,8 +206,8 @@ class QLinearConvLayer : public Layer
         scratch_.acc = workspace_.at<std::int32_t>(acc_offset_);
         if (args_.simd)
             scratch_.pack = workspace_.at<std::int16_t>(pack_offset_);
-        if (weight_row_sums_ != nullptr)
-            scratch_.weight_row_sums = weight_row_sums_->data();
+        if (weight_row_sums_.has_storage())
+            scratch_.weight_row_sums = weight_row_sums_.data<std::int32_t>();
     }
 
     QConv2dArgs args_;
@@ -218,7 +218,7 @@ class QLinearConvLayer : public Layer
     std::int64_t out_c_;
     std::int64_t out_h_;
     std::int64_t out_w_;
-    ConstantPackCache::Int32Pack weight_row_sums_;
+    Tensor weight_row_sums_;
     Workspace workspace_;
     QConv2dScratch scratch_;
     std::size_t col_offset_ = 0;

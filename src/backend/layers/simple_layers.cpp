@@ -240,7 +240,6 @@ class DenseLayer : public Layer
           beta_(init.node->attrs().get_float("beta", 1.0f)),
           has_c_(init.node->has_input(2)),
           variant_(variant),
-          node_name_(init.node->name()),
           const_b_(init.constant(1))
     {
         const Shape &a = init.input(0).shape;
@@ -248,45 +247,46 @@ class DenseLayer : public Layer
         m_ = trans_a_ ? a.dim(1) : a.dim(0);
         k_ = trans_a_ ? a.dim(0) : a.dim(1);
         n_ = trans_b_ ? b.dim(0) : b.dim(1);
-        // Only a transposed constant weight is prepacked; a mismatched
-        // one keeps the per-call path, whose shape check reports it.
-        if (!trans_b_ || b.rank() != 2 || b.dim(1) != k_)
+        // Only a well-shaped constant weight is read as B panels; a
+        // mismatched one keeps the per-call path, whose shape check
+        // reports it.
+        if (b.rank() != 2 || b.dim(trans_b_ ? 1 : 0) != k_)
             const_b_ = nullptr;
+    }
+
+    /** A constant weight is read as op(B) panels, which also absorbs
+     *  the transpose of a transB weight. */
+    TensorLayout
+    constant_layout(std::size_t input) const override
+    {
+        if (input != 1 || const_b_ == nullptr ||
+            !gemm_variant_uses_packing(variant_))
+            return {};
+        TensorLayout layout;
+        layout.kind = TensorLayout::Kind::kPanelB;
+        layout.transposed = trans_b_;
+        return layout;
     }
 
     void
     prepare(PlanContext &ctx) override
     {
+        // A weight in B panels needs neither a transpose nor a packed-B
+        // block per call.
+        const bool b_panels = const_b_ != nullptr &&
+                              const_b_->layout().packed();
         if (trans_a_)
             a_trans_offset_ = ctx.reserve(
                 static_cast<std::size_t>(m_ * k_) * sizeof(float));
-        if (const_b_ != nullptr) {
-            // A constant weight is transposed once into the (possibly
-            // replica-shared) pack cache instead of on every request;
-            // forward() then multiplies it untransposed.
-            b_t_pack_ = ctx.pack_f32(node_name_ + "/dense/b_t", [&] {
-                std::vector<float> b_t(static_cast<std::size_t>(k_ * n_));
-                const float *b = const_b_->data<float>();
-                for (std::int64_t j = 0; j < n_; ++j) {
-                    for (std::int64_t p = 0; p < k_; ++p)
-                        b_t[p * n_ + j] = b[j * k_ + p];
-                }
-                return b_t;
-            });
-            // Read-only view: dense() never writes its B operand.
-            b_t_ = Tensor(Shape({k_, n_}), DataType::kFloat32,
-                          Buffer::wrap(const_cast<float *>(b_t_pack_->data()),
-                                       b_t_pack_->size() * sizeof(float)));
-        } else if (trans_b_) {
+        if (trans_b_ && !b_panels)
             b_trans_offset_ = ctx.reserve(
                 static_cast<std::size_t>(k_ * n_) * sizeof(float));
-        }
         // dense() always calls gemm_general with beta = 0 (it broadcasts
         // C itself), so staging is only needed for a non-unit alpha.
         if (alpha_ != 1.0f)
             product_offset_ = ctx.reserve(
                 static_cast<std::size_t>(m_ * n_) * sizeof(float));
-        if (gemm_variant_uses_packing(variant_))
+        if (gemm_variant_uses_packing(variant_) && !b_panels)
             b_pack_offset_ =
                 ctx.reserve(gemm_packed_b_pack_floats() * sizeof(float));
         prepared_ = true;
@@ -305,25 +305,25 @@ class DenseLayer : public Layer
             const std::vector<Tensor *> &outputs) override
     {
         const Tensor *c = has_c_ ? inputs[2] : nullptr;
-        const bool prepacked_b = b_t_pack_ != nullptr;
-        dense(*inputs[0], prepacked_b ? b_t_ : *inputs[1], c, trans_a_,
-              trans_b_ && !prepacked_b, alpha_, beta_, *outputs[0],
-              variant_, prepared_ ? &scratch_ : nullptr);
+        dense(*inputs[0], *inputs[1], c, trans_a_, trans_b_, alpha_, beta_,
+              *outputs[0], variant_, prepared_ ? &scratch_ : nullptr);
     }
 
   private:
     void
     rebind()
     {
-        if (trans_a_)
+        if (a_trans_offset_ != kNone)
             scratch_.a_trans = workspace_.at<float>(a_trans_offset_);
-        if (trans_b_ && b_t_pack_ == nullptr)
+        if (b_trans_offset_ != kNone)
             scratch_.b_trans = workspace_.at<float>(b_trans_offset_);
-        if (alpha_ != 1.0f)
+        if (product_offset_ != kNone)
             scratch_.product = workspace_.at<float>(product_offset_);
-        if (gemm_variant_uses_packing(variant_))
+        if (b_pack_offset_ != kNone)
             scratch_.b_pack = workspace_.at<float>(b_pack_offset_);
     }
+
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
     bool trans_a_;
     bool trans_b_;
@@ -331,19 +331,16 @@ class DenseLayer : public Layer
     float beta_;
     bool has_c_;
     GemmVariant variant_;
-    std::string node_name_;
     const Tensor *const_b_;
     std::int64_t m_ = 0;
     std::int64_t k_ = 0;
     std::int64_t n_ = 0;
     Workspace workspace_;
     GemmScratch scratch_;
-    ConstantPackCache::FloatPack b_t_pack_;
-    Tensor b_t_;
-    std::size_t a_trans_offset_ = 0;
-    std::size_t b_trans_offset_ = 0;
-    std::size_t product_offset_ = 0;
-    std::size_t b_pack_offset_ = 0;
+    std::size_t a_trans_offset_ = kNone;
+    std::size_t b_trans_offset_ = kNone;
+    std::size_t product_offset_ = kNone;
+    std::size_t b_pack_offset_ = kNone;
     bool prepared_ = false;
 };
 

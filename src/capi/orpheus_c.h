@@ -141,8 +141,8 @@ int orpheus_engine_profile_csv(const orpheus_engine *engine, char *buffer,
 
 /* --- Resilient serving ---------------------------------------------------
  *
- * The service wraps a pool of engine replicas (sharing one prepacked
- * constant cache) behind admission control, a hang watchdog,
+ * The service wraps a pool of engine replicas (sharing one set of
+ * packed weights) behind admission control, a hang watchdog,
  * health-aware failover with bounded retries, and optional overload
  * brownout. This is the surface long-running embedders should use
  * instead of orpheus_engine_run.

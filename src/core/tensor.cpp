@@ -13,8 +13,10 @@ Tensor::Tensor(Shape shape, DataType dtype)
     buffer_ = Buffer::allocate(byte_size());
 }
 
-Tensor::Tensor(Shape shape, DataType dtype, std::shared_ptr<Buffer> buffer)
-    : shape_(std::move(shape)), dtype_(dtype), buffer_(std::move(buffer))
+Tensor::Tensor(Shape shape, DataType dtype, std::shared_ptr<Buffer> buffer,
+               TensorLayout layout)
+    : shape_(std::move(shape)), dtype_(dtype), buffer_(std::move(buffer)),
+      layout_(layout)
 {
     ORPHEUS_CHECK(buffer_ != nullptr, "tensor constructed with null buffer");
     ORPHEUS_CHECK(buffer_->size() >= byte_size(),
@@ -97,7 +99,7 @@ Tensor::fill(float value)
 Tensor
 Tensor::clone() const
 {
-    Tensor copy(shape_, dtype_);
+    Tensor copy(shape_, dtype_, Buffer::allocate(byte_size()), layout_);
     if (byte_size() > 0)
         std::memcpy(copy.raw_data(), raw_data(), byte_size());
     return copy;
@@ -106,6 +108,7 @@ Tensor::clone() const
 Tensor
 Tensor::reshape(Shape shape) const
 {
+    ORPHEUS_CHECK(!layout_.packed(), "reshape of panel tensor " << to_string());
     ORPHEUS_CHECK(shape.numel() == numel(),
                   "reshape " << shape_ << " -> " << shape
                              << " changes element count");
@@ -117,7 +120,8 @@ Tensor::reshape(Shape shape) const
 void
 Tensor::copy_from(const Tensor &src)
 {
-    ORPHEUS_CHECK(src.shape() == shape_ && src.dtype() == dtype_,
+    ORPHEUS_CHECK(src.shape() == shape_ && src.dtype() == dtype_ &&
+                      !src.layout().packed() && !layout_.packed(),
                   "copy_from mismatch: " << src.to_string() << " into "
                                          << to_string());
     if (byte_size() > 0)
@@ -149,6 +153,10 @@ Tensor::to_string() const
 {
     std::ostringstream out;
     out << dtype_ << shape_;
+    if (layout_.kind == TensorLayout::Kind::kPanelA)
+        out << " (A panels, MR " << layout_.mr << ")";
+    else if (layout_.kind == TensorLayout::Kind::kPanelB)
+        out << " (B panels)";
     return out.str();
 }
 

@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -20,6 +21,35 @@
 
 namespace orpheus {
 
+/**
+ * Element order of a tensor's storage. Every tensor is row-major except
+ * a constant GEMM weight that the engine lowered at plan time into the
+ * packed GEMM driver's panel order (pack_weight, ops/gemm/gemm.hpp). A
+ * panel tensor keeps its logical shape, dtype and size; only the order
+ * of its elements differs, so only a kernel that reads that order may
+ * use its data, and unpack_weight restores the row-major form exactly.
+ */
+struct TensorLayout {
+    enum class Kind : std::uint8_t {
+        kRowMajor = 0,
+        /** GEMM A operand: a conv weight [M, C/g, kh, kw] as `groups`
+         *  row-major [M/g, K] matrices, each in row panels of `mr`. */
+        kPanelA,
+        /** GEMM B operand: op(B) [K, N] in 16-column panels;
+         *  `transposed` when the logical tensor is [N, K] (ONNX Gemm
+         *  transB = 1). */
+        kPanelB,
+    };
+    Kind kind = Kind::kRowMajor;
+    std::int32_t mr = 0;
+    std::int32_t groups = 1;
+    bool transposed = false;
+
+    bool packed() const { return kind != Kind::kRowMajor; }
+    friend bool operator==(const TensorLayout &,
+                           const TensorLayout &) = default;
+};
+
 class Tensor
 {
   public:
@@ -29,8 +59,10 @@ class Tensor
     /** Allocates an owned, zero-initialised tensor. */
     Tensor(Shape shape, DataType dtype = DataType::kFloat32);
 
-    /** Tensor viewing an externally managed buffer (no copy). */
-    Tensor(Shape shape, DataType dtype, std::shared_ptr<Buffer> buffer);
+    /** Tensor viewing an externally managed buffer (no copy), whose
+     *  elements are stored in @p layout. */
+    Tensor(Shape shape, DataType dtype, std::shared_ptr<Buffer> buffer,
+           TensorLayout layout = {});
 
     /** Allocates and fills from @p values (size must match numel). */
     static Tensor from_values(Shape shape, const std::vector<float> &values);
@@ -43,6 +75,7 @@ class Tensor
 
     const Shape &shape() const { return shape_; }
     DataType dtype() const { return dtype_; }
+    const TensorLayout &layout() const { return layout_; }
     std::int64_t numel() const { return shape_.numel(); }
     std::size_t byte_size() const
     {
@@ -87,16 +120,17 @@ class Tensor
     /** Sets every element (fp32 only). */
     void fill(float value);
 
-    /** Deep copy into freshly allocated storage. */
+    /** Deep copy into freshly allocated storage (layout included). */
     Tensor clone() const;
 
     /**
      * Returns a tensor sharing this tensor's storage with a different
-     * shape; @p shape must have the same element count.
+     * shape; @p shape must have the same element count. Row-major only.
      */
     Tensor reshape(Shape shape) const;
 
-    /** Copies @p src's bytes into this tensor (shapes/dtypes must match). */
+    /** Copies @p src's bytes into this tensor (shapes/dtypes must match;
+     *  row-major only). */
     void copy_from(const Tensor &src);
 
     /**
@@ -124,6 +158,7 @@ class Tensor
     Shape shape_;
     DataType dtype_ = DataType::kFloat32;
     std::shared_ptr<Buffer> buffer_;
+    TensorLayout layout_;
 };
 
 /**

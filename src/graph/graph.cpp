@@ -60,36 +60,54 @@ Graph::remove_initializer(const std::string &name)
     initializers_.erase(name);
 }
 
-Tensor
-Graph::take_writable_initializer(const std::string &name)
+void
+Graph::replace_initializer(const std::string &name, Tensor tensor)
 {
     auto it = initializers_.find(name);
     ORPHEUS_CHECK(it != initializers_.end(), "no initializer named " << name);
+    it->second = std::move(tensor);
+}
 
+std::size_t
+Graph::readers(const std::string &name) const
+{
     std::size_t reads = is_graph_output(name) ? 1 : 0;
     for (const Node &node : nodes_)
         reads += static_cast<std::size_t>(
             std::count(node.inputs().begin(), node.inputs().end(), name));
-    const bool sole_reader = reads == 1;
+    return reads;
+}
 
+Tensor *
+Graph::writable_initializer(const std::string &name)
+{
+    auto it = initializers_.find(name);
+    ORPHEUS_CHECK(it != initializers_.end(), "no initializer named " << name);
     // A count of 1 cannot race upward: another reference could only be
     // made by copying this graph's own Tensor, and the caller holds the
     // graph by non-const reference. A count above 1 may fall to 1 at any
-    // time, which only costs a needless clone. When the count reads 1,
+    // time, which only costs a needless copy. When the count reads 1,
     // the acquire fence orders this thread's writes after the accesses
     // of a holder that released its copy on another thread.
     const std::shared_ptr<Buffer> &buffer = it->second.buffer();
-    const bool sole_owner = buffer != nullptr && buffer.use_count() == 1 &&
-                            buffer->owns_memory();
-    if (sole_owner && sole_reader) {
-        std::atomic_thread_fence(std::memory_order_acquire);
-        Tensor taken = std::move(it->second);
-        initializers_.erase(it);
+    if (readers(name) != 1 || buffer == nullptr || buffer.use_count() != 1 ||
+        !buffer->owns_memory())
+        return nullptr;
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return &it->second;
+}
+
+Tensor
+Graph::take_writable_initializer(const std::string &name)
+{
+    if (Tensor *stored = writable_initializer(name)) {
+        Tensor taken = std::move(*stored);
+        initializers_.erase(name);
         return taken;
     }
-    Tensor copy = it->second.clone();
-    if (sole_reader)
-        initializers_.erase(it);
+    Tensor copy = initializer(name).clone();
+    if (readers(name) == 1)
+        initializers_.erase(name);
     return copy;
 }
 

@@ -84,12 +84,30 @@ class Graph
     void remove_initializer(const std::string &name);
 
     /**
+     * Stores @p tensor as initializer @p name in place of the current
+     * one: the stored Tensor keeps its address, so pointers to it stay
+     * valid, and the old storage is freed with its last reference.
+     * Throws orpheus::Error when absent.
+     */
+    void replace_initializer(const std::string &name, Tensor tensor);
+
+    /** Node inputs that read @p name, plus one if it is a graph output. */
+    std::size_t readers(const std::string &name) const;
+
+    /**
+     * The stored initializer @p name itself, for writing in place, when
+     * nothing else can see its storage: the graph's tensor is the
+     * buffer's only reference, the buffer owns its memory, exactly one
+     * node input reads @p name and it is not a graph output. nullptr
+     * otherwise. Throws orpheus::Error when absent.
+     */
+    Tensor *writable_initializer(const std::string &name);
+
+    /**
      * Hands a pass the initializer @p name as a tensor it may write,
      * for rewriting the one node input that reads it. Returns the
-     * stored tensor itself (no copy) when nothing else can see its
-     * storage: the graph's tensor is the buffer's only reference, the
-     * buffer owns its memory, exactly one node input reads @p name and
-     * it is not a graph output. Otherwise returns a clone(). Removes
+     * stored tensor itself (no copy) when writable_initializer() would
+     * give it, otherwise a clone(). Removes
      * @p name from the graph unless another reader still needs it.
      * Throws orpheus::Error when absent.
      */

@@ -147,4 +147,54 @@ Pool2dParams::to_attrs(AttributeMap &attrs) const
     attrs.set("ceil_mode", static_cast<std::int64_t>(ceil_mode ? 1 : 0));
 }
 
+Status
+resolve_reshape(const std::string &node, const Shape &input,
+                const std::int64_t *spec, std::size_t rank, Shape &out)
+{
+    const auto fault = [&](const std::string &what) {
+        return invalid_argument_error("Reshape " + node + ": " + what);
+    };
+    std::vector<Shape::dim_type> dims(rank);
+    std::int64_t known = 1;
+    std::size_t wildcard = rank;
+    for (std::size_t i = 0; i < rank; ++i) {
+        std::int64_t d = spec[i];
+        const std::string at = " at position " + std::to_string(i);
+        if (d == -1) {
+            if (wildcard < rank)
+                return fault("more than one -1 in the target shape");
+            wildcard = i;
+            dims[i] = 1;
+            continue;
+        }
+        if (d < -1)
+            return fault("invalid extent " + std::to_string(d) + at);
+        if (d == 0) {
+            if (i >= input.rank())
+                return fault("0" + at + " copies past the input rank " +
+                             std::to_string(input.rank()));
+            d = input.dim(static_cast<int>(i));
+            if (d == 0)
+                return fault("zero extent" + at);
+        }
+        if (__builtin_mul_overflow(known, d, &known))
+            return fault("target element count overflows int64");
+        dims[i] = d;
+    }
+    const std::int64_t elements = input.numel();
+    if (wildcard < rank) {
+        if (known == 0 || elements % known != 0)
+            return fault("cannot infer -1: " + std::to_string(elements) +
+                         " elements do not divide by " +
+                         std::to_string(known));
+        dims[wildcard] = elements / known;
+    }
+    Shape target(std::move(dims));
+    if (target.numel() != elements)
+        return fault("element count changes (" + std::to_string(elements) +
+                     " -> " + std::to_string(target.numel()) + ")");
+    out = std::move(target);
+    return Status::ok();
+}
+
 } // namespace orpheus

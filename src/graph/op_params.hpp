@@ -12,7 +12,10 @@
 
 #include <cstdint>
 
+#include <string>
+
 #include "core/shape.hpp"
+#include "core/status.hpp"
 #include "graph/attribute.hpp"
 
 namespace orpheus {
@@ -81,5 +84,20 @@ struct Pool2dParams {
 
     void to_attrs(AttributeMap &attrs) const;
 };
+
+/**
+ * Resolves the ONNX Reshape target @p spec (@p rank entries) of node
+ * @p node against an input of shape @p input: 0 copies the input extent
+ * at that position, a single -1 takes the elements left over, and every
+ * other entry is the extent itself. Returns kInvalidArgument, naming
+ * the node and the fault, for a second -1, an entry below -1, a 0 past
+ * the input's rank, a zero extent, or an element count that overflows,
+ * does not divide or does not match the input's; @p out is set only on
+ * success. Constant folding and shape inference both resolve Reshape
+ * here.
+ */
+Status resolve_reshape(const std::string &node, const Shape &input,
+                       const std::int64_t *spec, std::size_t rank,
+                       Shape &out);
 
 } // namespace orpheus

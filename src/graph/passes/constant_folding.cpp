@@ -16,6 +16,8 @@
  */
 #include "graph/passes/pass.hpp"
 
+#include "graph/op_params.hpp"
+
 namespace orpheus {
 
 namespace {
@@ -68,31 +70,13 @@ class ConstantFoldingPass : public GraphPass
     {
         const Shape &data_shape = graph.initializer(node.input(0)).shape();
         const Tensor &spec = graph.initializer(node.input(1));
-        const std::int64_t *dims = spec.data<std::int64_t>();
-
-        std::vector<Shape::dim_type> resolved(
-            static_cast<std::size_t>(spec.numel()));
-        std::int64_t known = 1;
-        int wildcard = -1;
-        for (std::size_t d = 0; d < resolved.size(); ++d) {
-            if (dims[d] == -1) {
-                wildcard = static_cast<int>(d);
-                resolved[d] = 1;
-            } else if (dims[d] == 0) {
-                resolved[d] = data_shape.dim(static_cast<int>(d));
-                known *= resolved[d];
-            } else {
-                resolved[d] = dims[d];
-                known *= resolved[d];
-            }
-        }
-        if (wildcard >= 0)
-            resolved[static_cast<std::size_t>(wildcard)] =
-                data_shape.numel() / known;
-
+        Shape target;
+        resolve_reshape(node.name(), data_shape, spec.data<std::int64_t>(),
+                        static_cast<std::size_t>(spec.numel()), target)
+            .throw_if_error();
         graph.add_initializer(
             node.output(0), graph.take_writable_initializer(node.input(0))
-                                .reshape(Shape(resolved)));
+                                .reshape(std::move(target)));
     }
 
     static void

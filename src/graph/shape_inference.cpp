@@ -231,38 +231,11 @@ infer_reshape(const ShapeInferenceContext &ctx)
                   "Reshape " << ctx.node.name()
                              << ": shape operand must be int64");
 
-    const std::int64_t *spec = shape_tensor.data<std::int64_t>();
-    std::vector<Shape::dim_type> dims(
-        static_cast<std::size_t>(shape_tensor.numel()));
-    std::int64_t known = 1;
-    int wildcard = -1;
-    for (std::size_t i = 0; i < dims.size(); ++i) {
-        std::int64_t d = spec[i];
-        if (d == 0) // ONNX: 0 copies the input dimension.
-            d = x.shape.dim(static_cast<int>(i));
-        if (d == -1) {
-            ORPHEUS_CHECK(wildcard < 0, "Reshape " << ctx.node.name()
-                                                   << ": multiple -1 dims");
-            wildcard = static_cast<int>(i);
-            dims[i] = 1;
-            continue;
-        }
-        ORPHEUS_CHECK(d > 0, "Reshape " << ctx.node.name()
-                                        << ": invalid dimension " << spec[i]);
-        dims[i] = d;
-        known *= d;
-    }
-    if (wildcard >= 0) {
-        ORPHEUS_CHECK(known != 0 && x.shape.numel() % known == 0,
-                      "Reshape " << ctx.node.name() << ": cannot infer -1 in "
-                                 << x.shape << " -> requested spec");
-        dims[static_cast<std::size_t>(wildcard)] = x.shape.numel() / known;
-    }
-
-    Shape out(dims);
-    ORPHEUS_CHECK(out.numel() == x.shape.numel(),
-                  "Reshape " << ctx.node.name() << ": element count changes ("
-                             << x.shape << " -> " << out << ")");
+    Shape out;
+    resolve_reshape(ctx.node.name(), x.shape,
+                    shape_tensor.data<std::int64_t>(),
+                    static_cast<std::size_t>(shape_tensor.numel()), out)
+        .throw_if_error();
     return {ValueInfo{"", x.dtype, std::move(out)}};
 }
 

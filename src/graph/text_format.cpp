@@ -232,6 +232,8 @@ to_text(const Graph &graph)
     for (const std::string &name : names) {
         check_name(name);
         const Tensor &tensor = graph.initializer(name);
+        ORPHEUS_CHECK(!tensor.layout().packed(),
+                      "initializer " << name << " is in GEMM panel order");
         write_tensor_line(out, "initializer", name, tensor, false);
         out << "data " << hex_encode(tensor.raw_data(), tensor.byte_size())
             << '\n';

@@ -165,10 +165,15 @@ export_onnx(const Graph &graph)
         initializer_names.push_back(name);
     }
     std::sort(initializer_names.begin(), initializer_names.end());
-    for (const std::string &name : initializer_names)
+    for (const std::string &name : initializer_names) {
+        // A compiled engine's graph holds weights in panel order; only
+        // the model's own graph is exportable.
+        ORPHEUS_CHECK(!graph.initializer(name).layout().packed(),
+                      "initializer " << name << " is in GEMM panel order");
         graph_writer.write_message_field(
             schema::kGraphInitializer,
             write_tensor(name, graph.initializer(name)));
+    }
 
     for (const ValueInfo &input : graph.inputs())
         graph_writer.write_message_field(schema::kGraphInput,

@@ -39,13 +39,23 @@ conv2d(ConvAlgo algo, const Tensor &input, const Tensor &weight,
     ORPHEUS_CHECK(weight.shape().rank() == 4,
                   "conv2d weight must be OIHW, got " << weight.shape());
 
+    const TensorLayout &layout = weight.layout();
+    const bool reads_panels = layout.kind == TensorLayout::Kind::kPanelA &&
+                              algo == ConvAlgo::kIm2colGemm &&
+                              gemm_variant_uses_packing(gemm_variant) &&
+                              layout.groups == params.group;
+    const Tensor unpacked =
+        layout.packed() && !reads_panels ? unpack_weight(weight) : Tensor();
+
     Conv2dArgs args;
     args.input = input.data<float>();
     args.batch = input.shape().dim(0);
     args.in_c = input.shape().dim(1);
     args.in_h = input.shape().dim(2);
     args.in_w = input.shape().dim(3);
-    args.weight = weight.data<float>();
+    args.weight = unpacked.has_storage() ? unpacked.data<float>()
+                                         : weight.data<float>();
+    args.weight_mr = reads_panels ? layout.mr : 0;
     args.out_c = weight.shape().dim(0);
     args.bias = bias != nullptr ? bias->data<float>() : nullptr;
     args.output = output.data<float>();

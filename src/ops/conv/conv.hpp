@@ -61,6 +61,10 @@ struct Conv2dArgs {
     std::int64_t in_w = 0;
 
     const float *weight = nullptr; ///< OIHW, I = in_c / group.
+    /** > 0 when @p weight holds A panels of this MR (pack_weight with
+     *  TensorLayout::kPanelA, one group after another); only the packed
+     *  GEMM variants of kIm2colGemm read that order. */
+    int weight_mr = 0;
     std::int64_t out_c = 0;
 
     const float *bias = nullptr;   ///< Length out_c, may be null.
@@ -196,7 +200,9 @@ void conv2d_depthwise_neon(const Conv2dArgs &args);
 /**
  * Tensor-level convenience wrapper: validates shapes, builds Conv2dArgs
  * and dispatches on @p algo. @p bias may be null. @p output must be
- * pre-allocated with the inferred output shape.
+ * pre-allocated with the inferred output shape. A weight in A panels is
+ * read in place by kIm2colGemm on a packed GEMM variant; every other
+ * algorithm unpacks it for itself, per call.
  */
 void conv2d(ConvAlgo algo, const Tensor &input, const Tensor &weight,
             const Tensor *bias, const Conv2dParams &params,

@@ -7,11 +7,12 @@
  * multiply is large for the deep layers of ResNet/Inception-class
  * networks — exactly the regime where the paper reports Orpheus winning.
  * The packed GEMM variants read the im2col view straight into their B
- * panels (gemm_packed_im2col), so no K x N column matrix is written;
- * the naive and blocked variants, which the PyTorch-like and
- * DarkNet-like personalities run, still materialise it with im2col().
- * Pointwise (1x1, stride 1, unpadded) convs need neither: the input is
- * already the B matrix.
+ * panels (gemm_packed_operands), so no K x N column matrix is written,
+ * and read a weight the engine lowered into A panels in place; the
+ * naive and blocked variants, which the PyTorch-like and DarkNet-like
+ * personalities run, still materialise it with im2col(). Pointwise (1x1,
+ * stride 1, unpadded) convs need neither: the input is already the B
+ * matrix.
  */
 #include "ops/conv/conv.hpp"
 
@@ -52,8 +53,10 @@ conv2d_im2col_gemm(const Conv2dArgs &args, const Conv2dScratch *scratch)
     const std::int64_t gemm_k = group_in_c * p.kernel_h * p.kernel_w;
     const std::int64_t gemm_n = args.out_h * args.out_w;
     const bool is_pointwise = is_pointwise_conv(p);
-    const bool packs_window =
-        !is_pointwise && gemm_variant_uses_packing(args.gemm_variant);
+    const bool packed = gemm_variant_uses_packing(args.gemm_variant);
+    ORPHEUS_CHECK(packed || args.weight_mr == 0,
+                  "A panels need a packed GEMM variant, got "
+                      << to_string(args.gemm_variant));
 
     // Only the unpacked variants lower into a column matrix, reused
     // across images and groups; prepared layers supply it from the
@@ -74,17 +77,26 @@ conv2d_im2col_gemm(const Conv2dArgs &args, const Conv2dScratch *scratch)
             const float *group_input =
                 args.input +
                 (n * args.in_c + g * group_in_c) * args.in_h * args.in_w;
+            // A panels keep each group's M x K floats where the
+            // row-major weight has them.
             const float *group_weight = args.weight + g * group_out_c * gemm_k;
             float *group_output =
                 args.output +
                 (n * args.out_c + g * group_out_c) * args.out_h * args.out_w;
 
-            if (packs_window) {
+            if (packed) {
+                const PackedA a =
+                    args.weight_mr > 0
+                        ? PackedA{nullptr, 0, group_weight, args.weight_mr}
+                        : PackedA{group_weight, gemm_k};
                 const Im2colWindow window{group_input, args.in_h, args.in_w,
                                           args.out_w, p};
-                gemm_packed_im2col(args.gemm_variant, group_out_c, gemm_n,
-                                   gemm_k, group_weight, gemm_k, window,
-                                   group_output, gemm_n, gemm_scratch);
+                const PackedB b = is_pointwise
+                                      ? PackedB{group_input, gemm_n}
+                                      : PackedB{nullptr, 0, &window};
+                gemm_packed_operands(args.gemm_variant, group_out_c, gemm_n,
+                                     gemm_k, a, b, group_output, gemm_n,
+                                     gemm_scratch);
             } else {
                 // 1x1 stride-1 convolutions skip the lowering entirely:
                 // the input already *is* the column matrix.

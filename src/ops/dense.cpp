@@ -26,9 +26,24 @@ dense(const Tensor &a, const Tensor &b, const Tensor *c, bool trans_a,
 
     float *out = output.data<float>();
 
+    // A weight the engine lowered into B panels is read in place by the
+    // packed variants; any other variant unpacks it for itself.
+    const bool panels = b.layout().kind == TensorLayout::Kind::kPanelB;
+    ORPHEUS_CHECK(!panels || b.layout().transposed == trans_b,
+                  "dense B panels disagree with transB");
+    Tensor unpacked;
+    const Tensor *b_rows = &b;
+    if (panels && !gemm_variant_uses_packing(variant)) {
+        unpacked = unpack_weight(b);
+        b_rows = &unpacked;
+    }
+    const PackedB b_operand =
+        b_rows->layout().packed()
+            ? PackedB{nullptr, 0, nullptr, b_rows->data<float>()}
+            : PackedB{b_rows->data<float>(), b_rows->shape().dim(1)};
     gemm_general(variant, trans_a, trans_b, m, n, k, alpha,
-                 a.data<float>(), a.shape().dim(1), b.data<float>(),
-                 b.shape().dim(1), 0.0f, out, n, scratch);
+                 a.data<float>(), a.shape().dim(1), b_operand, 0.0f, out, n,
+                 scratch);
 
     if (c == nullptr || beta == 0.0f)
         return;

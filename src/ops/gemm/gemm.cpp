@@ -53,8 +53,8 @@ gemm(GemmVariant variant, std::int64_t m, std::int64_t n, std::int64_t k,
 void
 gemm_general(GemmVariant variant, bool trans_a, bool trans_b, std::int64_t m,
              std::int64_t n, std::int64_t k, float alpha, const float *a,
-             std::int64_t lda, const float *b, std::int64_t ldb, float beta,
-             float *c, std::int64_t ldc, const GemmScratch *scratch)
+             std::int64_t lda, const PackedB &b_operand, float beta, float *c,
+             std::int64_t ldc, const GemmScratch *scratch)
 {
     // Materialise transposed operands so every core kernel only has to
     // handle the plain row-major case. Prepared layers pass staging
@@ -73,7 +73,8 @@ gemm_general(GemmVariant variant, bool trans_a, bool trans_b, std::int64_t m,
         a = a_trans;
         lda = k;
     }
-    if (trans_b) {
+    PackedB b = b_operand;
+    if (trans_b && b.panels == nullptr) {
         float *b_trans = scratch != nullptr ? scratch->b_trans : nullptr;
         if (b_trans == nullptr) {
             b_fallback.resize(static_cast<std::size_t>(k * n));
@@ -81,24 +82,29 @@ gemm_general(GemmVariant variant, bool trans_a, bool trans_b, std::int64_t m,
         }
         for (std::int64_t j = 0; j < n; ++j) {
             for (std::int64_t p = 0; p < k; ++p)
-                b_trans[p * n + j] = b[j * ldb + p];
+                b_trans[p * n + j] = b.b[j * b.ldb + p];
         }
-        b = b_trans;
-        ldb = n;
+        b = PackedB{b_trans, n};
     }
 
-    if (alpha == 1.0f && beta == 0.0f) {
-        gemm(variant, m, n, k, a, lda, b, ldb, c, ldc, scratch);
-        return;
-    }
-
-    float *product = scratch != nullptr ? scratch->product : nullptr;
+    float *product = c;
+    std::int64_t ldp = ldc;
     std::vector<float> product_fallback;
-    if (product == nullptr) {
-        product_fallback.resize(static_cast<std::size_t>(m * n));
-        product = product_fallback.data();
+    if (alpha != 1.0f || beta != 0.0f) {
+        product = scratch != nullptr ? scratch->product : nullptr;
+        if (product == nullptr) {
+            product_fallback.resize(static_cast<std::size_t>(m * n));
+            product = product_fallback.data();
+        }
+        ldp = n;
     }
-    gemm(variant, m, n, k, a, lda, b, ldb, product, n, scratch);
+    if (b.panels != nullptr)
+        gemm_packed_operands(variant, m, n, k, PackedA{a, lda}, b, product,
+                             ldp, scratch);
+    else
+        gemm(variant, m, n, k, a, lda, b.b, b.ldb, product, ldp, scratch);
+    if (product == c)
+        return;
     for (std::int64_t i = 0; i < m; ++i) {
         for (std::int64_t j = 0; j < n; ++j) {
             const float previous = beta == 0.0f ? 0.0f : c[i * ldc + j];

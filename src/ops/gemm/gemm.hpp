@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/tensor.hpp"
 #include "graph/op_params.hpp"
 
 namespace orpheus {
@@ -131,18 +132,99 @@ struct Im2colWindow {
     Conv2dParams params;
 };
 
+/** Where the packed driver reads A: the row-major matrix (a, lda), or,
+ *  when @p panels is set, that matrix already in the driver's panel
+ *  order for row panels of @p mr rows (pack_gemm_a). */
+struct PackedA {
+    const float *a = nullptr;
+    std::int64_t lda = 0;
+    const float *panels = nullptr;
+    int mr = 0;
+};
+
+/** Where the packed driver reads B: the row-major matrix (b, ldb), the
+ *  im2col view @p window describes, or, when @p panels is set, the
+ *  matrix already in the driver's panel order (pack_gemm_b), which the
+ *  SIMD bodies load aligned: @p panels must be 64-byte aligned (Buffer
+ *  storage is). */
+struct PackedB {
+    const float *b = nullptr;
+    std::int64_t ldb = 0;
+    const Im2colWindow *window = nullptr;
+    const float *panels = nullptr;
+};
+
 /**
- * C[M x N] = A[M x K] * im2col(window) through gemm_packed (kPacked) or
- * gemm_packed_simd (kPackedSimd), with K = channels * kernel_h *
- * kernel_w and N = out_h * out_w. Bit for bit what im2col() followed
- * by the same kernel on the column matrix gives, with the same scratch
- * (only GemmScratch::b_pack). @p variant must use packing, and the
- * padded plane must have fewer than 2^31 elements.
+ * Rows per A panel (the micro-kernel's MR) of a packed GEMM of @p m rows
+ * and @p n columns through @p variant, picked exactly as the dispatcher
+ * picks its body: 12 (AVX-512) only when m > 6 and n >= 16, else 6
+ * (AVX2); 4 for the NEON and scalar bodies.
  */
-void gemm_packed_im2col(GemmVariant variant, std::int64_t m, std::int64_t n,
-                        std::int64_t k, const float *a, std::int64_t lda,
-                        const Im2colWindow &b, float *c, std::int64_t ldc,
-                        const GemmScratch *scratch = nullptr);
+int gemm_packed_mr(GemmVariant variant, std::int64_t m, std::int64_t n);
+
+/**
+ * C[M x N] = A[M x K] * B[K x N] through gemm_packed (kPacked) or
+ * gemm_packed_simd (kPackedSimd), with either operand read from any of
+ * its sources. A prepacked A runs the body of its own MR. Every source
+ * gives the micro-kernel the same floats in the same order, so the
+ * result is bit for bit what the row-major operands give. An im2col B
+ * is bit for bit im2col() followed by the same kernel, and its padded
+ * plane must have fewer than 2^31 elements. @p variant must use packing.
+ */
+void gemm_packed_operands(GemmVariant variant, std::int64_t m,
+                          std::int64_t n, std::int64_t k, const PackedA &a,
+                          const PackedB &b, float *c, std::int64_t ldc,
+                          const GemmScratch *scratch = nullptr);
+
+/**
+ * Packs row-major A (a, lda) [M x K] into the driver's A panel order for
+ * MR @p mr. Panels of mr rows follow each other (the last holds the rows
+ * left, and the driver pads it per call); panel i starts at i * mr * K,
+ * with its K blocks in order, each depth-major with the panel's rows
+ * interleaved. A panel thus occupies exactly its rows' storage in a
+ * row-major [M x K] matrix, and @p out may be @p a itself (lda == k):
+ * each panel is staged before it is rewritten.
+ */
+void pack_gemm_a(const float *a, std::int64_t lda, std::int64_t m,
+                 std::int64_t k, int mr, float *out);
+
+/** Inverse of pack_gemm_a into row-major A (lda = k). Exact. */
+void unpack_gemm_a(const float *panels, std::int64_t m, std::int64_t k,
+                   int mr, float *a);
+
+/**
+ * Packs op(B) [K x N] into the driver's B panel order: pack_gemm_a's
+ * order with the columns of op(B) as lanes, in panels of 16 (the SIMD
+ * bodies load full panels aligned, so 64-byte storage keeps them so).
+ * op(B)[p][j] is b[j * ldb + p] when @p trans, and then @p out may be
+ * @p b itself (ldb == k); else it is b[p * ldb + j] and @p out must not
+ * overlap @p b.
+ */
+void pack_gemm_b(const float *b, std::int64_t ldb, bool trans,
+                 std::int64_t k, std::int64_t n, float *out);
+
+/** Inverse of pack_gemm_b into B (ld = k when @p trans, else n). */
+void unpack_gemm_b(const float *panels, std::int64_t k, std::int64_t n,
+                   bool trans, float *b);
+
+/**
+ * A row-major fp32 weight in @p layout, in fresh storage: a conv weight
+ * [M, C/g, kh, kw] as kPanelA (layout.groups = g), or a Gemm weight
+ * ([K, N], or [N, K] with layout.transposed) as kPanelB. Panels hold
+ * exactly the weight's floats.
+ */
+Tensor pack_weight(const Tensor &weight, const TensorLayout &layout);
+
+/**
+ * pack_weight in @p weight's own storage, which the caller must hold
+ * exclusively; false (and @p weight untouched) for a [K, N] Gemm weight,
+ * whose panels do not follow its rows.
+ */
+bool pack_weight_in_place(Tensor &weight, const TensorLayout &layout);
+
+/** The row-major form of a panel tensor, in fresh storage (exact:
+ *  packing is a permutation); a row-major tensor is returned as is. */
+Tensor unpack_weight(const Tensor &weight);
 
 /** Parses "naive" / "blocked" / "packed"; throws on anything else. */
 GemmVariant parse_gemm_variant(const std::string &name);
@@ -158,15 +240,15 @@ void gemm(GemmVariant variant, std::int64_t m, std::int64_t n,
  * C = alpha * op(A) * op(B) + beta * C, where op transposes when the
  * corresponding flag is set. Transposed operands are materialised into a
  * contiguous scratch copy, then the selected kernel runs. At batch 1 that
- * strided copy costs more than the multiply, so the Gemm layer
- * pre-transposes constant weights once at plan time and passes them
- * untransposed; only runtime operands are transposed here, per call.
- * @p scratch (optional) supplies the transpose/product staging buffers.
+ * strided copy costs more than the multiply, so the engine lowers a
+ * constant weight into B panels once at plan time (b.panels, with
+ * @p trans_b ignored); only runtime operands are transposed here, per
+ * call. @p scratch (optional) supplies the staging buffers.
  */
 void gemm_general(GemmVariant variant, bool trans_a, bool trans_b,
                   std::int64_t m, std::int64_t n, std::int64_t k,
                   float alpha, const float *a, std::int64_t lda,
-                  const float *b, std::int64_t ldb, float beta, float *c,
-                  std::int64_t ldc, const GemmScratch *scratch = nullptr);
+                  const PackedB &b, float beta, float *c, std::int64_t ldc,
+                  const GemmScratch *scratch = nullptr);
 
 } // namespace orpheus

@@ -13,12 +13,14 @@
  * (gemm_packed_b_pack_floats()), so prepared layers and pooled replicas
  * never care which micro-kernel the dispatcher picks.
  *
- * B reaches the panels from one of two sources (PackedB): a row-major
- * matrix, or the im2col view of an image (Im2colWindow), which
- * pack_b_window gathers straight from the input planes. GEMM
- * convolution therefore never writes a column matrix on the packed
- * variants, and its panels hold the same floats in the same order as
- * im2col() + pack_b_block would give.
+ * B reaches the panels from one of three sources (PackedB): a row-major
+ * matrix, the im2col view of an image (Im2colWindow), which
+ * pack_b_window gathers straight from the input planes, or panels the
+ * engine packed once at plan time (a Gemm weight). A likewise comes
+ * row-major or as plan-time panels (a conv weight). GEMM convolution
+ * therefore never writes a column matrix on the packed variants, and
+ * every source hands the micro-kernel the same floats in the same order
+ * as packing the row-major operands per call would.
  *
  * Everything here has internal linkage (an unnamed namespace): the
  * per-ISA files compile this header with their own -m flags, and a
@@ -45,14 +47,6 @@
 namespace orpheus {
 
 namespace gemm_detail {
-
-/** Where the packed driver reads B: the row-major matrix (b, ldb), or,
- *  when @p window is set, the im2col view it describes. */
-struct PackedB {
-    const float *b = nullptr;
-    std::int64_t ldb = 0;
-    const Im2colWindow *window = nullptr;
-};
 
 namespace {
 
@@ -102,6 +96,20 @@ pack_b_block(const float *b, std::int64_t ldb, std::int64_t p0,
                 dst[p * kPackNr + j] = 0.0f;
         }
     }
+}
+
+/**
+ * Widens a depth-major panel of @p live interleaved elements per step
+ * (the last, partial panel of plan-time panels) to @p full elements per
+ * step, zero-padded: the order pack_a_panel / pack_b_block give it.
+ */
+inline void
+widen_panel(const float *panel, std::int64_t live, std::int64_t depth,
+            std::int64_t full, float *out)
+{
+    for (std::int64_t p = 0; p < depth; ++p)
+        for (std::int64_t e = 0; e < full; ++e)
+            out[p * full + e] = e < live ? panel[p * live + e] : 0.0f;
 }
 
 /**
@@ -156,7 +164,7 @@ pack_b_window(const Im2colWindow &w, std::int64_t p0, std::int64_t depth,
     const std::int64_t plane = w.height * w.width;
     const std::int64_t c_begin = p0 / taps;
     const std::int64_t c_end = (p0 + depth + taps - 1) / taps;
-    // gemm_packed_im2col checked that every window coordinate and
+    // gemm_packed_operands checked that every window coordinate and
     // in-plane offset fits in 32 bits.
     const auto height = static_cast<std::int32_t>(w.height);
     const auto width_in = static_cast<std::int32_t>(w.width);
@@ -234,13 +242,17 @@ aligned_fallback(std::vector<float> &storage, std::size_t floats)
  * is invoked as micro_kernel(depth, ap, bp, c, ldc, rows, width) with
  * rows <= MR and width <= kPackNr; every variant therefore accumulates
  * each C element in the same p order, so results differ across ISAs
- * only by FMA contraction (a few ULP).
+ * only by FMA contraction (a few ULP). Prepacked operands are read in
+ * place (pack_gemm_a for this MR, pack_gemm_b): K block pc of the panel
+ * of lanes [l0, l0 + w) is at l0 * k + w * pc. Only the last, partial
+ * panel is widened to a full one first; B panels need no packed-B
+ * scratch.
  */
 template <int MR, typename MicroKernel>
 inline void
 packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
-                   const float *a, std::int64_t lda, const PackedB &b,
-                   float *c, std::int64_t ldc, const GemmScratch *scratch,
+                   const PackedA &a, const PackedB &b, float *c,
+                   std::int64_t ldc, const GemmScratch *scratch,
                    MicroKernel micro_kernel)
 {
     for (std::int64_t i = 0; i < m; ++i)
@@ -250,11 +262,16 @@ packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
     // Prepared callers pass the packed-B block through scratch (carved
     // from the engine workspace); standalone calls fall back to a local
     // allocation.
-    float *b_pack = scratch != nullptr ? scratch->b_pack : nullptr;
+    float *b_pack = nullptr;
     std::vector<float> b_pack_fallback;
-    if (b_pack == nullptr)
-        b_pack = aligned_fallback(b_pack_fallback,
-                                  gemm_packed_b_pack_floats());
+    if (b.panels == nullptr) {
+        b_pack = scratch != nullptr ? scratch->b_pack : nullptr;
+        if (b_pack == nullptr)
+            b_pack = aligned_fallback(b_pack_fallback,
+                                      gemm_packed_b_pack_floats());
+    }
+    // The last B panel of a block, widened (16 KiB).
+    alignas(64) float b_tail[kPackNr * kPackBlockK];
 
     const std::int64_t row_panels = (m + MR - 1) / MR;
 
@@ -263,10 +280,16 @@ packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
         const std::int64_t col_panels = (nc + kPackNr - 1) / kPackNr;
         for (std::int64_t pc = 0; pc < k; pc += kPackBlockK) {
             const std::int64_t kc = std::min(kPackBlockK, k - pc);
-            if (b.window != nullptr)
+            const std::int64_t tail = nc % kPackNr;
+            if (b.panels != nullptr) {
+                if (tail != 0)
+                    widen_panel(b.panels + (jc + nc - tail) * k + tail * pc,
+                                tail, kc, kPackNr, b_tail);
+            } else if (b.window != nullptr) {
                 pack_b_window(*b.window, pc, kc, jc, nc, b_pack);
-            else
+            } else {
                 pack_b_block(b.b, b.ldb, pc, kc, jc, nc, b_pack);
+            }
 
             parallel_for(row_panels, [&](std::int64_t begin,
                                          std::int64_t end) {
@@ -280,16 +303,29 @@ packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
                     const std::int64_t i0 = panel * MR;
                     const std::int64_t rows = std::min<std::int64_t>(
                         MR, m - i0);
-                    pack_a_panel<MR>(a, lda, i0, rows, pc, kc, a_pack);
+                    const float *ap = a_pack;
+                    if (a.panels == nullptr) {
+                        pack_a_panel<MR>(a.a, a.lda, i0, rows, pc, kc,
+                                         a_pack);
+                    } else {
+                        const float *panel_a = a.panels + i0 * k + rows * pc;
+                        if (rows == MR)
+                            ap = panel_a;
+                        else
+                            widen_panel(panel_a, rows, kc, MR, a_pack);
+                    }
 
                     for (std::int64_t jp = 0; jp < col_panels; ++jp) {
                         const std::int64_t j_base = jc + jp * kPackNr;
                         const std::int64_t width =
                             std::min(kPackNr, jc + nc - j_base);
-                        micro_kernel(kc, a_pack,
-                                     b_pack + jp * kc * kPackNr,
-                                     c + i0 * ldc + j_base, ldc, rows,
-                                     width);
+                        const float *bp = b_tail;
+                        if (b.panels == nullptr)
+                            bp = b_pack + jp * kc * kPackNr;
+                        else if (width == kPackNr)
+                            bp = b.panels + j_base * k + kPackNr * pc;
+                        micro_kernel(kc, ap, bp, c + i0 * ldc + j_base, ldc,
+                                     rows, width);
                     }
                 }
             });
@@ -305,18 +341,15 @@ packed_gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
 // ORPHEUS_SIMD_* definition is set).
 #if defined(ORPHEUS_SIMD_X86)
 void gemm_packed_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float *a, std::int64_t lda,
-                      const gemm_detail::PackedB &b, float *c,
+                      const PackedA &a, const PackedB &b, float *c,
                       std::int64_t ldc, const GemmScratch *scratch);
 void gemm_packed_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const float *a, std::int64_t lda,
-                        const gemm_detail::PackedB &b, float *c,
+                        const PackedA &a, const PackedB &b, float *c,
                         std::int64_t ldc, const GemmScratch *scratch);
 #endif
 #if defined(ORPHEUS_SIMD_NEON)
 void gemm_packed_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float *a, std::int64_t lda,
-                      const gemm_detail::PackedB &b, float *c,
+                      const PackedA &a, const PackedB &b, float *c,
                       std::int64_t ldc, const GemmScratch *scratch);
 #endif
 

@@ -82,11 +82,10 @@ neon_micro_kernel(std::int64_t depth, const float *__restrict ap,
 
 void
 gemm_packed_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float *a, std::int64_t lda,
-                 const gemm_detail::PackedB &b, float *c, std::int64_t ldc,
-                 const GemmScratch *scratch)
+                 const PackedA &a, const PackedB &b, float *c,
+                 std::int64_t ldc, const GemmScratch *scratch)
 {
-    gemm_detail::packed_gemm_driver<kMr>(m, n, k, a, lda, b, c, ldc, scratch,
+    gemm_detail::packed_gemm_driver<kMr>(m, n, k, a, b, c, ldc, scratch,
                                          neon_micro_kernel);
 }
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "core/logging.hpp"
+#include "ops/gemm/gemm.hpp"
 
 namespace orpheus {
 
@@ -147,6 +148,7 @@ Engine::compile()
         step.node_name = node.name();
         step.op_type = node.op_type();
         step.layer = registry.instantiate(*selection.kernel, init);
+        lower_constants(init, *step.layer);
         prepare_layer(*step.layer);
         for (const std::string &in : node.inputs()) {
             if (in.empty()) {
@@ -335,13 +337,39 @@ Engine::set_active_batch(std::int64_t n)
 }
 
 void
+Engine::lower_constants(const LayerInit &init, const Layer &layer)
+{
+    if (!options_.prepare_kernels)
+        return;
+    const std::vector<std::string> &names = init.node->inputs();
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const Tensor *constant = init.constant(i);
+        if (constant == nullptr)
+            continue;
+        const TensorLayout layout = layer.constant_layout(i);
+        if (constant->layout() == layout || graph_.readers(names[i]) != 1)
+            continue;
+        // Panels hold exactly a weight's floats, panel by panel in its
+        // own rows' storage: a weight only the graph holds is repacked
+        // where it is, so lowering neither allocates nor frees one.
+        Tensor *stored = graph_.writable_initializer(names[i]);
+        if (stored != nullptr && layout.packed() &&
+            !stored->layout().packed() &&
+            pack_weight_in_place(*stored, layout))
+            continue;
+        const Tensor plain = unpack_weight(*constant);
+        graph_.replace_initializer(
+            names[i], layout.packed() ? pack_weight(plain, layout) : plain);
+    }
+}
+
+void
 Engine::prepare_layer(Layer &layer)
 {
     if (!options_.prepare_kernels)
         return;
-    PlanContext ctx(options_.pack_cache.get());
+    PlanContext ctx(&graph_);
     layer.prepare(ctx);
-    memory_plan_.constant_pack_bytes += ctx.pack_bytes();
     const std::size_t required = ctx.workspace_bytes();
     if (required > memory_plan_.workspace_bytes) {
         request_footprint_bytes_ +=
@@ -498,7 +526,7 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
         record_trip(index, GuardTrip::kFault, fault.what());
         // Retry on the reference; a second failure propagates. The
         // reference output is the trusted root — no scan needed.
-        reference_layer(step).forward(step.inputs, step.outputs);
+        run_reference(step, step.outputs);
         return;
     }
 
@@ -596,10 +624,29 @@ Engine::reference_layer(PlanStep &step)
                                           << step.op_type << "."
                                           << step.reference_impl
                                           << " is no longer registered");
-        step.standby_layer = registry.instantiate(*def, step.init);
+        LayerInit init = step.init;
+        step.standby_inputs = step.inputs;
+        step.unpacked_constants.reserve(init.constant_inputs.size());
+        for (std::size_t i = 0; i < init.constant_inputs.size(); ++i) {
+            const Tensor *constant = init.constant_inputs[i];
+            if (constant == nullptr || !constant->layout().packed())
+                continue;
+            step.unpacked_constants.push_back(unpack_weight(*constant));
+            init.constant_inputs[i] = &step.unpacked_constants.back();
+            step.standby_inputs[i] = init.constant_inputs[i];
+        }
+        step.standby_layer = registry.instantiate(*def, init);
         prepare_layer(*step.standby_layer);
     }
     return *step.standby_layer;
+}
+
+void
+Engine::run_reference(PlanStep &step, const std::vector<Tensor *> &outputs)
+{
+    Layer &reference = reference_layer(step);
+    reference.forward(step.degraded ? step.inputs : step.standby_inputs,
+                      outputs);
 }
 
 void
@@ -611,6 +658,7 @@ Engine::route_step(std::size_t index, bool to_reference)
     if (to_reference)
         reference_layer(step); // Throws now if no fallback is registered.
     std::swap(step.layer, step.standby_layer);
+    std::swap(step.inputs, step.standby_inputs);
     step.degraded = to_reference;
 }
 
@@ -634,7 +682,7 @@ Engine::confirm_outputs(PlanStep &step)
         // produces these values (e.g. a genuine overflow) — not
         // corruption. Either way the outputs now hold the reference
         // result, so downstream steps consume trusted data.
-        reference_layer(step).forward(step.inputs, step.outputs);
+        run_reference(step, step.outputs);
         const GuardVerdict confirm = scan_output(*step.outputs[i], policy);
         if (!confirm.ok())
             return GuardVerdict{};
@@ -654,7 +702,7 @@ Engine::run_shadow(PlanStep &step)
         scratch.emplace_back(output->shape(), output->dtype());
     for (Tensor &tensor : scratch)
         scratch_ptrs.push_back(&tensor);
-    reference_layer(step).forward(step.inputs, scratch_ptrs);
+    run_reference(step, scratch_ptrs);
 
     for (std::size_t i = 0; i < step.outputs.size(); ++i) {
         const ShadowComparison comparison =

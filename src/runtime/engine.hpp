@@ -8,7 +8,10 @@
  *   2. infer every value's shape/dtype,
  *   3. plan intermediate-activation memory into one shared arena,
  *   4. select one kernel implementation per node (heuristic, pinned or
- *      auto-tuned) and instantiate its Layer.
+ *      auto-tuned) and instantiate its Layer,
+ *   5. lower each constant a layer reads packed (a GEMM weight in panel
+ *      order) into that layout in place of the original, then prepare
+ *      the layer.
  *
  * Execution has one path: a single request is a batch of one. run(),
  * try_run() and try_run_batch() are thin wrappers over the run_batch()
@@ -52,25 +55,17 @@ struct EngineOptions {
     bool use_memory_planner = true;
 
     /**
-     * Run the kernel-preparation stage at plan time: each layer builds
-     * its prepacked constant caches (packed weights, Winograd U,
-     * quantized row sums) once and reserves per-invocation scratch in
-     * the engine-owned workspace segment, making steady-state run()
-     * allocation-free inside kernels. Disabling reverts to per-call
-     * packing and self-managed scratch (the ablation baseline the
-     * prepared-vs-unprepared benchmarks measure against).
+     * Run the kernel-preparation stage at plan time: each GEMM weight is
+     * lowered once into the panel order its kernel reads (replacing the
+     * original in the compiled graph), each layer derives its other
+     * constants (spatial-pack weight order, Winograd U, quantized row
+     * sums) as graph initializers and reserves per-invocation scratch
+     * in the engine-owned workspace segment, making steady-state run()
+     * allocation-free inside kernels. Disabling reverts to row-major
+     * weights, per-call packing and self-managed scratch (the ablation
+     * baseline the prepared-vs-unprepared benchmarks measure against).
      */
     bool prepare_kernels = true;
-
-    /**
-     * Optional shared cache for the immutable prepacked constant
-     * tensors the prepare stage builds. An engine pool passes the same
-     * cache to every replica so packed weights, Winograd U and
-     * quantized row sums are allocated exactly once per model, not per
-     * replica; a standalone engine leaves this null and layers build
-     * private packs.
-     */
-    std::shared_ptr<ConstantPackCache> pack_cache;
 
     /**
      * Optional fault-injection hook, consulted before every kernel
@@ -123,7 +118,8 @@ struct PlanStep {
     /** The kernel that runs: the plan-time selection, or the reference
      *  while the breaker is open. */
     std::unique_ptr<Layer> layer;
-    std::vector<const Tensor *> inputs; ///< nullptr for omitted optionals.
+    /** Inputs of `layer`; nullptr for omitted optionals. */
+    std::vector<const Tensor *> inputs;
     std::vector<Tensor *> outputs;
     /** Value names of the outputs (index-aligned with outputs). */
     std::vector<std::string> output_names;
@@ -144,6 +140,12 @@ struct PlanStep {
      *  (for fault retries, guard confirmations and shadow runs) while
      *  the plan-time kernel runs, the plan-time kernel while degraded. */
     std::unique_ptr<Layer> standby_layer;
+    /** Inputs of `standby_layer`, swapped with `inputs` alongside it.
+     *  The reference reads every constant row-major, so a constant the
+     *  plan-time kernel reads packed is replaced here by its unpacked
+     *  copy in `unpacked_constants` (unpacking is exact). */
+    std::vector<const Tensor *> standby_inputs;
+    std::vector<Tensor> unpacked_constants;
     /** Circuit-breaker state and trip counters. */
     StepHealth health;
     /** Invocations of this step, returned or thrown (drives shadow
@@ -334,18 +336,6 @@ class Engine
         return memory_plan_.workspace_bytes;
     }
 
-    /**
-     * Bytes of prepacked constant caches this engine's layers
-     * reference. With a shared pack cache attached the storage itself
-     * is counted once in ConstantPackCache::bytes() however many
-     * replicas reference it; this accessor reports this engine's view
-     * for footprint introspection.
-     */
-    std::size_t constant_pack_bytes() const
-    {
-        return memory_plan_.constant_pack_bytes;
-    }
-
     /** Auto-tune measurements per node (empty unless kAutoTune). */
     const std::map<std::string,
                    std::vector<std::pair<std::string, double>>> &
@@ -400,6 +390,18 @@ class Engine
     void execute_plan(const DeadlineToken &deadline);
 
     /**
+     * Lowers each constant input of @p init's node that @p layer reads
+     * packed (Layer::constant_layout) into that layout, in place of the
+     * graph's initializer. A weight only the graph holds is repacked in
+     * its own storage (pack_weight_in_place), so lowering allocates no
+     * weight and a set-up never holds two weight sets; one someone else
+     * also holds gets fresh storage. A constant already in that layout
+     * (a graph lowered before) is kept as is, and so is one that another
+     * node or a graph output also reads. No-op unless prepare_kernels.
+     */
+    void lower_constants(const LayerInit &init, const Layer &layer);
+
+    /**
      * Runs @p layer's preparation stage (when prepare_kernels is on),
      * growing the shared workspace segment and rebinding every live
      * layer if the new requirement exceeds the current capacity. Called
@@ -427,9 +429,14 @@ class Engine
     // --- Breaker and guard internals --------------------------------------
 
     /** The step's reference layer: `layer` while degraded, else the
-     *  standby (instantiated on first use). Throws orpheus::Error when
-     *  the step has no alternative. */
+     *  standby (instantiated on first use, over row-major copies of the
+     *  constants the plan-time kernel reads packed). Throws
+     *  orpheus::Error when the step has no alternative. */
     Layer &reference_layer(PlanStep &step);
+
+    /** Runs the step's reference layer on its own inputs into
+     *  @p outputs. */
+    void run_reference(PlanStep &step, const std::vector<Tensor *> &outputs);
 
     /**
      * The one place a step changes kernels: swaps `layer` and

@@ -73,10 +73,7 @@ EnginePool::Lease::~Lease()
 EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
                        EnginePoolOptions options)
     : options_(std::move(options)),
-      engine_options_(std::move(engine_options)),
-      pack_cache_(engine_options_.pack_cache != nullptr
-                      ? engine_options_.pack_cache
-                      : std::make_shared<ConstantPackCache>())
+      engine_options_(std::move(engine_options))
 {
     ORPHEUS_CHECK(options_.replicas >= 1,
                   "engine pool needs >= 1 replica, got "
@@ -95,9 +92,9 @@ EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
     for (std::size_t i = 0; i < replicas_.size(); ++i)
         monitors_.push_back(std::make_shared<ExecutionMonitor>());
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
-        // Every replica after the first hits the shared pack cache
-        // instead of rebuilding constant packs.
-        replicas_[i].engine = compile_replica(graph, i, pack_cache_);
+        // Every replica after the first compiles from the graph the
+        // first one lowered, so it packs nothing.
+        replicas_[i].engine = compile_replica(graph, i);
         if (i >= static_cast<std::size_t>(options_.replicas))
             replicas_[i].state = ReplicaState::kSpare;
     }
@@ -118,17 +115,23 @@ EnginePool::simplify(Graph &model) const
 }
 
 std::unique_ptr<Engine>
-EnginePool::compile_replica(const Graph &model, std::size_t replica,
-                            std::shared_ptr<ConstantPackCache> cache) const
+EnginePool::compile_replica(Graph &model, std::size_t replica) const
 {
     EngineOptions options = engine_options_;
     options.apply_simplifications = false;
-    options.pack_cache = std::move(cache);
     options.execution_monitor = monitors_.at(replica);
     if (replica < options_.per_replica_injectors.size() &&
         options_.per_replica_injectors[replica] != nullptr)
         options.fault_injector = options_.per_replica_injectors[replica];
-    return std::make_unique<Engine>(Graph(model), std::move(options));
+    auto engine = std::make_unique<Engine>(std::move(model),
+                                           std::move(options));
+    // The engine's graph differs from the model only in its lowered and
+    // derived initializers and, after a batch rewrite, in its declared
+    // signature, which the per-request one restores.
+    model = engine->graph();
+    model.inputs() = engine->request_inputs();
+    model.outputs() = engine->request_outputs();
+    return engine;
 }
 
 Status

@@ -6,11 +6,14 @@
  * A single Engine is a single point of failure: one wedged or
  * breaker-opened step degrades every request in flight. The pool
  * validates and simplifies the model once, compiles N replicas from
- * copies of that one simplified graph (the copies share every weight
- * Buffer, folded ones included, and one ConstantPackCache, so weights,
- * prepacked weights, Winograd U and quantized row sums are allocated
- * once per model rather than once per replica) and routes each request
- * to the healthiest free replica. The pool owns the replica lifecycle:
+ * copies of that one simplified graph, and routes each request to the
+ * healthiest free replica. The first compile lowers each GEMM weight
+ * into the panel order its kernel reads, in place of the original, and
+ * adds the derived constants (spatial-pack weight order, Winograd U,
+ * quantized row sums) as initializers; every later replica compiles
+ * from that lowered graph. The copies share every weight Buffer, folded
+ * and packed ones included, so each is allocated once per model rather
+ * than once per replica. The pool owns the replica lifecycle:
  * compile_replica() is the one place a replica engine is built (the
  * model registry calls it for each new generation too) and probe() the
  * one health probe (readmission and canary warm-up alike).
@@ -177,11 +180,10 @@ class EnginePool
      * warm_spares engines from it through compile_replica(), so every
      * replica shares the one folded weight set. @p engine_options is
      * the template for every replica engine, including those the model
-     * registry compiles for later generations. All replicas of the
-     * model share one ConstantPackCache (the template's, or a fresh
-     * one) and get a private ExecutionMonitor whose index in
-     * monitors() equals the replica id. Throws on validation or
-     * compile errors, exactly like Engine's constructor.
+     * registry compiles for later generations. Every replica gets a
+     * private ExecutionMonitor whose index in monitors() equals the
+     * replica id. Throws on validation or compile errors, exactly like
+     * Engine's constructor.
      */
     EnginePool(Graph graph, EngineOptions engine_options,
                EnginePoolOptions options);
@@ -293,17 +295,20 @@ class EnginePool
     void simplify(Graph &model) const;
 
     /**
-     * The one place a replica engine is built: compiles a copy of the
-     * simplified @p model (sharing its weight Buffers) from the engine
-     * template with replica @p replica's monitor and per-replica
-     * injector, packing constants through @p cache and skipping the
-     * simplification pipeline (simplify() already ran it). Reads only
+     * The one place a replica engine is built: compiles the simplified
+     * @p model from the engine template with replica @p replica's
+     * monitor and per-replica injector, skipping the simplification
+     * pipeline (simplify() already ran it). The engine takes @p model
+     * over, so it is the weights' only holder and repacks each in its
+     * own storage while it lowers them, then hands the lowered graph
+     * back in @p model: the next replica compiled from it finds every
+     * weight already in its layout, allocates none and shares every
+     * Buffer. On a throw @p model is left empty. Reads only
      * state fixed at construction, so it takes no lock and may run
-     * while the pool serves. Throws on compile errors.
+     * while the pool serves.
      */
-    std::unique_ptr<Engine>
-    compile_replica(const Graph &model, std::size_t replica,
-                    std::shared_ptr<ConstantPackCache> cache) const;
+    std::unique_ptr<Engine> compile_replica(Graph &model,
+                                            std::size_t replica) const;
 
     /**
      * The one replica health probe: a zero-input request under the
@@ -329,7 +334,7 @@ class EnginePool
      * is destroyed in that case. A quarantined replica is readmitted
      * as active by the swap (its replacement engine is fresh).
      *
-     * Build @p engine with compile_replica(model, id, cache): it
+     * Build @p engine with compile_replica(model, id): it
      * carries replica @p id's monitor (so watchdog attribution keeps
      * working across the swap) and per-replica injector.
      */
@@ -407,9 +412,6 @@ class EnginePool
 
     const Engine &engine(std::size_t index) const;
 
-    /** The shared prepacked-constant cache (entries/bytes/hits). */
-    const ConstantPackCache &pack_cache() const { return *pack_cache_; }
-
     EnginePoolStats stats() const;
     std::vector<ReplicaSnapshot> snapshot() const;
 
@@ -474,7 +476,6 @@ class EnginePool
     /** Template for every replica engine (full guard policy included). */
     EngineOptions engine_options_;
     GuardPolicy brownout_policy_;
-    std::shared_ptr<ConstantPackCache> pack_cache_;
     std::vector<std::shared_ptr<ExecutionMonitor>> monitors_;
     std::int64_t batch_capacity_ = 1;
     /** Zero-valued inputs matching the per-request signature (probe

@@ -43,13 +43,6 @@ struct MemoryPlan {
      *  sequentially, so one segment serves the whole plan. Filled in by
      *  the engine after kernel preparation; 0 when preparation is off. */
     std::size_t workspace_bytes = 0;
-    /** Bytes of prepacked constant caches (packed weights, Winograd U,
-     *  quantized row sums) the engine's layers reference. Filled in by
-     *  the engine during layer preparation. Unlike the workspace this
-     *  storage is immutable, so an engine pool shares one copy across
-     *  replicas: the per-model allocation is ConstantPackCache::bytes(),
-     *  not replicas × this figure. */
-    std::size_t constant_pack_bytes = 0;
     /** Per-value placements, keyed by value name. */
     std::unordered_map<std::string, ArenaSlot> slots;
 };

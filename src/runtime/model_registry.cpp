@@ -203,14 +203,14 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
                       GenerationState::kQuarantined);
 
     // The pool simplifies the generation once; every replica compiles
-    // from that graph and shares its weights. One ConstantPackCache per
-    // generation: the first compile pays the prepack cost here, off the
-    // hot path; every subsequent replica of this generation hits it.
-    auto cache = std::make_shared<ConstantPackCache>();
+    // from that graph and shares its weights. The canary's compile
+    // lowers them into the kernels' panel order here, off the hot path;
+    // every later replica of this generation compiles from the lowered
+    // graph and packs nothing.
     std::unique_ptr<Engine> canary_engine;
     try {
         pool_.simplify(graph);
-        canary_engine = pool_.compile_replica(graph, canary, cache);
+        canary_engine = pool_.compile_replica(graph, canary);
     } catch (const std::exception &error) {
         return reject(model_rejected_error(
                           std::string("generation failed to compile: ") +
@@ -314,11 +314,13 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
             continue;
         std::unique_ptr<Engine> replacement;
         try {
-            replacement = pool_.compile_replica(graph, snap.id, cache);
+            replacement = pool_.compile_replica(graph, snap.id);
         } catch (const std::exception &error) {
+            // compile_replica left the graph empty: the remaining
+            // replicas keep the incumbent generation.
             rolling_detail << "; replica " << snap.id
                            << " recompile failed: " << error.what();
-            continue;
+            break;
         }
         Status why = internal_error("swap failed");
         std::unique_ptr<Engine> old = pool_.swap_replica(

@@ -24,9 +24,9 @@
  *  - LOADING: the graph signature must match the incumbent's — clients
  *    keep sending the same tensors. The pool then validates and
  *    simplifies the graph once and compiles the canary's engine from
- *    it, entirely off the hot path, with the generation's *own*
- *    ConstantPackCache (plan-time preparation runs here, so prepacking
- *    cost is paid before any live request sees the generation).
+ *    it, entirely off the hot path (plan-time preparation runs here:
+ *    the compile lowers the generation's weights into the kernels'
+ *    panel order before any live request sees the generation).
  *  - CANARY: one replica is drained (EnginePool::swap_replica — new
  *    leases skip it, in-flight ones finish, so capacity never dips
  *    below N−1) and swapped to the new generation. Warm-up probes
@@ -42,10 +42,10 @@
  *    the generation is quarantined, and roll_out returns the typed
  *    kModelRejected status. The incumbent never stopped serving.
  *  - ROLLING: on pass, the remaining replicas and warm spares are
- *    compiled from the same simplified graph (sharing its weights; the
- *    generation's pack cache makes each prepare a cache hit) and
+ *    compiled from the graph the canary's compile lowered (sharing its
+ *    packed weights, so no prepare packs anything again) and
  *    drained-and-swapped one at a time. The old generation is RETIRED;
- *    its weights and pack cache go with its last engine.
+ *    its weights go with its last engine.
  *
  * Thread-safe: roll_out serialises against itself (a second concurrent
  * rollout is rejected with kFailedPrecondition, not queued), and all
@@ -124,8 +124,8 @@ class ModelRegistry
   public:
     /**
      * Wraps @p pool, whose engine template also compiles every new
-     * generation (through EnginePool::compile_replica, with one pack
-     * cache per generation). The incumbent model becomes generation 1.
+     * generation (through EnginePool::compile_replica). The incumbent
+     * model becomes generation 1.
      */
     explicit ModelRegistry(EnginePool &pool);
 

@@ -51,8 +51,8 @@
  *
  * Concurrency model: each of the N worker threads leases a private
  * replica per request, so requests on different workers never share
- * mutable engine state; replicas share the immutable prepacked
- * constant caches and the global kernel thread pool. Results are
+ * mutable engine state; replicas share the immutable (packed) weights
+ * and the global kernel thread pool. Results are
  * therefore bitwise-identical to a serial Engine::run.
  */
 #pragma once
@@ -477,7 +477,7 @@ class InferenceService
     /** Replica @p index's engine, for introspection in tests/tools. */
     const Engine &engine(std::size_t index = 0) const;
 
-    /** The replica pool (health snapshots, pack-cache stats). */
+    /** The replica pool (health snapshots, replica engines). */
     const EnginePool &pool() const { return *pool_; }
 
     /** Activation footprint of one request on this model. */

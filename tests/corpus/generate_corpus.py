@@ -2,24 +2,41 @@
 """Regenerates the malformed-ONNX regression corpus.
 
 Each file is a hand-crafted hostile byte pattern that a pre-hardening
-importer either crashed on, over-allocated for, or mis-parsed. The
-corpus is checked in; this script only exists so the files can be
-audited and regenerated. test_malformed_onnx.cpp replays every *.onnx
-file here and asserts a clean typed rejection (and tools/orpheus_fuzz
---corpus does the same).
+importer either crashed on, over-allocated for, or mis-parsed. Files
+named compile_*.onnx are well-formed ONNX that a pre-hardening engine
+crashed on while compiling. The corpus is checked in; this script only
+exists so the files can be audited and regenerated.
+test_malformed_onnx.cpp replays every *.onnx file here and asserts a
+clean typed rejection, at import or, for compile_*, when an engine
+compiles the model (and tools/orpheus_fuzz --corpus does the same).
 """
 import os
+import struct
 
 OUT = os.path.dirname(os.path.abspath(__file__))
 
 # ONNX field numbers (see src/onnx/schema.hpp).
 MODEL_GRAPH = 7
+GRAPH_NODE = 1
+GRAPH_NAME = 2
 GRAPH_INITIALIZER = 5
+GRAPH_OUTPUT = 12
+NODE_INPUT = 1
+NODE_OUTPUT = 2
+NODE_OP_TYPE = 4
 TENSOR_DIMS = 1
 TENSOR_DATA_TYPE = 2
 TENSOR_NAME = 8
 TENSOR_RAW_DATA = 9
+VALUE_INFO_NAME = 1
+VALUE_INFO_TYPE = 2
+TYPE_TENSOR_TYPE = 1
+TENSOR_TYPE_ELEM_TYPE = 1
+TENSOR_TYPE_SHAPE = 2
+SHAPE_DIM = 1
+DIM_VALUE = 1
 FLOAT = 1
+INT64 = 7
 
 
 def varint(value):
@@ -61,6 +78,20 @@ def model(graph_body):
     return ld(MODEL_GRAPH, graph_body)
 
 
+def node(op_type, inputs, outputs):
+    body = b"".join(ld(NODE_INPUT, name) for name in inputs)
+    body += b"".join(ld(NODE_OUTPUT, name) for name in outputs)
+    return body + ld(NODE_OP_TYPE, op_type)
+
+
+def value_info(name, dims):
+    shape = b"".join(ld(SHAPE_DIM, vi(DIM_VALUE, d)) for d in dims)
+    tensor_type = vi(TENSOR_TYPE_ELEM_TYPE, FLOAT)
+    tensor_type += ld(TENSOR_TYPE_SHAPE, shape)
+    return ld(VALUE_INFO_NAME, name) + ld(
+        VALUE_INFO_TYPE, ld(TYPE_TENSOR_TYPE, tensor_type))
+
+
 CORPUS = {
     # A lone continuation byte: the varint never terminates.
     "truncated_varint.onnx": b"\x80",
@@ -89,6 +120,17 @@ CORPUS = {
     # Unknown tensor dtype 999.
     "unknown_dtype.onnx": model(
         ld(GRAPH_INITIALIZER, tensor([1], dtype=999))),
+    # A [0, 3] initializer reshaped by the constant spec [0, -1]: the 0
+    # copies a zero extent, and constant folding divided the element
+    # count by the known product (0) and died with SIGFPE.
+    "compile_reshape_zero_extent.onnx": model(
+        ld(GRAPH_NAME, b"m")
+        + ld(GRAPH_NODE, node(b"Reshape", [b"d", b"s"], [b"y"]))
+        + ld(GRAPH_INITIALIZER, tensor([0, 3], name=b"d"))
+        + ld(GRAPH_INITIALIZER,
+             tensor([2], raw=struct.pack("<2q", 0, -1), dtype=INT64,
+                    name=b"s"))
+        + ld(GRAPH_OUTPUT, value_info(b"y", [0, 3]))),
 }
 
 

@@ -2,8 +2,8 @@
  * @file
  * Tests for the resilient engine pool (runtime/engine_pool.hpp) and
  * the retry/brownout machinery the InferenceService builds on it:
- * shared prepacked-constant caches (one allocation per model, not per
- * replica), bitwise-identical replica outputs, health-driven
+ * packed weights shared by every replica (one allocation per model,
+ * not per replica), bitwise-identical replica outputs, health-driven
  * quarantine with probe-gated readmission, warm-spare promotion,
  * fail-fast when every replica is quarantined, failover retries on a
  * different replica, the retry-storm budget, deadline expiry during
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -28,9 +29,10 @@
 
 // --- Allocation byte counting -----------------------------------------------
 // Replaces the global allocation functions for this test binary: when
-// counting is armed, every operator new tallies its byte size. Used to
-// prove the shared ConstantPackCache really removes the per-replica
-// pack allocations instead of merely deduplicating pointers.
+// counting is armed, every operator new and every aligned_alloc (the
+// storage of each Buffer, packed weights included) tallies its byte
+// size. Used to prove that replicas compiled from a lowered graph really
+// allocate no weights instead of merely sharing pointers.
 
 namespace {
 std::atomic<std::int64_t> g_alloc_bytes{0};
@@ -86,11 +88,26 @@ operator new(std::size_t size, std::align_val_t align)
         g_alloc_bytes.fetch_add(static_cast<std::int64_t>(size),
                                 std::memory_order_relaxed);
     const std::size_t alignment = static_cast<std::size_t>(align);
-    void *ptr = std::aligned_alloc(
-        alignment, (size + alignment - 1) / alignment * alignment);
-    if (ptr == nullptr)
+    void *ptr = nullptr;
+    if (posix_memalign(&ptr, std::max(alignment, sizeof(void *)), size) !=
+        0)
         throw std::bad_alloc();
     return ptr;
+}
+
+// Buffer::allocate's storage. posix_memalign is not replaced, so this
+// does not recurse.
+extern "C" void *
+aligned_alloc(std::size_t alignment, std::size_t size) noexcept
+{
+    if (g_counting.load(std::memory_order_relaxed))
+        g_alloc_bytes.fetch_add(static_cast<std::int64_t>(size),
+                                std::memory_order_relaxed);
+    void *ptr = nullptr;
+    return posix_memalign(&ptr, std::max(alignment, sizeof(void *)),
+                          size) == 0
+               ? ptr
+               : nullptr;
 }
 
 void *
@@ -183,8 +200,8 @@ wait_for_empty_queue(const InferenceService &service)
     ASSERT_EQ(service.queue_depth(), 0u);
 }
 
-/** Engine options pinning convolutions to a pack-bearing backend so
- *  the ConstantPackCache is exercised deterministically. */
+/** Engine options pinning convolutions to spatial-pack, whose weights
+ *  in spatial-pack order are a derived initializer. */
 EngineOptions
 pinned_spatial_pack()
 {
@@ -193,68 +210,90 @@ pinned_spatial_pack()
     return options;
 }
 
-// --- Shared prepacked-constant caches ---------------------------------------
-
-TEST(EnginePool, SharedPackCacheBuildsOncePerModel)
+/** Bytes of the initializers the lowering made: packed weights and
+ *  derived constants ("<node>/<impl>/<tag>"). */
+std::size_t
+lowered_bytes(const Graph &graph)
 {
-    set_global_num_threads(1);
-    EnginePoolOptions pool_options;
-    pool_options.replicas = 4;
-    EnginePool pool(models::tiny_cnn(), pinned_spatial_pack(),
-                    pool_options);
-
-    const ConstantPackCache &cache = pool.pack_cache();
-    ASSERT_GT(cache.entries(), 0u)
-        << "tiny_cnn pinned to spatial_pack must produce prepacked "
-           "weights; the cache sharing test is vacuous otherwise";
-    // Replica 0 misses (builds) every pack; replicas 1-3 must hit.
-    EXPECT_EQ(cache.misses(), static_cast<std::int64_t>(cache.entries()));
-    EXPECT_EQ(cache.hits(), 3 * cache.misses());
-    // Every replica reports the same shared pack footprint.
-    for (std::size_t i = 0; i < pool.replica_count(); ++i)
-        EXPECT_EQ(pool.engine(i).constant_pack_bytes(), cache.bytes())
-            << "replica " << i;
+    std::size_t bytes = 0;
+    for (const auto &[name, tensor] : graph.initializers())
+        if (tensor.layout().packed() ||
+            name.find('/') != std::string::npos)
+            bytes += tensor.buffer()->size();
+    return bytes;
 }
 
-TEST(EnginePool, SharedPackCacheAvoidsPerReplicaAllocations)
+// --- Packed weights shared across replicas ---------------------------------
+
+TEST(EnginePool, ReplicasShareOnePackedBufferPerWeight)
 {
     set_global_num_threads(1);
-    Graph graph = models::tiny_cnn();
+    for (const EngineOptions &options :
+         {EngineOptions{}, pinned_spatial_pack()}) {
+        EnginePoolOptions pool_options;
+        pool_options.replicas = 4;
+        EnginePool pool(models::tiny_cnn(), options, pool_options);
 
-    // Warm a cache with one engine so the pack keys all exist.
-    EngineOptions warm_options = pinned_spatial_pack();
-    warm_options.pack_cache = std::make_shared<ConstantPackCache>();
-    Engine warm_builder(Graph(graph), warm_options);
-    const std::size_t pack_bytes = warm_options.pack_cache->bytes();
-    ASSERT_GT(pack_bytes, 0u);
-
-    // Cold: a fresh cache forces every pack to be rebuilt.
-    EngineOptions cold_options = pinned_spatial_pack();
-    cold_options.pack_cache = std::make_shared<ConstantPackCache>();
-    g_alloc_bytes.store(0);
-    g_counting.store(true);
-    {
-        Engine cold(Graph(graph), cold_options);
+        const Graph &first = pool.engine(0).graph();
+        ASSERT_GT(lowered_bytes(first), 0u)
+            << "tiny_cnn must get packed or derived weights; the sharing "
+               "test is vacuous otherwise";
+        // Every replica reads every weight, packed and derived ones
+        // included, from replica 0's Buffer.
+        for (const auto &[name, weight] : first.initializers())
+            for (std::size_t i = 1; i < pool.replica_count(); ++i)
+                EXPECT_EQ(pool.engine(i).graph().initializer(name).raw_data(),
+                          weight.raw_data())
+                    << "replica " << i << " initializer " << name;
+        for (std::size_t i = 0; i < pool.replica_count(); ++i)
+            EXPECT_EQ(pool.engine(i).graph().initializers().size(),
+                      first.initializers().size());
     }
-    g_counting.store(false);
-    const std::int64_t cold_bytes = g_alloc_bytes.load();
+}
 
-    // Warm: the shared cache serves every pack by reference.
-    g_alloc_bytes.store(0);
-    g_counting.store(true);
-    {
-        Engine shared(Graph(graph), warm_options);
+TEST(EnginePool, CompilingALaterReplicaAllocatesNoWeights)
+{
+    set_global_num_threads(1);
+    for (const EngineOptions &options :
+         {EngineOptions{}, pinned_spatial_pack()}) {
+        EnginePool pool(models::tiny_cnn(), options, EnginePoolOptions{});
+        Graph model = models::tiny_cnn();
+        pool.simplify(model);
+        // Holding the row-major weights elsewhere makes the first
+        // compile pack them into fresh storage instead of in place.
+        const Graph original = model;
+
+        // Cold: the first compile lowers every weight.
+        g_alloc_bytes.store(0);
+        g_counting.store(true);
+        {
+            const std::unique_ptr<Engine> cold =
+                pool.compile_replica(model, 0);
+        }
+        g_counting.store(false);
+        const std::int64_t cold_bytes = g_alloc_bytes.load();
+        const std::size_t packed = lowered_bytes(model);
+        ASSERT_GT(packed, 0u);
+
+        // Warm: the model now holds the lowered weights, which the next
+        // replica reads in place.
+        g_alloc_bytes.store(0);
+        g_counting.store(true);
+        {
+            const std::unique_ptr<Engine> warm =
+                pool.compile_replica(model, 0);
+        }
+        g_counting.store(false);
+        const std::int64_t warm_bytes = g_alloc_bytes.load();
+
+        // The warm build must skip at least the packed storage itself
+        // (the two builds are otherwise identical code paths).
+        EXPECT_LE(warm_bytes + static_cast<std::int64_t>(packed) / 2,
+                  cold_bytes)
+            << "warm replica allocated " << warm_bytes << " bytes vs "
+            << cold_bytes << " cold; lowered weights are " << packed
+            << " bytes and must not be rebuilt per replica";
     }
-    g_counting.store(false);
-    const std::int64_t shared_bytes = g_alloc_bytes.load();
-
-    // The warm build must skip at least the pack storage itself (the
-    // two engine builds are otherwise identical code paths).
-    EXPECT_LE(shared_bytes + static_cast<std::int64_t>(pack_bytes) / 2,
-              cold_bytes)
-        << "shared-cache engine allocated " << shared_bytes
-        << " bytes vs " << cold_bytes << " cold; packs are "
-        << pack_bytes << " bytes and must not be rebuilt per replica";
 }
 
 TEST(EnginePool, ReplicasProduceBitwiseIdenticalOutputs)

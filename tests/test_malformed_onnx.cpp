@@ -22,9 +22,11 @@
 
 #include "core/rng.hpp"
 #include "models/model_zoo.hpp"
+#include "graph/op_params.hpp"
 #include "onnx/exporter.hpp"
 #include "onnx/proto.hpp"
 #include "onnx/schema.hpp"
+#include "runtime/engine.hpp"
 
 namespace orpheus {
 namespace {
@@ -378,9 +380,30 @@ TEST(MalformedOnnx, ReaderSubReaderDepthGuard)
 
 // --- Regression corpus ----------------------------------------------------
 
+/** Imports @p bytes and requires compiling them to throw an
+ *  orpheus::Error whose message starts with a status code name. */
+void
+expect_compile_rejected(const std::string &what,
+                        const std::vector<std::uint8_t> &bytes)
+{
+    Graph graph;
+    ASSERT_TRUE(import_onnx(bytes.data(), bytes.size(), graph).is_ok())
+        << what;
+    try {
+        Engine engine(std::move(graph));
+        ADD_FAILURE() << what << ": compiled without an error";
+    } catch (const Error &error) {
+        EXPECT_EQ(std::string(error.what()).rfind("InvalidArgument: ", 0),
+                  0u)
+            << what << ": " << error.what();
+    }
+}
+
 /** Every committed corpus file must be rejected with a typed Status —
  *  no exception may escape and no abort may fire — through both the
- *  bytes and the file entry point. */
+ *  bytes and the file entry point. A compile_*.onnx file is well-formed
+ *  ONNX that must import and then be rejected, when an engine compiles
+ *  it, with an orpheus::Error carrying a status code. */
 TEST(MalformedOnnx, RegressionCorpusRejectsCleanly)
 {
     const std::filesystem::path dir = ORPHEUS_TEST_CORPUS_DIR;
@@ -400,7 +423,12 @@ TEST(MalformedOnnx, RegressionCorpusRejectsCleanly)
         ASSERT_TRUE(in) << entry.path();
         Status status;
         ASSERT_NO_THROW(status = import_bytes(bytes)) << entry.path();
-        EXPECT_FALSE(status.is_ok()) << entry.path();
+        const bool compile_case =
+            entry.path().filename().string().rfind("compile_", 0) == 0;
+        EXPECT_EQ(status.is_ok(), compile_case)
+            << entry.path() << ": " << status.to_string();
+        if (compile_case && status.is_ok())
+            expect_compile_rejected(entry.path().string(), bytes);
 
         // The file path scans a mapping of the same bytes and must reach
         // the same verdict.
@@ -413,6 +441,72 @@ TEST(MalformedOnnx, RegressionCorpusRejectsCleanly)
             << entry.path() << ": " << file_status.to_string();
     }
     EXPECT_GT(files, 0u) << "corpus directory is empty";
+}
+
+// --- Reshape targets ------------------------------------------------------
+
+/** Graph: initializer d [0, 3] reshaped by the constant spec [0, -1]. */
+std::vector<std::uint8_t>
+reshape_zero_extent_model()
+{
+    proto::Writer spec;
+    spec.write_int64_field(schema::kTensorDims, 2);
+    spec.write_varint_field(
+        schema::kTensorDataType,
+        static_cast<std::uint64_t>(schema::TensorDataType::kInt64));
+    spec.write_string_field(schema::kTensorName, "s");
+    const std::int64_t dims[2] = {0, -1};
+    spec.write_bytes_field(schema::kTensorRawData, dims, sizeof(dims));
+
+    proto::Writer graph;
+    graph.write_string_field(schema::kGraphName, "m");
+    graph.write_message_field(schema::kGraphNode,
+                              node("Reshape", {"d", "s"}, {"y"}));
+    graph.write_message_field(schema::kGraphInitializer,
+                              raw_tensor("d", {0, 3}, {}));
+    graph.write_message_field(schema::kGraphInitializer, spec);
+    graph.write_message_field(schema::kGraphOutput, value_info("y", {0, 3}));
+    return model_with_graph(graph);
+}
+
+TEST(MalformedOnnx, ReshapeOfZeroExtentIsATypedCompileError)
+{
+    // Constant folding divided the element count by the known extents'
+    // product, 0 here, and died with SIGFPE.
+    expect_compile_rejected("reshape [0, 3] by [0, -1]",
+                            reshape_zero_extent_model());
+}
+
+TEST(MalformedOnnx, ReshapeTargetsResolveOrFailTyped)
+{
+    const auto resolve = [](const Shape &input,
+                            const std::vector<std::int64_t> &spec,
+                            Shape *out = nullptr) {
+        Shape target;
+        const Status status =
+            resolve_reshape("r", input, spec.data(), spec.size(), target);
+        if (out != nullptr)
+            *out = target;
+        return status.code();
+    };
+    Shape out;
+    EXPECT_EQ(resolve(Shape({2, 3, 4}), {0, -1}, &out), StatusCode::kOk);
+    EXPECT_EQ(out, Shape({2, 12}));
+    EXPECT_EQ(resolve(Shape({2, 3, 4}), {4, 0, -1}, &out), StatusCode::kOk);
+    EXPECT_EQ(out, Shape({4, 3, 2}));
+
+    const StatusCode bad = StatusCode::kInvalidArgument;
+    // A zero extent leaves -1 nothing to divide by.
+    EXPECT_EQ(resolve(Shape({0, 3}), {0, -1}), bad);
+    EXPECT_EQ(resolve(Shape({2, 3}), {-1, -1}), bad);
+    EXPECT_EQ(resolve(Shape({2, 3}), {-2, 3}), bad);
+    // 0 copies the input extent at its position; there is none at 2.
+    EXPECT_EQ(resolve(Shape({2, 3}), {2, 3, 0}), bad);
+    EXPECT_EQ(resolve(Shape({2, 3}), {4, -1}), bad);
+    EXPECT_EQ(resolve(Shape({2, 3}), {5}), bad);
+    EXPECT_EQ(resolve(Shape({2, 3}), {std::int64_t{1} << 40,
+                                      std::int64_t{1} << 40}),
+              bad);
 }
 
 // --- Deterministic mini-fuzz ----------------------------------------------

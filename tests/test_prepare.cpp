@@ -13,11 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 
 #include "core/threadpool.hpp"
+#include "ops/gemm/gemm.hpp"
+#include "runtime/engine_pool.hpp"
 #include "models/builder.hpp"
 #include "models/model_zoo.hpp"
 #include "quant/quantizer.hpp"
@@ -407,13 +410,19 @@ TEST(Prepare, ConstantGemmWeightTransposedOnceAtPlanTime)
     EXPECT_TRUE(bitwise_equal(prepared.run(a), unprepared.run(a)));
 
     // The transpose moved out of the per-request workspace into the
-    // constant packs: the same Gemm over a runtime B still reserves it.
+    // plan-time B panels, which replace the weight: the same Gemm over a
+    // runtime B still reserves it.
     Engine runtime_b(gemm_graph(kGemmM, kGemmK, kGemmN, true),
                      EngineOptions{});
     EXPECT_LE(prepared.workspace_bytes() + kGemmTransposeBytes,
               runtime_b.workspace_bytes());
-    EXPECT_EQ(prepared.constant_pack_bytes(), kGemmTransposeBytes);
-    EXPECT_EQ(runtime_b.constant_pack_bytes(), 0u);
+    const Tensor &weight = prepared.graph().initializer("b");
+    EXPECT_EQ(weight.layout().kind, TensorLayout::Kind::kPanelB);
+    EXPECT_TRUE(weight.layout().transposed);
+    EXPECT_EQ(weight.buffer()->size(), kGemmTransposeBytes);
+    EXPECT_FALSE(unprepared.graph().initializer("b").layout().packed());
+    for (const auto &[name, tensor] : runtime_b.graph().initializers())
+        EXPECT_FALSE(tensor.layout().packed()) << name;
 }
 
 TEST(Prepare, RuntimeGemmWeightKeepsPerCallTranspose)
@@ -436,20 +445,133 @@ TEST(Prepare, RuntimeGemmWeightKeepsPerCallTranspose)
               0.0f);
 }
 
-TEST(Prepare, SharedPackCacheTransposesGemmWeightOnce)
+TEST(Prepare, ReplicasShareOneGemmWeightPanelSet)
 {
     set_global_num_threads(1);
     const Graph graph = gemm_graph(kGemmM, kGemmK, kGemmN, false);
     const Tensor a = make_random(Shape({kGemmM, kGemmK}), 0xc5);
 
-    EngineOptions options;
-    options.pack_cache = std::make_shared<ConstantPackCache>();
-    Engine first(Graph(graph), options);
-    Engine second(Graph(graph), options);
-    EXPECT_EQ(options.pack_cache->misses(), 1);
-    EXPECT_EQ(options.pack_cache->hits(), 1);
-    EXPECT_EQ(options.pack_cache->bytes(), kGemmTransposeBytes);
-    EXPECT_TRUE(bitwise_equal(first.run(a), second.run(a)));
+    // Replicas compile from the graph the first compile lowered: the
+    // weight is packed once, and every replica reads that one buffer.
+    EnginePool pool(Graph(graph), EngineOptions{}, EnginePoolOptions{});
+    Graph model = graph;
+    pool.simplify(model);
+    const std::unique_ptr<Engine> first = pool.compile_replica(model, 0);
+    const std::unique_ptr<Engine> second = pool.compile_replica(model, 0);
+    const Tensor &weight = first->graph().initializer("b");
+    EXPECT_EQ(weight.layout().kind, TensorLayout::Kind::kPanelB);
+    EXPECT_EQ(weight.buffer()->size(), kGemmTransposeBytes);
+    EXPECT_EQ(second->graph().initializer("b").raw_data(),
+              weight.raw_data());
+    EXPECT_EQ(model.initializer("b").raw_data(), weight.raw_data());
+    EXPECT_TRUE(bitwise_equal(first->run(a), second->run(a)));
+}
+
+// --- Lowered weights ---------------------------------------------------------
+
+TEST(Prepare, SoleOwnedWeightsArePackedInTheirOwnStorage)
+{
+    set_global_num_threads(1);
+    // The engine is the weights' only holder: panels hold exactly the
+    // weight's floats, so each weight is repacked where it was stored.
+    Graph graph = models::tiny_mlp(128, 256, 10);
+    std::map<std::string, const void *> storage;
+    for (const auto &[name, tensor] : graph.initializers())
+        storage[name] = tensor.raw_data();
+    Engine engine(std::move(graph));
+    std::size_t packed = 0;
+    for (const auto &[name, tensor] : engine.graph().initializers()) {
+        EXPECT_EQ(tensor.raw_data(), storage.at(name)) << name;
+        packed += tensor.layout().packed() ? 1 : 0;
+    }
+    EXPECT_EQ(packed, 2u);
+}
+
+TEST(Prepare, PreparedDenseReservesNoPackedBBlock)
+{
+    set_global_num_threads(1);
+    // tiny-mlp's weights are B panels, so no step packs B per call: the
+    // 1 MiB packed-B block is gone from the workspace and the footprint.
+    Engine engine(models::tiny_mlp(128, 256, 10));
+    EXPECT_LT(engine.workspace_bytes(),
+              gemm_packed_b_pack_floats() * sizeof(float));
+}
+
+TEST(Prepare, ZooModelsPreparedMatchUnpreparedBitwise)
+{
+    set_global_num_threads(1);
+    struct Case {
+        const char *name;
+        Graph graph;
+        Shape input;
+    };
+    const std::vector<Case> cases = {
+        {"tiny-mlp", models::tiny_mlp(128, 256, 10), Shape({1, 128})},
+        {"mobilenet-v1", models::mobilenet_v1(), Shape({1, 3, 224, 224})},
+        {"resnet-18", models::resnet18(), Shape({1, 3, 224, 224})},
+    };
+    EngineOptions unprepared_options;
+    unprepared_options.prepare_kernels = false;
+    for (const Case &c : cases) {
+        const Tensor input = make_random(c.input, 0xd1);
+        Engine prepared(Graph(c.graph), EngineOptions{});
+        Engine unprepared(Graph(c.graph), unprepared_options);
+        std::size_t lowered = 0;
+        for (const auto &[name, tensor] : prepared.graph().initializers())
+            lowered += tensor.layout().packed() ? 1 : 0;
+        EXPECT_GT(lowered, 0u) << c.name;
+        EXPECT_TRUE(bitwise_equal(prepared.run(input),
+                                  unprepared.run(input)))
+            << c.name;
+    }
+}
+
+TEST(Prepare, OpenBreakerOnPackedStepsMatchesUnloweredReference)
+{
+    set_global_num_threads(1);
+    const Graph graph = models::tiny_cnn();
+    const Tensor input = make_random(Shape({1, 3, 8, 8}), 0xd2);
+
+    Engine engine(Graph(graph), EngineOptions{});
+    // Every step that reads a packed weight and has a fallback kernel:
+    // the conv steps, and the Gemm step when the SIMD tier gives it one
+    // (scalar-only, "reference" is its only impl).
+    std::vector<std::size_t> packed_steps;
+    bool conv = false, gemm = false;
+    for (std::size_t i = 0; i < engine.steps().size(); ++i) {
+        const PlanStep &step = engine.steps()[i];
+        if (step.inputs.size() < 2 || step.inputs[1] == nullptr ||
+            !step.inputs[1]->layout().packed() ||
+            step.reference_impl.empty())
+            continue;
+        packed_steps.push_back(i);
+        conv |= step.op_type == op_names::kConv;
+        gemm |= step.op_type == op_names::kGemm;
+    }
+    ASSERT_TRUE(conv);
+    if (gemm_packed_simd_available()) {
+        ASSERT_TRUE(gemm);
+    }
+
+    // The reference engine pins those nodes to the impls the breaker
+    // falls back to, so they never read panels.
+    EngineOptions reference_options;
+    for (const std::size_t i : packed_steps)
+        reference_options.backend.node_impl[engine.steps()[i].node_name] =
+            engine.steps()[i].reference_impl;
+    Engine reference(Graph(graph), reference_options);
+
+    for (const std::size_t i : packed_steps) {
+        engine.demote_step(i, "test: open the breaker");
+        ASSERT_TRUE(engine.steps()[i].degraded);
+    }
+    EXPECT_TRUE(bitwise_equal(engine.run(input), reference.run(input)));
+
+    // Closing the breakers puts the packed kernels back, bit for bit.
+    Engine fresh(Graph(graph), EngineOptions{});
+    for (const std::size_t i : packed_steps)
+        engine.restore_step(i);
+    EXPECT_TRUE(bitwise_equal(engine.run(input), fresh.run(input)));
 }
 
 // --- Demotion / restore with prepared state ---------------------------------

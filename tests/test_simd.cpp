@@ -224,11 +224,10 @@ expect_x86_bodies_bitwise_equal(std::int64_t m, std::int64_t n,
     // leave the padding columns alone.
     std::vector<float> c_zmm(static_cast<std::size_t>(m * ldc), -7.0f);
     std::vector<float> c_ymm(c_zmm);
-    const gemm_detail::PackedB matrix{b.data(), n};
-    gemm_packed_avx512(m, n, k, a.data(), lda, matrix, c_zmm.data(), ldc,
-                       nullptr);
-    gemm_packed_avx2(m, n, k, a.data(), lda, matrix, c_ymm.data(), ldc,
-                     nullptr);
+    const PackedA rows{a.data(), lda};
+    const PackedB matrix{b.data(), n};
+    gemm_packed_avx512(m, n, k, rows, matrix, c_zmm.data(), ldc, nullptr);
+    gemm_packed_avx2(m, n, k, rows, matrix, c_ymm.data(), ldc, nullptr);
     EXPECT_EQ(std::memcmp(c_zmm.data(), c_ymm.data(),
                           c_zmm.size() * sizeof(float)),
               0)

@@ -666,18 +666,13 @@ cmd_serve(const CliOptions &cli)
                 service.engine().graph().name().c_str(), cli.clients,
                 cli.requests, service_options.max_queue_depth,
                 service_options.workers, deadline_text);
-    const ConstantPackCache &packs = service.pool().pack_cache();
     std::printf("pool: %zu replicas (+%d warm spares), max %d retries "
-                "(budget %.2f/request), brownout %s; shared packs: "
-                "%zu entries, %.1f KiB, %lld hits\n",
+                "(budget %.2f/request), brownout %s\n",
                 service.pool().replica_count() -
                     static_cast<std::size_t>(service_options.warm_spares),
                 service_options.warm_spares, service_options.max_retries,
                 service_options.retry_budget,
-                service_options.enable_brownout ? "on" : "off",
-                packs.entries(),
-                static_cast<double>(packs.bytes()) / 1024.0,
-                static_cast<long long>(packs.hits()));
+                service_options.enable_brownout ? "on" : "off");
     std::printf("per-request activation footprint: %.1f KiB\n",
                 static_cast<double>(service.request_footprint_bytes()) /
                     1024.0);

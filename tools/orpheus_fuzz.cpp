@@ -14,7 +14,10 @@
  * length/varint corruption, dim inflation, splices — and checks the
  * contract on every mutant. Inputs that break the contract are written
  * to --save-crashes for triage; tests/corpus/ holds the regression set
- * replayed by test_malformed_onnx and by --corpus.
+ * replayed by test_malformed_onnx and by --corpus. A corpus file that
+ * imports is also compiled into an Engine on replay, which must succeed
+ * or throw orpheus::Error (compile_*.onnx files are models that once
+ * crashed the compiler).
  *
  * Everything is seeded (xoshiro256**), so a run is reproducible from
  * its --seed.
@@ -34,6 +37,7 @@
 #include "models/model_zoo.hpp"
 #include "onnx/exporter.hpp"
 #include "onnx/importer.hpp"
+#include "runtime/engine.hpp"
 
 namespace {
 
@@ -216,6 +220,26 @@ check_file_contract(const std::string &path, const ImportLimits &limits,
     }
 }
 
+/** Compiles an imported corpus model: an orpheus::Error is a typed
+ *  rejection, anything else escaping is a violation (a crash ends the
+ *  replay, which CI reports). */
+bool
+check_compile_contract(const std::string &path, std::string &violation_out)
+{
+    orpheus::Graph graph;
+    if (!orpheus::import_onnx_file(path, graph).is_ok())
+        return true;
+    try {
+        orpheus::Engine engine(std::move(graph));
+    } catch (const orpheus::Error &) {
+    } catch (const std::exception &e) {
+        violation_out =
+            std::string("untyped exception escaped Engine: ") + e.what();
+        return false;
+    }
+    return true;
+}
+
 void
 save_crash(const std::string &dir, std::uint64_t iteration,
            const std::vector<std::uint8_t> &bytes)
@@ -259,7 +283,8 @@ replay_corpus(const std::string &dir, const ImportLimits &limits)
         } else if (!check_import_contract(bytes, limits, status,
                                           violation) ||
                    !check_file_contract(path.string(), limits, status,
-                                        violation)) {
+                                        violation) ||
+                   !check_compile_contract(path.string(), violation)) {
             ++violations;
             std::fprintf(stderr, "VIOLATION %s: %s\n", path.c_str(),
                          violation.c_str());
