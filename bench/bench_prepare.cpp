@@ -5,8 +5,9 @@
  *
  * Every fast backend owns constant-data work that does not belong in
  * steady-state inference: spatial-pack re-packs weights, Winograd
- * re-transforms filters (U = G g G^T), packed GEMM re-packs B panels,
- * and qconv re-sums quantized weight rows. The prepare stage hoists all
+ * re-transforms filters (U = G g G^T), packed GEMM re-packs its weight
+ * (A panels of a conv, B panels of a Gemm), and qconv re-sums quantized
+ * weight rows. The prepare stage hoists all
  * of it to Engine plan time and carves per-invocation scratch out of the
  * planned workspace segment. This bench prices the difference per
  * backend: each row is one implementation family on a model that
