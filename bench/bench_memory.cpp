@@ -120,11 +120,17 @@ pool_cells(const std::string &model)
 
         std::unordered_set<const void *> seen;
         std::size_t weight_bytes = 0;
-        for (std::size_t i = 0; i < pool.replica_count(); ++i)
-            for (const auto &[name, weight] :
-                 pool.engine(i).graph().initializers())
-                if (seen.insert(weight.raw_data()).second)
-                    weight_bytes += weight.buffer()->size();
+        const auto count = [&](const Tensor &weight) {
+            if (seen.insert(weight.raw_data()).second)
+                weight_bytes += weight.buffer()->size();
+        };
+        for (std::size_t i = 0; i < pool.replica_count(); ++i) {
+            const Graph &graph = pool.engine(i).graph();
+            for (const auto &[name, weight] : graph.initializers())
+                count(weight);
+            for (const auto &[key, constant] : graph.derived_constants())
+                count(constant.value);
+        }
         const std::string suffix = "_r" + std::to_string(replicas);
         record_cell(model, "pool_weight_mb" + suffix,
                     static_cast<double>(weight_bytes) / (1024.0 * 1024.0));

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "backend/backend_config.hpp"
+#include "core/status.hpp"
 #include "core/tensor.hpp"
 #include "graph/graph.hpp"
 
@@ -94,9 +95,10 @@ struct LayerInit {
  * the layer — forward() resolves it against the Workspace bound later.
  *
  * Derived constants go through derived() instead: with the engine's
- * graph attached they are stored in it as initializers, so engine-pool
- * replicas, which compile from copies of one lowered graph, share them;
- * without a graph the layer gets a private copy, same code path.
+ * graph attached they are stored in its derived_constants(), so
+ * engine-pool replicas, which compile from copies of one lowered graph,
+ * share them; without a graph the layer gets a private copy, same code
+ * path.
  */
 class PlanContext
 {
@@ -121,20 +123,39 @@ class PlanContext
     std::size_t workspace_bytes() const { return total_; }
 
     /**
-     * The derived constant @p name (conventionally "<node>/<impl>/<tag>"),
-     * made by @p build the first time the attached graph is asked for
-     * it and stored there as an initializer; a graph copied from this
-     * one (every replica of a pool) then finds it. Without a graph,
-     * @p build runs for this layer alone.
+     * The constant @p key (conventionally "<node output>/<impl>/<tag>",
+     * unique in a valid graph) that @p build derives from @p source,
+     * a @p dtype tensor of @p shape. The attached graph keeps it in its
+     * derived_constants(), never among the model's initializers, so a
+     * graph copied from this one (every replica of a pool) finds it. A
+     * stored entry is reused only when it was derived from this very
+     * weight Buffer and has this shape and type; otherwise @p build runs
+     * again and its result replaces the entry. Without a graph, @p build
+     * runs for this layer alone.
      */
     Tensor
-    derived(const std::string &name, const std::function<Tensor()> &build)
+    derived(const std::string &key, const Tensor &source,
+            const Shape &shape, DataType dtype,
+            const std::function<Tensor()> &build)
     {
-        if (graph_ == nullptr)
-            return build();
-        if (!graph_->has_initializer(name))
-            graph_->add_initializer(name, build());
-        return graph_->initializer(name);
+        if (graph_ != nullptr) {
+            const auto &store = graph_->derived_constants();
+            const auto it = store.find(key);
+            if (it != store.end() &&
+                it->second.source == source.buffer() &&
+                it->second.value.shape() == shape &&
+                it->second.value.dtype() == dtype)
+                return it->second.value;
+        }
+        Tensor value = build();
+        ORPHEUS_CHECK(value.shape() == shape && value.dtype() == dtype,
+                      "derived constant " << key << " was built as "
+                                          << value.shape()
+                                          << ", expected " << shape);
+        if (graph_ != nullptr)
+            graph_->derived_constants()[key] =
+                DerivedConstant{value, source.buffer()};
+        return value;
     }
 
   private:

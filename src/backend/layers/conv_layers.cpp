@@ -36,7 +36,7 @@ class ConvLayerBase : public Layer
           gemm_variant_(init.config->gemm_variant),
           has_bias_(init.node->has_input(2)),
           const_weight_(init.constant(1)),
-          node_name_(init.node->name())
+          derived_key_(init.node->outputs().front())
     {
         // Shape-only argument bundle (pointers stay null): gives the
         // prepare stage the exact scratch geometry forward() will use.
@@ -96,7 +96,9 @@ class ConvLayerBase : public Layer
     GemmVariant gemm_variant_;
     bool has_bias_;
     const Tensor *const_weight_;
-    std::string node_name_;
+    /** Prefix of this layer's derived-constant keys: its output value,
+     *  which a valid graph produces once (node names may repeat). */
+    std::string derived_key_;
     Conv2dArgs shape_args_;
     Workspace workspace_;
     Conv2dScratch scratch_;
@@ -180,12 +182,13 @@ class ConvSpatialPackLayer : public ConvLayerBase
         const std::size_t pack_floats =
             conv2d_spatial_pack_weights_floats(shape_args_);
         if (const_weight_ != nullptr) {
-            // Constant weights: the pack is a derived initializer,
-            // shared by every replica compiled from the lowered graph.
+            // Constant weights: the pack is a derived constant, shared
+            // by every replica compiled from the lowered graph.
+            const Shape pack_shape({static_cast<std::int64_t>(pack_floats)});
             packed_weights_ = ctx.derived(
-                node_name_ + "/spatial_pack/weights", [&] {
-                    Tensor pack(Shape({static_cast<std::int64_t>(
-                        pack_floats)}));
+                derived_key_ + "/spatial_pack/weights", *const_weight_,
+                pack_shape, DataType::kFloat32, [&] {
+                    Tensor pack(pack_shape);
                     const Tensor weight = unpack_weight(*const_weight_);
                     Conv2dArgs args = shape_args_;
                     args.weight = weight.data<float>();
@@ -236,14 +239,18 @@ class ConvWinogradLayer : public ConvLayerBase
     prepare(PlanContext &ctx) override
     {
         if (const_weight_ != nullptr) {
-            cached_u_ = ctx.derived(node_name_ + "/winograd/u", [&] {
-                const std::vector<float> u = winograd_transform_weights(
-                    unpack_weight(*const_weight_).data<float>(),
-                    const_weight_->shape().dim(0),
-                    const_weight_->shape().dim(1));
-                return Tensor::from_values(
-                    Shape({static_cast<std::int64_t>(u.size())}), u);
-            });
+            const std::int64_t out_c = const_weight_->shape().dim(0);
+            const std::int64_t in_c = const_weight_->shape().dim(1);
+            const Shape u_shape({16 * out_c * in_c});
+            cached_u_ = ctx.derived(
+                derived_key_ + "/winograd/u", *const_weight_, u_shape,
+                DataType::kFloat32, [&] {
+                    return Tensor::from_values(
+                        u_shape, winograd_transform_weights(
+                                     unpack_weight(*const_weight_)
+                                         .data<float>(),
+                                     out_c, in_c));
+                });
         }
         v_offset_ = ctx.reserve(conv2d_winograd_v_floats(shape_args_) *
                                 sizeof(float));

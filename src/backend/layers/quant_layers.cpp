@@ -121,7 +121,7 @@ class QLinearConvLayer : public Layer
     explicit QLinearConvLayer(const LayerInit &init, bool simd = false)
         : has_bias_(init.node->has_input(8)),
           const_weight_(init.constant(3)),
-          node_name_(init.node->name()),
+          derived_key_(init.node->outputs().front()),
           in_c_(init.input(0).shape.dim(1)),
           out_c_(init.output(0).shape.dim(1)),
           out_h_(init.output(0).shape.dim(2)),
@@ -169,7 +169,9 @@ class QLinearConvLayer : public Layer
                 sizeof(std::int16_t));
         if (const_weight_ != nullptr) {
             weight_row_sums_ =
-                ctx.derived(node_name_ + "/im2col_qgemm/row_sums", [&] {
+                ctx.derived(derived_key_ + "/im2col_qgemm/row_sums",
+                            *const_weight_, Shape({out_c_}),
+                            DataType::kInt32, [&] {
                     Tensor sums(Shape({out_c_}), DataType::kInt32);
                     qconv2d_weight_row_sums(*const_weight_,
                                             sums.data<std::int32_t>());
@@ -213,7 +215,9 @@ class QLinearConvLayer : public Layer
     QConv2dArgs args_;
     bool has_bias_;
     const Tensor *const_weight_;
-    std::string node_name_;
+    /** Prefix of this layer's derived-constant keys: its output value,
+     *  which a valid graph produces once (node names may repeat). */
+    std::string derived_key_;
     std::int64_t in_c_;
     std::int64_t out_c_;
     std::int64_t out_h_;

@@ -271,10 +271,11 @@ class DenseLayer : public Layer
     void
     prepare(PlanContext &ctx) override
     {
-        // A weight in B panels needs neither a transpose nor a packed-B
-        // block per call.
-        const bool b_panels = const_b_ != nullptr &&
-                              const_b_->layout().packed();
+        // A weight in the B panels this variant reads needs neither a
+        // transpose nor a packed-B block per call.
+        const TensorLayout b_layout = constant_layout(1);
+        const bool b_panels =
+            b_layout.packed() && const_b_->layout() == b_layout;
         if (trans_a_)
             a_trans_offset_ = ctx.reserve(
                 static_cast<std::size_t>(m_ * k_) * sizeof(float));

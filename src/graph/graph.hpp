@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -26,6 +27,14 @@ struct ValueInfo {
     std::string name;
     DataType dtype = DataType::kFloat32;
     Shape shape;
+};
+
+/** A constant an engine derived from a weight at plan time. */
+struct DerivedConstant {
+    Tensor value;
+    /** The weight's storage when @c value was made. Holding it keeps
+     *  the identity meaningful: no other weight can take its place. */
+    std::shared_ptr<Buffer> source;
 };
 
 class Graph
@@ -113,6 +122,24 @@ class Graph
      */
     Tensor take_writable_initializer(const std::string &name);
 
+    /**
+     * Constants an engine derived from this graph's weights at plan time
+     * (spatial-pack weight order, Winograd U, int8 row sums), keyed
+     * "<node output>/<impl>/<tag>". They live apart from the
+     * initializers, so no model file, pass or exporter reads or writes
+     * them and no model initializer can stand in for one; copies of the
+     * graph share them, as they share every Buffer.
+     */
+    const std::unordered_map<std::string, DerivedConstant> &
+    derived_constants() const
+    {
+        return derived_constants_;
+    }
+    std::unordered_map<std::string, DerivedConstant> &derived_constants()
+    {
+        return derived_constants_;
+    }
+
     bool is_graph_input(const std::string &name) const;
     bool is_graph_output(const std::string &name) const;
 
@@ -157,6 +184,7 @@ class Graph
     std::vector<ValueInfo> outputs_;
     std::vector<Node> nodes_;
     std::unordered_map<std::string, Tensor> initializers_;
+    std::unordered_map<std::string, DerivedConstant> derived_constants_;
     std::uint64_t name_counter_ = 0;
 };
 

@@ -39,11 +39,18 @@ conv2d(ConvAlgo algo, const Tensor &input, const Tensor &weight,
     ORPHEUS_CHECK(weight.shape().rank() == 4,
                   "conv2d weight must be OIHW, got " << weight.shape());
 
+    // The im2col GEMM reads A panels in place only when they are the
+    // panels this variant would pack per call: same groups, same MR.
     const TensorLayout &layout = weight.layout();
-    const bool reads_panels = layout.kind == TensorLayout::Kind::kPanelA &&
-                              algo == ConvAlgo::kIm2colGemm &&
-                              gemm_variant_uses_packing(gemm_variant) &&
-                              layout.groups == params.group;
+    const bool reads_panels =
+        layout.kind == TensorLayout::Kind::kPanelA &&
+        algo == ConvAlgo::kIm2colGemm &&
+        gemm_variant_uses_packing(gemm_variant) &&
+        layout.groups == params.group &&
+        layout.mr == gemm_packed_mr(gemm_variant,
+                                    weight.shape().dim(0) / params.group,
+                                    params.out_h(input.shape().dim(2)) *
+                                        params.out_w(input.shape().dim(3)));
     const Tensor unpacked =
         layout.packed() && !reads_panels ? unpack_weight(weight) : Tensor();
 

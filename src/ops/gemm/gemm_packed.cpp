@@ -41,9 +41,7 @@ constexpr std::int64_t kNr = gemm_detail::kPackNr;
 /**
  * kMr x kNr register-tile micro-kernel: C[0..rows, 0..width] += Ap * Bp
  * over depth. The accumulator tile is function-local so the compiler
- * promotes it to vector registers. Panels with one or two live rows
- * (batch-1 and batch-2 dense layers) take a body that computes only
- * those rows, with the same per-element operations.
+ * promotes it to vector registers.
  */
 inline void
 scalar_micro_kernel(std::int64_t depth, const float *__restrict ap,
@@ -59,31 +57,18 @@ scalar_micro_kernel(std::int64_t depth, const float *__restrict ap,
           acc3[kNr] = {};
     static_assert(kMr == 4, "micro_kernel is unrolled for kMr == 4");
 
-    if (rows <= 2) {
-        for (std::int64_t p = 0; p < depth; ++p) {
-            const float *__restrict b_row = bp + p * kNr;
-            const float a0 = ap[p * kMr + 0];
-            const float a1 = ap[p * kMr + 1];
-            for (std::int64_t j = 0; j < kNr; ++j) {
-                const float b = b_row[j];
-                acc0[j] += a0 * b;
-                acc1[j] += a1 * b;
-            }
-        }
-    } else {
-        for (std::int64_t p = 0; p < depth; ++p) {
-            const float *__restrict b_row = bp + p * kNr;
-            const float a0 = ap[p * kMr + 0];
-            const float a1 = ap[p * kMr + 1];
-            const float a2 = ap[p * kMr + 2];
-            const float a3 = ap[p * kMr + 3];
-            for (std::int64_t j = 0; j < kNr; ++j) {
-                const float b = b_row[j];
-                acc0[j] += a0 * b;
-                acc1[j] += a1 * b;
-                acc2[j] += a2 * b;
-                acc3[j] += a3 * b;
-            }
+    for (std::int64_t p = 0; p < depth; ++p) {
+        const float *__restrict b_row = bp + p * kNr;
+        const float a0 = ap[p * kMr + 0];
+        const float a1 = ap[p * kMr + 1];
+        const float a2 = ap[p * kMr + 2];
+        const float a3 = ap[p * kMr + 3];
+        for (std::int64_t j = 0; j < kNr; ++j) {
+            const float b = b_row[j];
+            acc0[j] += a0 * b;
+            acc1[j] += a1 * b;
+            acc2[j] += a2 * b;
+            acc3[j] += a3 * b;
         }
     }
 

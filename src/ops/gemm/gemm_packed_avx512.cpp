@@ -19,9 +19,7 @@
  *
  * Each C element accumulates the same products in the same p order,
  * all fused, and each K block is added to C the same way as in the
- * AVX2 6 x 16 body, so the two x86 bodies are bitwise identical. A
- * panel with one or two live rows (the tail of an M = 13 or 25 layer)
- * issues FMAs for those rows only, through the same chains.
+ * AVX2 6 x 16 body, so the two x86 bodies are bitwise identical.
  */
 #if defined(ORPHEUS_SIMD_X86)
 
@@ -36,62 +34,11 @@ namespace {
 constexpr std::int64_t kMr = 12;
 constexpr std::int64_t kNr = gemm_detail::kPackNr;
 
-/** C[0..rows, 0..width] += the accumulator rows @p acc. */
-inline void
-add_tile(const __m512 *acc, float *__restrict c, std::int64_t ldc,
-         std::int64_t rows, std::int64_t width)
-{
-    if (width == kNr) {
-        for (std::int64_t r = 0; r < rows; ++r) {
-            float *c_row = c + r * ldc;
-            _mm512_storeu_ps(
-                c_row, _mm512_add_ps(_mm512_loadu_ps(c_row), acc[r]));
-        }
-        return;
-    }
-    // Ragged N tail: spill the tile and accumulate the live columns.
-    alignas(64) float tmp[kNr];
-    for (std::int64_t r = 0; r < rows; ++r) {
-        _mm512_store_ps(tmp, acc[r]);
-        float *c_row = c + r * ldc;
-        for (std::int64_t j = 0; j < width; ++j)
-            c_row[j] += tmp[j];
-    }
-}
-
-/** The tile for a panel with @p Rows (1 or 2) live rows. */
-template <int Rows>
-void
-avx512_few_rows(std::int64_t depth, const float *__restrict ap,
-                const float *__restrict bp, float *__restrict c,
-                std::int64_t ldc, std::int64_t width)
-{
-    __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
-    for (std::int64_t p = 0; p < depth; ++p) {
-        const __m512 b = _mm512_load_ps(bp + p * kNr);
-        const float *a_col = ap + p * kMr;
-        acc0 = _mm512_fmadd_ps(_mm512_set1_ps(a_col[0]), b, acc0);
-        if constexpr (Rows == 2)
-            acc1 = _mm512_fmadd_ps(_mm512_set1_ps(a_col[1]), b, acc1);
-    }
-    const __m512 acc[2] = {acc0, acc1};
-    add_tile(acc, c, ldc, Rows, width);
-}
-
 void
 avx512_micro_kernel(std::int64_t depth, const float *__restrict ap,
                     const float *__restrict bp, float *__restrict c,
                     std::int64_t ldc, std::int64_t rows, std::int64_t width)
 {
-    if (rows == 1) {
-        avx512_few_rows<1>(depth, ap, bp, c, ldc, width);
-        return;
-    }
-    if (rows == 2) {
-        avx512_few_rows<2>(depth, ap, bp, c, ldc, width);
-        return;
-    }
-
     __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
     __m512 acc2 = _mm512_setzero_ps(), acc3 = _mm512_setzero_ps();
     __m512 acc4 = _mm512_setzero_ps(), acc5 = _mm512_setzero_ps();
@@ -119,7 +66,23 @@ avx512_micro_kernel(std::int64_t depth, const float *__restrict ap,
 
     const __m512 acc[kMr] = {acc0, acc1, acc2, acc3, acc4,  acc5,
                              acc6, acc7, acc8, acc9, acc10, acc11};
-    add_tile(acc, c, ldc, rows, width);
+
+    if (width == kNr) {
+        for (std::int64_t r = 0; r < rows; ++r) {
+            float *c_row = c + r * ldc;
+            _mm512_storeu_ps(
+                c_row, _mm512_add_ps(_mm512_loadu_ps(c_row), acc[r]));
+        }
+        return;
+    }
+    // Ragged N tail: spill the tile and accumulate the live columns.
+    alignas(64) float tmp[kNr];
+    for (std::int64_t r = 0; r < rows; ++r) {
+        _mm512_store_ps(tmp, acc[r]);
+        float *c_row = c + r * ldc;
+        for (std::int64_t j = 0; j < width; ++j)
+            c_row[j] += tmp[j];
+    }
 }
 
 } // namespace

@@ -526,7 +526,7 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
         record_trip(index, GuardTrip::kFault, fault.what());
         // Retry on the reference; a second failure propagates. The
         // reference output is the trusted root — no scan needed.
-        run_reference(step, step.outputs);
+        reference_layer(step).forward(step.inputs, step.outputs);
         return;
     }
 
@@ -624,29 +624,13 @@ Engine::reference_layer(PlanStep &step)
                                           << step.op_type << "."
                                           << step.reference_impl
                                           << " is no longer registered");
-        LayerInit init = step.init;
-        step.standby_inputs = step.inputs;
-        step.unpacked_constants.reserve(init.constant_inputs.size());
-        for (std::size_t i = 0; i < init.constant_inputs.size(); ++i) {
-            const Tensor *constant = init.constant_inputs[i];
-            if (constant == nullptr || !constant->layout().packed())
-                continue;
-            step.unpacked_constants.push_back(unpack_weight(*constant));
-            init.constant_inputs[i] = &step.unpacked_constants.back();
-            step.standby_inputs[i] = init.constant_inputs[i];
-        }
-        step.standby_layer = registry.instantiate(*def, init);
+        // The reference reads the step's own constants: a kernel that
+        // cannot read a packed weight unpacks it per call (conv2d,
+        // dense), which is exact and costs nothing until it runs.
+        step.standby_layer = registry.instantiate(*def, step.init);
         prepare_layer(*step.standby_layer);
     }
     return *step.standby_layer;
-}
-
-void
-Engine::run_reference(PlanStep &step, const std::vector<Tensor *> &outputs)
-{
-    Layer &reference = reference_layer(step);
-    reference.forward(step.degraded ? step.inputs : step.standby_inputs,
-                      outputs);
 }
 
 void
@@ -658,7 +642,6 @@ Engine::route_step(std::size_t index, bool to_reference)
     if (to_reference)
         reference_layer(step); // Throws now if no fallback is registered.
     std::swap(step.layer, step.standby_layer);
-    std::swap(step.inputs, step.standby_inputs);
     step.degraded = to_reference;
 }
 
@@ -682,7 +665,7 @@ Engine::confirm_outputs(PlanStep &step)
         // produces these values (e.g. a genuine overflow) — not
         // corruption. Either way the outputs now hold the reference
         // result, so downstream steps consume trusted data.
-        run_reference(step, step.outputs);
+        reference_layer(step).forward(step.inputs, step.outputs);
         const GuardVerdict confirm = scan_output(*step.outputs[i], policy);
         if (!confirm.ok())
             return GuardVerdict{};
@@ -702,7 +685,7 @@ Engine::run_shadow(PlanStep &step)
         scratch.emplace_back(output->shape(), output->dtype());
     for (Tensor &tensor : scratch)
         scratch_ptrs.push_back(&tensor);
-    run_reference(step, scratch_ptrs);
+    reference_layer(step).forward(step.inputs, scratch_ptrs);
 
     for (std::size_t i = 0; i < step.outputs.size(); ++i) {
         const ShadowComparison comparison =

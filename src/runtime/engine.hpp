@@ -118,8 +118,7 @@ struct PlanStep {
     /** The kernel that runs: the plan-time selection, or the reference
      *  while the breaker is open. */
     std::unique_ptr<Layer> layer;
-    /** Inputs of `layer`; nullptr for omitted optionals. */
-    std::vector<const Tensor *> inputs;
+    std::vector<const Tensor *> inputs; ///< nullptr for omitted optionals.
     std::vector<Tensor *> outputs;
     /** Value names of the outputs (index-aligned with outputs). */
     std::vector<std::string> output_names;
@@ -140,12 +139,6 @@ struct PlanStep {
      *  (for fault retries, guard confirmations and shadow runs) while
      *  the plan-time kernel runs, the plan-time kernel while degraded. */
     std::unique_ptr<Layer> standby_layer;
-    /** Inputs of `standby_layer`, swapped with `inputs` alongside it.
-     *  The reference reads every constant row-major, so a constant the
-     *  plan-time kernel reads packed is replaced here by its unpacked
-     *  copy in `unpacked_constants` (unpacking is exact). */
-    std::vector<const Tensor *> standby_inputs;
-    std::vector<Tensor> unpacked_constants;
     /** Circuit-breaker state and trip counters. */
     StepHealth health;
     /** Invocations of this step, returned or thrown (drives shadow
@@ -429,14 +422,9 @@ class Engine
     // --- Breaker and guard internals --------------------------------------
 
     /** The step's reference layer: `layer` while degraded, else the
-     *  standby (instantiated on first use, over row-major copies of the
-     *  constants the plan-time kernel reads packed). Throws
-     *  orpheus::Error when the step has no alternative. */
+     *  standby (instantiated on first use). Throws orpheus::Error when
+     *  the step has no alternative. */
     Layer &reference_layer(PlanStep &step);
-
-    /** Runs the step's reference layer on its own inputs into
-     *  @p outputs. */
-    void run_reference(PlanStep &step, const std::vector<Tensor *> &outputs);
 
     /**
      * The one place a step changes kernels: swaps `layer` and

@@ -125,9 +125,9 @@ EnginePool::compile_replica(Graph &model, std::size_t replica) const
         options.fault_injector = options_.per_replica_injectors[replica];
     auto engine = std::make_unique<Engine>(std::move(model),
                                            std::move(options));
-    // The engine's graph differs from the model only in its lowered and
-    // derived initializers and, after a batch rewrite, in its declared
-    // signature, which the per-request one restores.
+    // The engine's graph differs from the model only in its lowered
+    // initializers, its derived constants and, after a batch rewrite,
+    // in its declared signature, which the per-request one restores.
     model = engine->graph();
     model.inputs() = engine->request_inputs();
     model.outputs() = engine->request_outputs();

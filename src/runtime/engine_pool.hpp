@@ -10,7 +10,7 @@
  * healthiest free replica. The first compile lowers each GEMM weight
  * into the panel order its kernel reads, in place of the original, and
  * adds the derived constants (spatial-pack weight order, Winograd U,
- * quantized row sums) as initializers; every later replica compiles
+ * quantized row sums) to the graph; every later replica compiles
  * from that lowered graph. The copies share every weight Buffer, folded
  * and packed ones included, so each is allocated once per model rather
  * than once per replica. The pool owns the replica lifecycle:

@@ -312,15 +312,17 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
     for (const ReplicaSnapshot &snap : pool_.snapshot()) {
         if (snap.id == canary || snap.generation == report.generation)
             continue;
+        // A copy of the lowered graph shares its Buffers and packs
+        // nothing, and a failed compile leaves `graph` whole for the
+        // replicas after this one.
+        Graph model(graph);
         std::unique_ptr<Engine> replacement;
         try {
-            replacement = pool_.compile_replica(graph, snap.id);
+            replacement = pool_.compile_replica(model, snap.id);
         } catch (const std::exception &error) {
-            // compile_replica left the graph empty: the remaining
-            // replicas keep the incumbent generation.
             rolling_detail << "; replica " << snap.id
                            << " recompile failed: " << error.what();
-            break;
+            continue;
         }
         Status why = internal_error("swap failed");
         std::unique_ptr<Engine> old = pool_.swap_replica(

@@ -22,7 +22,12 @@
 #include <thread>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/threadpool.hpp"
+#include "models/builder.hpp"
 #include "models/model_zoo.hpp"
 #include "runtime/service.hpp"
 #include "test_util.hpp"
@@ -201,7 +206,7 @@ wait_for_empty_queue(const InferenceService &service)
 }
 
 /** Engine options pinning convolutions to spatial-pack, whose weights
- *  in spatial-pack order are a derived initializer. */
+ *  in spatial-pack order are a derived constant. */
 EngineOptions
 pinned_spatial_pack()
 {
@@ -210,16 +215,17 @@ pinned_spatial_pack()
     return options;
 }
 
-/** Bytes of the initializers the lowering made: packed weights and
- *  derived constants ("<node>/<impl>/<tag>"). */
+/** Bytes of the constants the lowering made: packed weights and
+ *  derived constants. */
 std::size_t
 lowered_bytes(const Graph &graph)
 {
     std::size_t bytes = 0;
     for (const auto &[name, tensor] : graph.initializers())
-        if (tensor.layout().packed() ||
-            name.find('/') != std::string::npos)
+        if (tensor.layout().packed())
             bytes += tensor.buffer()->size();
+    for (const auto &[key, constant] : graph.derived_constants())
+        bytes += constant.value.buffer()->size();
     return bytes;
 }
 
@@ -240,14 +246,21 @@ TEST(EnginePool, ReplicasShareOnePackedBufferPerWeight)
                "test is vacuous otherwise";
         // Every replica reads every weight, packed and derived ones
         // included, from replica 0's Buffer.
-        for (const auto &[name, weight] : first.initializers())
-            for (std::size_t i = 1; i < pool.replica_count(); ++i)
-                EXPECT_EQ(pool.engine(i).graph().initializer(name).raw_data(),
+        for (std::size_t i = 1; i < pool.replica_count(); ++i) {
+            const Graph &graph = pool.engine(i).graph();
+            for (const auto &[name, weight] : first.initializers())
+                EXPECT_EQ(graph.initializer(name).raw_data(),
                           weight.raw_data())
                     << "replica " << i << " initializer " << name;
-        for (std::size_t i = 0; i < pool.replica_count(); ++i)
-            EXPECT_EQ(pool.engine(i).graph().initializers().size(),
+            for (const auto &[key, constant] : first.derived_constants())
+                EXPECT_EQ(graph.derived_constants().at(key).value.raw_data(),
+                          constant.value.raw_data())
+                    << "replica " << i << " derived constant " << key;
+            EXPECT_EQ(graph.initializers().size(),
                       first.initializers().size());
+            EXPECT_EQ(graph.derived_constants().size(),
+                      first.derived_constants().size());
+        }
     }
 }
 
@@ -294,6 +307,80 @@ TEST(EnginePool, CompilingALaterReplicaAllocatesNoWeights)
             << cold_bytes << " cold; lowered weights are " << packed
             << " bytes and must not be rebuilt per replica";
     }
+}
+
+/**
+ * The guard's shadow runs the reference kernel (direct conv, the scalar
+ * packed Gemm) on the step's own packed weights: a kernel that cannot
+ * read panels unpacks them per call, so no replica keeps a row-major
+ * copy of any weight once its reference kernels exist. Measured as the
+ * heap bytes still in use after every replica shadow-ran every step.
+ */
+TEST(EnginePool, ShadowRunsLeaveNoWeightCopiesInReplicas)
+{
+#if !defined(__GLIBC__)
+    GTEST_SKIP() << "needs glibc's mallinfo2";
+#else
+    set_global_num_threads(1);
+    GraphBuilder b("shadowed", 0x5ad0);
+    std::string x = b.input("input", Shape({1, 16, 8, 8}));
+    x = b.cbr(x, 64, 3, 1, 1);
+    x = b.cbr(x, 64, 3, 1, 1);
+    x = b.global_average_pool(x);
+    x = b.flatten(x);
+    b.output(b.dense(x, 256));
+    const Graph model = b.take();
+    const std::map<std::string, Tensor> inputs = {
+        {"input", make_random(Shape({1, 16, 8, 8}), 0x5ad1)}};
+
+    EngineOptions options;
+    options.guard.enabled = true;
+    options.guard.shadow_every_n = 1;
+    EnginePoolOptions pool_options;
+    pool_options.replicas = 3;
+    EnginePool pool(Graph(model), options, pool_options);
+    const std::size_t packed = lowered_bytes(pool.engine(0).graph());
+    ASSERT_GT(packed, 200u * 1024u)
+        << "the weights must dwarf the reference layers' own state";
+
+    const auto heap_in_use = [] {
+        const struct mallinfo2 info = mallinfo2();
+        return static_cast<std::int64_t>(info.uordblks + info.hblkhd);
+    };
+    const std::int64_t before = heap_in_use();
+    for (std::size_t i = 0; i < pool.replica_count(); ++i) {
+        Status why;
+        EnginePool::Lease lease =
+            pool.acquire_specific(i, DeadlineToken::after_ms(5000), &why);
+        ASSERT_TRUE(lease.valid()) << why.to_string();
+        for (int run = 0; run < 3; ++run) {
+            std::map<std::string, Tensor> outputs;
+            ASSERT_TRUE(lease.engine().try_run(inputs, outputs).is_ok());
+        }
+        pool.release(std::move(lease), Status::ok());
+    }
+    const std::int64_t held = heap_in_use() - before;
+
+    // A private row-major copy per replica would hold 3 x packed.
+    EXPECT_LT(held, static_cast<std::int64_t>(packed) / 2)
+        << "replicas hold " << held << " more heap bytes after shadow "
+        << "runs; the packed weights are " << packed << " bytes";
+    // Every step with a reference kernel shadow-ran; a step without
+    // one (the scalar Gemm with the SIMD tier off) has nothing to
+    // shadow.
+    std::size_t shadowed_convs = 0;
+    for (std::size_t i = 0; i < pool.replica_count(); ++i)
+        for (const PlanStep &step : pool.engine(i).steps()) {
+            if (step.reference_impl.empty() ||
+                (step.op_type != "Conv" && step.op_type != "Gemm"))
+                continue;
+            EXPECT_GT(step.health.shadow_runs, 0)
+                << "replica " << i << " " << step.node_name;
+            shadowed_convs += step.op_type == "Conv" ? 1 : 0;
+        }
+    EXPECT_EQ(shadowed_convs, 2 * pool.replica_count())
+        << "both packed convs of every replica must shadow-run";
+#endif
 }
 
 TEST(EnginePool, ReplicasProduceBitwiseIdenticalOutputs)

@@ -16,17 +16,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <fstream>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "models/builder.hpp"
 #include "models/model_zoo.hpp"
 #include "graph/op_params.hpp"
 #include "onnx/exporter.hpp"
 #include "onnx/proto.hpp"
 #include "onnx/schema.hpp"
+#include "quant/quantizer.hpp"
 #include "runtime/engine.hpp"
+#include "test_util.hpp"
 
 namespace orpheus {
 namespace {
@@ -507,6 +512,68 @@ TEST(MalformedOnnx, ReshapeTargetsResolveOrFailTyped)
     EXPECT_EQ(resolve(Shape({2, 3}), {std::int64_t{1} << 40,
                                       std::int64_t{1} << 40}),
               bad);
+}
+
+// --- Names the engine derives constants under ---------------------------
+
+/**
+ * A model file cannot stand in for a constant the engine derives at plan
+ * time. A quantized two-conv model's file also carries, for each
+ * QLinearConv, a one-element int32 initializer under every name its row
+ * sums (one per output channel) could be keyed by, each kept live by an
+ * Identity to a graph output, and both conv nodes are named alike. Each
+ * int8 kernel must still read row sums derived from its own weight: the
+ * outputs equal the clean model's. No ReLU sits between the convs, so
+ * the second one's input zero point is non-zero and reads its row sums;
+ * an undersized decoy read past its end would also show under the
+ * sanitizers.
+ */
+TEST(MalformedOnnx, InitializersNamedLikeDerivedConstantsAreModelData)
+{
+    GraphBuilder b("decoys", 0xdec0);
+    std::string x = b.input("input", Shape({1, 3, 8, 8}));
+    x = b.conv_k(x, 8, 3, 1, 1);
+    b.output(b.conv_k(x, 16, 3, 1, 1));
+    const Graph clean = quantize_model(b.take());
+    Graph hostile(clean);
+    std::vector<std::string> decoys;
+    for (Node &node : hostile.nodes()) {
+        if (node.op_type() != op_names::kQLinearConv)
+            continue;
+        for (const std::string &owner : {node.outputs().front(), node.name(),
+                                         std::string("conv")})
+            decoys.push_back(owner + "/im2col_qgemm/row_sums");
+        node.set_name("conv");
+    }
+    ASSERT_FALSE(decoys.empty()) << "quantized tiny-cnn has no QLinearConv";
+    for (const std::string &decoy : decoys) {
+        if (hostile.has_initializer(decoy))
+            continue;
+        Tensor sums(Shape({1}), DataType::kInt32);
+        sums.data<std::int32_t>()[0] = 0x7fffffff;
+        hostile.add_initializer(decoy, sums);
+        hostile.add_node(op_names::kIdentity, {decoy}, {decoy + ":out"});
+        hostile.add_output(decoy + ":out", Shape({1}), DataType::kInt32);
+    }
+
+    Graph imported;
+    const std::vector<std::uint8_t> bytes = export_onnx(hostile);
+    ASSERT_TRUE(import_onnx(bytes.data(), bytes.size(), imported).is_ok());
+    const std::map<std::string, Tensor> inputs = {
+        {clean.inputs().front().name,
+         testing::make_random(clean.inputs().front().shape, 0xdec0)}};
+    std::map<std::string, Tensor> expected, actual;
+    ASSERT_TRUE(Engine(Graph(clean)).try_run(inputs, expected).is_ok());
+    ASSERT_TRUE(Engine(std::move(imported)).try_run(inputs, actual).is_ok());
+    for (const auto &[name, tensor] : expected) {
+        ASSERT_TRUE(actual.count(name) > 0) << name;
+        const Tensor &got = actual.at(name);
+        ASSERT_EQ(got.shape(), tensor.shape()) << name;
+        EXPECT_EQ(std::memcmp(got.raw_data(), tensor.raw_data(),
+                              tensor.byte_size()),
+                  0)
+            << name;
+    }
 }
 
 // --- Deterministic mini-fuzz ----------------------------------------------
