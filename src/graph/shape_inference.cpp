@@ -1,6 +1,7 @@
 #include "graph/shape_inference.hpp"
 
 #include <mutex>
+#include <sstream>
 
 #include "graph/op_params.hpp"
 
@@ -367,10 +368,31 @@ infer_qlinear_conv(const ShapeInferenceContext &ctx)
                                     "weights, got "
                                  << x.dtype << " / " << w.dtype);
     const Conv2dParams p = Conv2dParams::from_attrs(ctx.node.attrs(), w.shape);
-    ORPHEUS_CHECK(w.shape.dim(1) * p.group == x.shape.dim(1),
-                  "QLinearConv " << ctx.node.name()
-                                 << ": weight/input channel mismatch");
-    Shape out({x.shape.dim(0), w.shape.dim(0), p.out_h(x.shape.dim(2)),
+    const auto out_channels = w.shape.dim(0);
+    // The int8 conv reads weight rows, groups and bias by these shapes,
+    // so a model that breaks one is an invalid argument, not a kernel
+    // over-read.
+    std::ostringstream bad;
+    if (w.shape.dim(1) * p.group != x.shape.dim(1)) {
+        bad << "weight/input channel mismatch";
+    } else if (out_channels % p.group != 0) {
+        bad << "output channels " << out_channels
+            << " not divisible by group " << p.group;
+    } else if (w.shape.dim(2) != p.kernel_h || w.shape.dim(3) != p.kernel_w) {
+        bad << "kernel_shape attribute [" << p.kernel_h << ", "
+            << p.kernel_w << "] disagrees with weight " << w.shape;
+    } else if (ctx.node.has_input(8)) {
+        const ValueInfo &bias = ctx.input(8);
+        if (bias.dtype != DataType::kInt32 || bias.shape.rank() != 1 ||
+            bias.shape.dim(0) != out_channels)
+            bad << "bias " << bias.dtype << " " << bias.shape
+                << " is not int32 [" << out_channels << "]";
+    }
+    if (!bad.str().empty())
+        invalid_argument_error("QLinearConv " + ctx.node.name() + ": " +
+                               bad.str())
+            .throw_if_error();
+    Shape out({x.shape.dim(0), out_channels, p.out_h(x.shape.dim(2)),
                p.out_w(x.shape.dim(3))});
     return {ValueInfo{"", DataType::kUInt8, std::move(out)}};
 }

@@ -24,6 +24,13 @@ GRAPH_OUTPUT = 12
 NODE_INPUT = 1
 NODE_OUTPUT = 2
 NODE_OP_TYPE = 4
+NODE_ATTRIBUTE = 5
+ATTR_NAME = 1
+ATTR_INT = 3
+ATTR_INTS = 8
+ATTR_TYPE = 20
+ATTR_TYPE_INT = 2
+ATTR_TYPE_INTS = 7
 TENSOR_DIMS = 1
 TENSOR_DATA_TYPE = 2
 TENSOR_NAME = 8
@@ -35,7 +42,11 @@ TENSOR_TYPE_ELEM_TYPE = 1
 TENSOR_TYPE_SHAPE = 2
 SHAPE_DIM = 1
 DIM_VALUE = 1
+GRAPH_INPUT = 11
 FLOAT = 1
+UINT8 = 2
+INT8 = 3
+INT32 = 6
 INT64 = 7
 
 
@@ -78,18 +89,61 @@ def model(graph_body):
     return ld(MODEL_GRAPH, graph_body)
 
 
-def node(op_type, inputs, outputs):
+def int_attribute(name, value):
+    return (ld(ATTR_NAME, name) + vi(ATTR_INT, value)
+            + vi(ATTR_TYPE, ATTR_TYPE_INT))
+
+
+def ints_attribute(name, values):
+    packed = b"".join(varint(v) for v in values)
+    return (ld(ATTR_NAME, name) + ld(ATTR_INTS, packed)
+            + vi(ATTR_TYPE, ATTR_TYPE_INTS))
+
+
+def node(op_type, inputs, outputs, attributes=()):
     body = b"".join(ld(NODE_INPUT, name) for name in inputs)
     body += b"".join(ld(NODE_OUTPUT, name) for name in outputs)
-    return body + ld(NODE_OP_TYPE, op_type)
+    body += ld(NODE_OP_TYPE, op_type)
+    return body + b"".join(ld(NODE_ATTRIBUTE, a) for a in attributes)
 
 
-def value_info(name, dims):
+def value_info(name, dims, elem_type=FLOAT):
     shape = b"".join(ld(SHAPE_DIM, vi(DIM_VALUE, d)) for d in dims)
-    tensor_type = vi(TENSOR_TYPE_ELEM_TYPE, FLOAT)
+    tensor_type = vi(TENSOR_TYPE_ELEM_TYPE, elem_type)
     tensor_type += ld(TENSOR_TYPE_SHAPE, shape)
     return ld(VALUE_INFO_NAME, name) + ld(
         VALUE_INFO_TYPE, ld(TYPE_TENSOR_TYPE, tensor_type))
+
+
+def qlinear_conv(in_c, weight_dims, bias_len, attributes):
+    """A one-QLinearConv model over a uint8 [1, in_c, 6, 6] input: unit
+    scales, zero points 0, an all-ones int8 weight and, when
+    @p bias_len is set, an int32 bias of that many entries."""
+    weight_count = 1
+    for d in weight_dims:
+        weight_count *= d
+    scale = struct.pack("<f", 1.0)
+    inputs = [b"x", b"s", b"zu", b"w", b"s", b"zi", b"s", b"zu"]
+    body = ld(GRAPH_NAME, b"m")
+    body += ld(GRAPH_INITIALIZER, tensor([], raw=scale, name=b"s"))
+    body += ld(GRAPH_INITIALIZER,
+               tensor([], raw=b"\x00", dtype=UINT8, name=b"zu"))
+    body += ld(GRAPH_INITIALIZER,
+               tensor([], raw=b"\x00", dtype=INT8, name=b"zi"))
+    body += ld(GRAPH_INITIALIZER,
+               tensor(weight_dims, raw=b"\x01" * weight_count, dtype=INT8,
+                      name=b"w"))
+    if bias_len:
+        inputs.append(b"b")
+        body += ld(GRAPH_INITIALIZER,
+                   tensor([bias_len], raw=b"\x00" * 4 * bias_len,
+                          dtype=INT32, name=b"b"))
+    body += ld(GRAPH_NODE,
+               node(b"QLinearConv", inputs, [b"y"], attributes))
+    body += ld(GRAPH_INPUT, value_info(b"x", [1, in_c, 6, 6], UINT8))
+    body += ld(GRAPH_OUTPUT,
+               value_info(b"y", [1, weight_dims[0], 6, 6], UINT8))
+    return model(body)
 
 
 CORPUS = {
@@ -131,6 +185,23 @@ CORPUS = {
              tensor([2], raw=struct.pack("<2q", 0, -1), dtype=INT64,
                     name=b"s"))
         + ld(GRAPH_OUTPUT, value_info(b"y", [0, 3]))),
+    # QLinearConv whose kernel_shape (5x5) disagrees with its 3x3
+    # weight: the int8 GEMM read 25 taps per channel from a weight row
+    # of 9 (a heap over-read).
+    "compile_qlinear_conv_kernel_shape.onnx": qlinear_conv(
+        4, [8, 4, 3, 3], 0,
+        [ints_attribute(b"kernel_shape", [5, 5]),
+         ints_attribute(b"pads", [2, 2, 2, 2])]),
+    # A 1-entry int32 bias on 8 output channels: requantization read
+    # bias[oc] past its end.
+    "compile_qlinear_conv_short_bias.onnx": qlinear_conv(
+        4, [8, 4, 3, 3], 1, [ints_attribute(b"pads", [1, 1, 1, 1])]),
+    # 5 output channels split into 2 groups: the last group's weight
+    # rows run past the weight.
+    "compile_qlinear_conv_group_remainder.onnx": qlinear_conv(
+        4, [5, 2, 3, 3], 0,
+        [int_attribute(b"group", 2),
+         ints_attribute(b"pads", [1, 1, 1, 1])]),
 }
 
 

@@ -448,6 +448,88 @@ TEST(MalformedOnnx, RegressionCorpusRejectsCleanly)
     EXPECT_GT(files, 0u) << "corpus directory is empty";
 }
 
+// --- QLinearConv shapes ---------------------------------------------------
+
+/** A one-QLinearConv graph over a uint8 [1, in_c, 6, 6] input with an
+ *  int8 weight of @p weight_shape, @p attrs and, when @p bias is set,
+ *  that tensor as input 8. Unit scales, zero points 0. */
+Graph
+qlinear_conv_graph(std::int64_t in_c, const Shape &weight_shape,
+                   AttributeMap attrs, const Tensor *bias = nullptr)
+{
+    Graph graph("qconv");
+    graph.add_input("x", Shape({1, in_c, 6, 6}), DataType::kUInt8);
+    graph.add_initializer("s", Tensor::scalar(1.0f));
+    graph.add_initializer("zu", Tensor(Shape{}, DataType::kUInt8));
+    graph.add_initializer("zi", Tensor(Shape{}, DataType::kInt8));
+    graph.add_initializer("w", Tensor(weight_shape, DataType::kInt8));
+    std::vector<std::string> inputs = {"x", "s", "zu", "w",
+                                       "s", "zi", "s", "zu"};
+    if (bias != nullptr) {
+        graph.add_initializer("b", bias->clone());
+        inputs.push_back("b");
+    }
+    graph.add_node(op_names::kQLinearConv, inputs, {"y"}, std::move(attrs));
+    graph.add_output("y", {}, DataType::kUInt8);
+    return graph;
+}
+
+/**
+ * The int8 conv reads its weight rows, groups and bias by the shapes
+ * shape inference accepted, so a QLinearConv whose kernel_shape, group
+ * or bias disagrees with its weight must be an InvalidArgument at
+ * compile time. Each of these once compiled and read past a buffer: the
+ * 5x5 kernel_shape past the 3x3 weight rows, the 1-entry bias past its
+ * end, the 5-channel / 2-group weight past its last row.
+ */
+TEST(MalformedOnnx, QLinearConvShapesMustMatchTheWeight)
+{
+    AttributeMap pad1;
+    pad1.set("pads", std::vector<std::int64_t>{1, 1, 1, 1});
+
+    const Tensor bias8(Shape({8}), DataType::kInt32);
+    {
+        Graph valid = qlinear_conv_graph(4, Shape({8, 4, 3, 3}), pad1,
+                                         &bias8);
+        const std::vector<std::uint8_t> bytes = export_onnx(valid);
+        Graph imported;
+        ASSERT_TRUE(
+            import_onnx(bytes.data(), bytes.size(), imported).is_ok());
+        std::map<std::string, Tensor> outputs;
+        const Status status = Engine(std::move(imported))
+                                  .try_run({{"x", Tensor(Shape({1, 4, 6, 6}),
+                                                         DataType::kUInt8)}},
+                                           outputs);
+        ASSERT_TRUE(status.is_ok()) << status.to_string();
+    }
+
+    AttributeMap kernel5 = pad1;
+    kernel5.set("kernel_shape", std::vector<std::int64_t>{5, 5});
+    kernel5.set("pads", std::vector<std::int64_t>{2, 2, 2, 2});
+    expect_compile_rejected(
+        "kernel_shape 5x5 over a 3x3 weight",
+        export_onnx(qlinear_conv_graph(4, Shape({8, 4, 3, 3}), kernel5)));
+
+    AttributeMap group2 = pad1;
+    group2.set("group", 2);
+    expect_compile_rejected(
+        "5 output channels in 2 groups",
+        export_onnx(qlinear_conv_graph(4, Shape({5, 2, 3, 3}), group2)));
+
+    const Tensor bias1(Shape({1}), DataType::kInt32);
+    expect_compile_rejected("1-entry bias on 8 output channels",
+                            export_onnx(qlinear_conv_graph(
+                                4, Shape({8, 4, 3, 3}), pad1, &bias1)));
+    const Tensor bias_f32(Shape({8}), DataType::kFloat32);
+    expect_compile_rejected("fp32 bias",
+                            export_onnx(qlinear_conv_graph(
+                                4, Shape({8, 4, 3, 3}), pad1, &bias_f32)));
+    const Tensor bias_2d(Shape({8, 1}), DataType::kInt32);
+    expect_compile_rejected("rank-2 bias",
+                            export_onnx(qlinear_conv_graph(
+                                4, Shape({8, 4, 3, 3}), pad1, &bias_2d)));
+}
+
 // --- Reshape targets ------------------------------------------------------
 
 /** Graph: initializer d [0, 3] reshaped by the constant spec [0, -1]. */
