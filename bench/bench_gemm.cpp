@@ -70,28 +70,32 @@ gemm_cell(::benchmark::State &state, GemmVariant variant,
     state.counters["GFLOP/s"] = flops / (mean_ms * 1e6);
 }
 
-/** int8 qgemm cell (scalar reference or the SIMD tier). */
+/** int8 qgemm cell: qgemm_w8a8, the GEMM QLinearConv runs, through its
+ *  scalar body or the SIMD tier, with int8 weights as the [M x K]
+ *  stationary operand and a row-major uint8 [K x N] window. */
 void
 qgemm_cell(::benchmark::State &state, bool simd, const GemmShape &shape)
 {
     Rng rng(0x6e);
-    std::vector<std::uint8_t> a(
-        static_cast<std::size_t>(shape.m * shape.k));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(shape.k * shape.n));
+    std::vector<std::int8_t> w(static_cast<std::size_t>(shape.m * shape.k));
+    std::vector<std::uint8_t> b(
+        static_cast<std::size_t>(shape.k * shape.n));
     std::vector<std::int32_t> c(
         static_cast<std::size_t>(shape.m * shape.n));
-    for (auto &value : a)
-        value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    for (auto &value : b)
+    for (auto &value : w)
         value = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    for (auto &value : b)
+        value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
 
+    // The staging buffer comes from aligned Tensor storage, as a
+    // prepared QLinearConv's comes from the engine workspace.
+    Tensor pack(Shape({static_cast<std::int64_t>(qgemm_pack_bytes(shape.k))}),
+                DataType::kUInt8);
+    const QWindow window = QWindow::row_major(b.data(), shape.n);
     const auto run = [&] {
-        if (simd)
-            qgemm_u8i8_simd(shape.m, shape.n, shape.k, a.data(), shape.k,
-                            128, b.data(), shape.n, c.data(), shape.n);
-        else
-            qgemm_u8i8(shape.m, shape.n, shape.k, a.data(), shape.k, 128,
-                       b.data(), shape.n, c.data(), shape.n);
+        (simd ? qgemm_w8a8_simd : qgemm_w8a8)(
+            shape.m, shape.n, shape.k, w.data(), shape.k, window, c.data(),
+            shape.n, pack.data<std::uint8_t>());
     };
     run();
 

@@ -157,16 +157,11 @@ class QLinearConvLayer : public Layer
     void
     prepare(PlanContext &ctx) override
     {
-        col_offset_ = ctx.reserve(
-            qconv2d_col_count(in_c_, args_.params, out_h_, out_w_) *
-            sizeof(std::uint8_t));
         acc_offset_ = ctx.reserve(
             qconv2d_acc_count(out_c_, args_.params, out_h_, out_w_) *
             sizeof(std::int32_t));
-        if (args_.simd)
-            pack_offset_ = ctx.reserve(
-                qconv2d_pack_i16_count(in_c_, args_.params) *
-                sizeof(std::int16_t));
+        pack_offset_ =
+            ctx.reserve(qconv2d_pack_bytes(in_c_, args_.params));
         if (const_weight_ != nullptr) {
             weight_row_sums_ =
                 ctx.derived(derived_key_ + "/im2col_qgemm/row_sums",
@@ -204,10 +199,8 @@ class QLinearConvLayer : public Layer
     void
     rebind()
     {
-        scratch_.col = workspace_.at<std::uint8_t>(col_offset_);
         scratch_.acc = workspace_.at<std::int32_t>(acc_offset_);
-        if (args_.simd)
-            scratch_.pack = workspace_.at<std::int16_t>(pack_offset_);
+        scratch_.pack = workspace_.at<std::uint8_t>(pack_offset_);
         if (weight_row_sums_.has_storage())
             scratch_.weight_row_sums = weight_row_sums_.data<std::int32_t>();
     }
@@ -225,7 +218,6 @@ class QLinearConvLayer : public Layer
     Tensor weight_row_sums_;
     Workspace workspace_;
     QConv2dScratch scratch_;
-    std::size_t col_offset_ = 0;
     std::size_t acc_offset_ = 0;
     std::size_t pack_offset_ = 0;
     bool prepared_ = false;
@@ -249,8 +241,8 @@ register_quant_kernels(KernelRegistry &registry)
                       return std::make_unique<QLinearConvLayer>(init);
                   }});
 
-    // SIMD qconv: identical lowering with the accumulation routed
-    // through the vector qgemm tier (bitwise-equal int32 accumulators).
+    // SIMD qconv: the same lowering with the accumulation routed through
+    // the vector qgemm body (bitwise-equal int32 accumulators).
     const std::string isa = simd_isa_compiled();
     if (!isa.empty()) {
         registry.add({op_names::kQLinearConv, "im2col_qgemm_" + isa, 30,

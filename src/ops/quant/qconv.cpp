@@ -2,61 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "ops/quant/qgemm.hpp"
 
 namespace orpheus {
-
-namespace {
-
-/** im2col over uint8 data; out-of-bounds samples take @p pad_value. */
-void
-qim2col(const std::uint8_t *data, std::int64_t channels, std::int64_t height,
-        std::int64_t width, const Conv2dParams &p, std::int64_t out_h,
-        std::int64_t out_w, std::uint8_t pad_value, std::uint8_t *col)
-{
-    for (std::int64_t c = 0; c < channels; ++c) {
-        const std::uint8_t *plane = data + c * height * width;
-        for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
-            for (std::int64_t kw = 0; kw < p.kernel_w; ++kw) {
-                std::uint8_t *row =
-                    col + ((c * p.kernel_h + kh) * p.kernel_w + kw) * out_h *
-                              out_w;
-                for (std::int64_t oh = 0; oh < out_h; ++oh) {
-                    const std::int64_t ih =
-                        oh * p.stride_h - p.pad_top + kh * p.dilation_h;
-                    std::uint8_t *out_row = row + oh * out_w;
-                    if (ih < 0 || ih >= height) {
-                        std::memset(out_row, pad_value,
-                                    static_cast<std::size_t>(out_w));
-                        continue;
-                    }
-                    const std::uint8_t *in_row = plane + ih * width;
-                    for (std::int64_t ow = 0; ow < out_w; ++ow) {
-                        const std::int64_t iw = ow * p.stride_w -
-                                                p.pad_left +
-                                                kw * p.dilation_w;
-                        out_row[ow] = (iw >= 0 && iw < width)
-                                          ? in_row[iw]
-                                          : pad_value;
-                    }
-                }
-            }
-        }
-    }
-}
-
-} // namespace
-
-std::size_t
-qconv2d_col_count(std::int64_t in_c, const Conv2dParams &params,
-                  std::int64_t out_h, std::int64_t out_w)
-{
-    return static_cast<std::size_t>(in_c / params.group * params.kernel_h *
-                                    params.kernel_w * out_h * out_w);
-}
 
 std::size_t
 qconv2d_acc_count(std::int64_t out_c, const Conv2dParams &params,
@@ -66,10 +16,10 @@ qconv2d_acc_count(std::int64_t out_c, const Conv2dParams &params,
 }
 
 std::size_t
-qconv2d_pack_i16_count(std::int64_t in_c, const Conv2dParams &params)
+qconv2d_pack_bytes(std::int64_t in_c, const Conv2dParams &params)
 {
-    return qgemm_pack_i16s(in_c / params.group * params.kernel_h *
-                           params.kernel_w);
+    return qgemm_pack_bytes(in_c / params.group * params.kernel_h *
+                            params.kernel_w);
 }
 
 void
@@ -148,25 +98,24 @@ qconv2d(const QConv2dArgs &args, const QConv2dScratch *scratch)
             clamp_hi, args.output_params.quantize(args.activation.max));
     }
 
-    const auto pad_value =
-        static_cast<std::uint8_t>(std::clamp(args.input_params.zero_point,
-                                             std::int32_t{0},
-                                             std::int32_t{255}));
+    QWindow window;
+    window.height = in_h;
+    window.width = in_w;
+    window.out_w = out_w;
+    window.params = p;
+    window.pad_value = static_cast<std::uint8_t>(std::clamp(
+        args.input_params.zero_point, std::int32_t{0}, std::int32_t{255}));
 
-    // Prepared layers supply both blocks from the engine workspace;
-    // standalone calls fall back to call-local allocations.
-    std::uint8_t *col = scratch != nullptr ? scratch->col : nullptr;
+    // Prepared layers supply the accumulator block and the staging
+    // buffer from the engine workspace; standalone calls fall back to
+    // call-local allocations.
     std::int32_t *acc = scratch != nullptr ? scratch->acc : nullptr;
-    std::vector<std::uint8_t> col_fallback;
     std::vector<std::int32_t> acc_fallback;
-    if (col == nullptr) {
-        col_fallback.resize(static_cast<std::size_t>(gemm_k * gemm_n));
-        col = col_fallback.data();
-    }
     if (acc == nullptr) {
         acc_fallback.resize(static_cast<std::size_t>(group_out_c * gemm_n));
         acc = acc_fallback.data();
     }
+    std::uint8_t *pack = scratch != nullptr ? scratch->pack : nullptr;
     const std::int32_t *cached_w_sums =
         scratch != nullptr ? scratch->weight_row_sums : nullptr;
 
@@ -176,33 +125,23 @@ qconv2d(const QConv2dArgs &args, const QConv2dScratch *scratch)
         args.bias != nullptr ? args.bias->data<std::int32_t>() : nullptr;
     std::uint8_t *output = args.output->data<std::uint8_t>();
 
-    // The SIMD path accumulates the whole group block in one
-    // qgemm_w8a8_simd call (amortising the tile packing over all output
-    // channels); the scalar path keeps the per-row loop below. Both are
-    // exact integer arithmetic, so outputs are bitwise identical.
-    const bool use_simd = args.simd && qgemm_simd_available();
+    // Both bodies are exact integer arithmetic, so outputs are bitwise
+    // identical whichever runs.
+    const auto accumulate =
+        args.simd && qgemm_simd_available() ? qgemm_w8a8_simd : qgemm_w8a8;
 
     for (std::int64_t n = 0; n < batch; ++n) {
         for (std::int64_t g = 0; g < p.group; ++g) {
-            const std::uint8_t *group_input =
-                input + (n * in_c + g * group_in_c) * in_h * in_w;
+            window.input = input + (n * in_c + g * group_in_c) * in_h * in_w;
             std::uint8_t *group_output =
                 output + (n * out_c + g * group_out_c) * gemm_n;
+            accumulate(group_out_c, gemm_n, gemm_k,
+                       weight + g * group_out_c * gemm_k, gemm_k, window,
+                       acc, gemm_n, pack);
 
-            qim2col(group_input, group_in_c, in_h, in_w, p, out_h, out_w,
-                    pad_value, col);
-
-            if (use_simd)
-                qgemm_w8a8_simd(group_out_c, gemm_n, gemm_k,
-                                weight + g * group_out_c * gemm_k, gemm_k,
-                                col, gemm_n, acc, gemm_n,
-                                scratch != nullptr ? scratch->pack
-                                                   : nullptr);
-
-            // acc[oc][pixel] = sum_k W[oc][k] * (col[k][pixel] - x_zp),
-            // with the zero-point correction hoisted to one subtraction
-            // per output via the row sum of W (the symmetric-weights
-            // counterpart of qgemm's column-sum trick).
+            // acc[oc][pixel] = sum_k W[oc][k] * col[k][pixel]; the input
+            // zero point comes off as one subtraction per output via the
+            // row sum of W: sum_k W * (col - x_zp) = acc - x_zp * sum_k W.
             for (std::int64_t oc = 0; oc < group_out_c; ++oc) {
                 const std::int8_t *w_row =
                     weight + (g * group_out_c + oc) * gemm_k;
@@ -215,22 +154,7 @@ qconv2d(const QConv2dArgs &args, const QConv2dScratch *scratch)
                         w_sum += w_row[kk];
                 }
 
-                std::int32_t *acc_row = acc + oc * gemm_n;
-                if (!use_simd) {
-                    std::memset(acc_row, 0,
-                                static_cast<std::size_t>(gemm_n) *
-                                    sizeof(std::int32_t));
-                    for (std::int64_t kk = 0; kk < gemm_k; ++kk) {
-                        const std::int32_t w_val = w_row[kk];
-                        if (w_val == 0)
-                            continue;
-                        const std::uint8_t *col_row = col + kk * gemm_n;
-                        for (std::int64_t i = 0; i < gemm_n; ++i)
-                            acc_row[i] +=
-                                w_val *
-                                static_cast<std::int32_t>(col_row[i]);
-                    }
-                }
+                const std::int32_t *acc_row = acc + oc * gemm_n;
                 const std::int32_t correction =
                     args.input_params.zero_point * w_sum;
                 const std::int32_t b =

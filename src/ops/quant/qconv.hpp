@@ -3,11 +3,12 @@
  * Quantized 2-D convolution (the QLinearConv computation).
  *
  * Inputs: uint8 activations (affine), int8 weights (symmetric), int32
- * bias at scale x_scale * w_scale. The convolution is lowered through a
- * quantized im2col (padding written as the activation zero point, which
- * dequantizes to exactly 0) into qgemm_u8i8; the int32 accumulators are
- * then requantized to the uint8 output with a single fused multiplier
- * M = x_scale * w_scale / y_scale.
+ * bias at scale x_scale * w_scale. Each group is one qgemm_w8a8 call
+ * that reads the im2col view of the input group (QWindow) straight from
+ * the input, with padding read as the activation zero point (which
+ * dequantizes to exactly 0), so no column matrix is written. The int32
+ * accumulators are then requantized to the uint8 output with a single
+ * fused multiplier M = x_scale * w_scale / y_scale.
  */
 #pragma once
 
@@ -38,10 +39,10 @@ struct QConv2dArgs {
      *  become clamps; other kinds are not supported here). */
     ActivationSpec activation;
     /**
-     * Route the accumulation through the SIMD qgemm tier
-     * (qgemm_w8a8_simd) when it is available; results are bitwise
-     * identical to the scalar path either way. Set by the SIMD registry
-     * impl, left false by the reference impl.
+     * Accumulate through qgemm_w8a8_simd (when the SIMD tier is
+     * available) instead of the scalar qgemm_w8a8; results are bitwise
+     * identical either way. Set by the SIMD registry impl, left false
+     * by the reference impl.
      */
     bool simd = false;
 };
@@ -53,24 +54,16 @@ struct QConv2dArgs {
  * once at plan time.
  */
 struct QConv2dScratch {
-    /** Quantized column matrix; qconv2d_col_count() uint8 entries. */
-    std::uint8_t *col = nullptr;
     /** int32 accumulator block; qconv2d_acc_count() entries. */
     std::int32_t *acc = nullptr;
     /** Precomputed per-output-channel weight row sums (length out_c);
      *  constant for constant weights, used for the zero-point
      *  correction. Null recomputes them per call. */
     const std::int32_t *weight_row_sums = nullptr;
-    /** int16 tile-packing buffer for the SIMD qgemm path;
-     *  qconv2d_pack_i16_count() entries. Null falls back to a
-     *  call-local allocation. */
-    std::int16_t *pack = nullptr;
+    /** qgemm_w8a8's tile staging buffer; qconv2d_pack_bytes() bytes,
+     *  64-byte aligned. Null falls back to a call-local allocation. */
+    std::uint8_t *pack = nullptr;
 };
-
-/** uint8 entries of the qconv2d column buffer:
- *  (in_c/group) * kernel_area * out_h * out_w. */
-std::size_t qconv2d_col_count(std::int64_t in_c, const Conv2dParams &params,
-                              std::int64_t out_h, std::int64_t out_w);
 
 /** int32 entries of the qconv2d accumulator block:
  *  (out_c/group) * out_h * out_w. */
@@ -81,10 +74,9 @@ std::size_t qconv2d_acc_count(std::int64_t out_c, const Conv2dParams &params,
  *  hold weight.shape().dim(0) entries. */
 void qconv2d_weight_row_sums(const Tensor &weight, std::int32_t *out);
 
-/** int16 entries of the SIMD qgemm packing buffer for this conv's
- *  reduction depth ((in_c/group) * kernel_area). */
-std::size_t qconv2d_pack_i16_count(std::int64_t in_c,
-                                   const Conv2dParams &params);
+/** Bytes of qgemm_w8a8's staging buffer for this conv's reduction
+ *  depth ((in_c/group) * kernel_area). */
+std::size_t qconv2d_pack_bytes(std::int64_t in_c, const Conv2dParams &params);
 
 /** Runs the quantized convolution. Throws on dtype/shape mismatches. */
 void qconv2d(const QConv2dArgs &args,

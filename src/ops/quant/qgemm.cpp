@@ -1,80 +1,135 @@
 #include "ops/quant/qgemm.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/cpu_features.hpp"
 
 namespace orpheus {
 
-void
-qgemm_u8i8_naive(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const std::uint8_t *a, std::int64_t lda,
-                 std::int32_t a_zero_point, const std::int8_t *b,
-                 std::int64_t ldb, std::int32_t *c, std::int64_t ldc)
+namespace {
+
+/** 64-byte-aligned qgemm_pack_bytes(k) buffer for standalone calls. */
+std::uint8_t *
+aligned_pack_fallback(std::vector<std::uint8_t> &storage, std::int64_t k)
 {
-    for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-            std::int32_t acc = 0;
-            for (std::int64_t p = 0; p < k; ++p) {
-                acc += (static_cast<std::int32_t>(a[i * lda + p]) -
-                        a_zero_point) *
-                       static_cast<std::int32_t>(b[p * ldb + j]);
-            }
-            c[i * ldc + j] = acc;
-        }
-    }
+    const std::size_t bytes = qgemm_pack_bytes(k);
+    storage.resize(bytes + 64);
+    void *p = storage.data();
+    std::size_t space = storage.size();
+    return static_cast<std::uint8_t *>(std::align(64, bytes, p, space));
+}
+
+} // namespace
+
+std::size_t
+qgemm_pack_bytes(std::int64_t k)
+{
+    // ceil(k/2) row pairs: kQgemmTileN uint8 columns per row of the
+    // gathered tile (rows padded to an even count), then the same rows
+    // as int16 pairs.
+    const auto pairs = static_cast<std::size_t>((k + 1) / 2);
+    return pairs * 2 * kQgemmTileN * (sizeof(std::uint8_t) +
+                                      sizeof(std::int16_t));
 }
 
 void
-qgemm_u8i8(std::int64_t m, std::int64_t n, std::int64_t k,
-           const std::uint8_t *a, std::int64_t lda,
-           std::int32_t a_zero_point, const std::int8_t *b,
-           std::int64_t ldb, std::int32_t *c, std::int64_t ldc)
+qgemm_gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
+                  std::int64_t jw, std::uint8_t *tile)
 {
-    // Zero-point trick: sum_p (a - zp) * b = sum_p a*b - zp * colsum(b),
-    // so the inner loop multiplies raw uint8 by int8 and the correction
-    // is one subtraction per output.
-    std::vector<std::int32_t> column_sums(static_cast<std::size_t>(n), 0);
-    for (std::int64_t p = 0; p < k; ++p) {
-        const std::int8_t *b_row = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j)
-            column_sums[static_cast<std::size_t>(j)] += b_row[j];
+    const Conv2dParams &p = b.params;
+    const std::int64_t channels = k / (p.kernel_h * p.kernel_w);
+    const std::int64_t sw = p.stride_w;
+
+    // The tile's columns fall into runs along output rows: run r covers
+    // lanes [lane[r], lane[r + 1]) of output row oh[r], from column
+    // ow[r]. In one run a tap reads one input row at stride sw.
+    std::int64_t lane[kQgemmTileN + 1], oh[kQgemmTileN], ow[kQgemmTileN];
+    std::int64_t runs = 0;
+    lane[0] = 0;
+    oh[0] = j0 / b.out_w;
+    ow[0] = j0 % b.out_w;
+    while (lane[runs] < jw) {
+        lane[runs + 1] =
+            std::min(jw, lane[runs] + b.out_w - ow[runs]);
+        oh[runs + 1] = oh[runs] + 1;
+        ow[runs + 1] = 0;
+        ++runs;
     }
 
-    for (std::int64_t i = 0; i < m; ++i) {
-        std::int32_t *c_row = c + i * ldc;
-        std::memset(c_row, 0, static_cast<std::size_t>(n) * 4);
-        const std::uint8_t *a_row = a + i * lda;
-        for (std::int64_t p = 0; p < k; ++p) {
-            const std::int32_t a_val = a_row[p];
-            if (a_val == 0)
-                continue;
-            const std::int8_t *b_row = b + p * ldb;
-            for (std::int64_t j = 0; j < n; ++j)
-                c_row[j] += a_val * static_cast<std::int32_t>(b_row[j]);
+    std::uint8_t *row = tile;
+    for (std::int64_t c = 0; c < channels; ++c) {
+        const std::uint8_t *plane = b.input + c * b.height * b.width;
+        for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
+            for (std::int64_t kw = 0; kw < p.kernel_w; ++kw) {
+                for (std::int64_t r = 0; r < runs; ++r) {
+                    std::uint8_t *dst = row + lane[r];
+                    const std::int64_t len = lane[r + 1] - lane[r];
+                    const std::int64_t ih =
+                        oh[r] * p.stride_h - p.pad_top + kh * p.dilation_h;
+                    // Lanes [lead, tail) read iw = iw0 + lane * sw inside
+                    // the input row; the others are padding.
+                    const std::int64_t iw0 =
+                        ow[r] * sw - p.pad_left + kw * p.dilation_w;
+                    std::int64_t lead = 0;
+                    std::int64_t tail = ih >= 0 && ih < b.height ? len : 0;
+                    if (sw == 1) {
+                        lead = std::clamp<std::int64_t>(-iw0, 0, tail);
+                        tail = std::clamp<std::int64_t>(b.width - iw0, lead,
+                                                        tail);
+                    } else {
+                        while (lead < tail && iw0 + lead * sw < 0)
+                            ++lead;
+                        while (tail > lead &&
+                               iw0 + (tail - 1) * sw >= b.width)
+                            --tail;
+                    }
+                    const std::uint8_t *in_row = plane + ih * b.width;
+                    for (std::int64_t t = 0; t < lead; ++t)
+                        dst[t] = b.pad_value;
+                    if (sw == 1 && tail - lead >= 16)
+                        std::memcpy(dst + lead, in_row + iw0 + lead,
+                                    static_cast<std::size_t>(tail - lead));
+                    else
+                        for (std::int64_t t = lead; t < tail; ++t)
+                            dst[t] = in_row[iw0 + t * sw];
+                    for (std::int64_t t = tail; t < len; ++t)
+                        dst[t] = b.pad_value;
+                }
+                for (std::int64_t t = jw; t < kQgemmTileN; ++t)
+                    row[t] = b.pad_value;
+                row += kQgemmTileN;
+            }
         }
-        for (std::int64_t j = 0; j < n; ++j)
-            c_row[j] -= a_zero_point * column_sums[static_cast<std::size_t>(j)];
     }
 }
 
 void
 qgemm_w8a8(std::int64_t m, std::int64_t n, std::int64_t k,
-           const std::int8_t *w, std::int64_t ldw, const std::uint8_t *col,
-           std::int64_t ldcol, std::int32_t *c, std::int64_t ldc)
+           const std::int8_t *w, std::int64_t ldw, const QWindow &b,
+           std::int32_t *c, std::int64_t ldc, std::uint8_t *pack)
 {
-    for (std::int64_t i = 0; i < m; ++i) {
-        std::int32_t *c_row = c + i * ldc;
-        std::memset(c_row, 0, static_cast<std::size_t>(n) * 4);
-        const std::int8_t *w_row = w + i * ldw;
-        for (std::int64_t p = 0; p < k; ++p) {
-            const std::int32_t w_val = w_row[p];
-            if (w_val == 0)
-                continue;
-            const std::uint8_t *col_row = col + p * ldcol;
-            for (std::int64_t j = 0; j < n; ++j)
-                c_row[j] += w_val * static_cast<std::int32_t>(col_row[j]);
+    std::vector<std::uint8_t> pack_fallback;
+    if (pack == nullptr)
+        pack = aligned_pack_fallback(pack_fallback, k);
+
+    for (std::int64_t j0 = 0; j0 < n; j0 += kQgemmTileN) {
+        const std::int64_t jw = std::min(kQgemmTileN, n - j0);
+        qgemm_gather_tile(b, k, j0, jw, pack);
+        for (std::int64_t i = 0; i < m; ++i) {
+            const std::int8_t *w_row = w + i * ldw;
+            std::int32_t acc[kQgemmTileN] = {};
+            for (std::int64_t p = 0; p < k; ++p) {
+                const std::int32_t w_val = w_row[p];
+                if (w_val == 0)
+                    continue;
+                const std::uint8_t *b_row = pack + p * kQgemmTileN;
+                for (std::int64_t j = 0; j < kQgemmTileN; ++j)
+                    acc[j] += w_val * static_cast<std::int32_t>(b_row[j]);
+            }
+            std::copy(acc, acc + jw, c + i * ldc + j0);
         }
     }
 }
@@ -85,56 +140,25 @@ qgemm_simd_available()
     return simd_enabled();
 }
 
-std::size_t
-qgemm_pack_i16s(std::int64_t k)
-{
-    // One 32-column tile of interleaved row pairs: ceil(k/2) pairs of
-    // 32 int16 lanes each.
-    return static_cast<std::size_t>((k + 1) / 2) * 64;
-}
-
-void
-qgemm_u8i8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t *a, std::int64_t lda,
-                std::int32_t a_zero_point, const std::int8_t *b,
-                std::int64_t ldb, std::int32_t *c, std::int64_t ldc,
-                std::int16_t *pack)
-{
-#if defined(ORPHEUS_SIMD_X86)
-    if (simd_enabled()) {
-        qgemm_u8i8_avx2(m, n, k, a, lda, a_zero_point, b, ldb, c, ldc,
-                        pack);
-        return;
-    }
-#elif defined(ORPHEUS_SIMD_NEON)
-    if (simd_enabled()) {
-        qgemm_u8i8_neon(m, n, k, a, lda, a_zero_point, b, ldb, c, ldc);
-        return;
-    }
-#endif
-    (void)pack;
-    qgemm_u8i8(m, n, k, a, lda, a_zero_point, b, ldb, c, ldc);
-}
-
 void
 qgemm_w8a8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::int8_t *w, std::int64_t ldw,
-                const std::uint8_t *col, std::int64_t ldcol,
-                std::int32_t *c, std::int64_t ldc, std::int16_t *pack)
+                const std::int8_t *w, std::int64_t ldw, const QWindow &b,
+                std::int32_t *c, std::int64_t ldc, std::uint8_t *pack)
 {
+#if defined(ORPHEUS_SIMD_X86) || defined(ORPHEUS_SIMD_NEON)
+    if (simd_enabled()) {
+        std::vector<std::uint8_t> pack_fallback;
+        if (pack == nullptr)
+            pack = aligned_pack_fallback(pack_fallback, k);
 #if defined(ORPHEUS_SIMD_X86)
-    if (simd_enabled()) {
-        qgemm_w8a8_avx2(m, n, k, w, ldw, col, ldcol, c, ldc, pack);
-        return;
-    }
-#elif defined(ORPHEUS_SIMD_NEON)
-    if (simd_enabled()) {
-        qgemm_w8a8_neon(m, n, k, w, ldw, col, ldcol, c, ldc);
+        qgemm_w8a8_avx2(m, n, k, w, ldw, b, c, ldc, pack);
+#else
+        qgemm_w8a8_neon(m, n, k, w, ldw, b, c, ldc, pack);
+#endif
         return;
     }
 #endif
-    (void)pack;
-    qgemm_w8a8(m, n, k, w, ldw, col, ldcol, c, ldc);
+    qgemm_w8a8(m, n, k, w, ldw, b, c, ldc, pack);
 }
 
 } // namespace orpheus

@@ -1,103 +1,121 @@
 /**
  * @file
- * Quantized GEMM: uint8 activations x int8 weights -> int32 accumulators.
+ * The int8 GEMM of the quantized conv: int8 weights x uint8 activations
+ * -> int32 accumulators.
  *
- * C[i][j] = sum_k (A[i][k] - a_zero_point) * B[k][j]
+ * C[i][j] = sum_p W[i][p] * B[p][j]
  *
- * B (the weights) is symmetric (zero point 0), which removes the
- * B-correction term; the A zero point is folded in with the standard
- * column-sum trick so the hot loop is a pure integer multiply-add.
+ * W (the weights) is row-major and stationary. B is the im2col view of
+ * one uint8 input group (QWindow), streamed through 32-column tiles that
+ * are gathered straight from the input, so no column matrix is ever
+ * written. There is no zero-point term: B's zero point is folded in by
+ * the caller through the weight row sums (the weights are symmetric).
+ * Integer arithmetic is exact, so the scalar, AVX2 and NEON bodies are
+ * bitwise identical.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+
+#include "graph/op_params.hpp"
 
 namespace orpheus {
 
-/** Reference implementation (used for validation). */
-void qgemm_u8i8_naive(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const std::uint8_t *a, std::int64_t lda,
-                      std::int32_t a_zero_point, const std::int8_t *b,
-                      std::int64_t ldb, std::int32_t *c, std::int64_t ldc);
-
 /**
- * Production kernel: i/p/j loop order with the zero-point correction
- * hoisted out of the inner loop via per-column sums of B.
+ * The im2col view of one uint8 image group, read as qgemm_w8a8's B
+ * operand: row (c, kh, kw) and column (oh, ow) hold input[c][ih][iw]
+ * with ih = oh * stride_h - pad_top + kh * dilation_h (iw likewise), or
+ * @p pad_value where that falls outside the image. This is exactly the
+ * matrix an explicit im2col would write with @p pad_value as padding;
+ * params.group is ignored.
  */
-void qgemm_u8i8(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t *a, std::int64_t lda,
-                std::int32_t a_zero_point, const std::int8_t *b,
-                std::int64_t ldb, std::int32_t *c, std::int64_t ldc);
+struct QWindow {
+    const std::uint8_t *input = nullptr; ///< channels x height x width.
+    std::int64_t height = 0;
+    std::int64_t width = 0;
+    std::int64_t out_w = 0;
+    Conv2dParams params;
+    /** Read for taps outside the image: the activation zero point,
+     *  which dequantizes to exactly 0. */
+    std::uint8_t pad_value = 0;
+
+    /** A row-major [k x n] matrix @p b: the 1x1, stride-1, unpadded
+     *  window over a k x 1 x n input. */
+    static QWindow
+    row_major(const std::uint8_t *b, std::int64_t n)
+    {
+        QWindow window;
+        window.input = b;
+        window.height = 1;
+        window.width = n;
+        window.out_w = n;
+        return window;
+    }
+};
+
+/** Columns of B per gathered tile. */
+inline constexpr std::int64_t kQgemmTileN = 32;
 
 /**
- * Weight-stationary raw accumulation used by the quantized conv:
- * C[i][j] = sum_p W[i][p] * Col[p][j] over int8 weights and uint8
- * columns — no zero-point term (the caller folds it in via the cached
- * per-row weight sums). This is the scalar reference; the SIMD variant
- * below is bitwise identical (integer arithmetic is exact).
+ * Bytes of the staging buffer qgemm_w8a8 streams B through for
+ * reduction depth @p k: the gathered uint8 tile, then (SIMD bodies) the
+ * tile widened to int16 row pairs. Prepared layers reserve it in the
+ * engine workspace (64-byte aligned); a null pack pointer falls back to
+ * a call-local allocation.
+ */
+std::size_t qgemm_pack_bytes(std::int64_t k);
+
+/**
+ * Gathers columns [j0, j0 + jw) of rows [0, k) of @p b into @p tile:
+ * row p at tile + p * kQgemmTileN, lanes at and past @p jw set to the
+ * pad value. Shared by every body of qgemm_w8a8.
+ */
+void qgemm_gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
+                       std::int64_t jw, std::uint8_t *tile);
+
+/**
+ * Weight-stationary accumulation, the scalar body:
+ * C[i][j] = sum_p W[i][p] * B[p][j] over [m x k] int8 weights (row
+ * stride @p ldw) and the window @p b, into C (row stride @p ldc).
+ * @p pack holds qgemm_pack_bytes(k) bytes or is null.
  */
 void qgemm_w8a8(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::int8_t *w, std::int64_t ldw,
-                const std::uint8_t *col, std::int64_t ldcol,
-                std::int32_t *c, std::int64_t ldc);
+                const std::int8_t *w, std::int64_t ldw, const QWindow &b,
+                std::int32_t *c, std::int64_t ldc,
+                std::uint8_t *pack = nullptr);
 
 /** True when the qgemm SIMD tier will dispatch to vector code (built
  *  in, supported by the CPU, and not disabled). */
 bool qgemm_simd_available();
 
 /**
- * int16 entries of the interleaved-pair packing buffer the SIMD qgemm
- * kernels stage one 32-column tile of the streamed operand through.
- * Prepared layers reserve this in the engine workspace; a null pack
- * pointer falls back to a call-local allocation.
- */
-std::size_t qgemm_pack_i16s(std::int64_t k);
-
-/**
- * SIMD qgemm: identical results to qgemm_u8i8 bit for bit. On AVX2 the
- * streamed B tile is packed as sign-extended int16 row pairs so the
- * dot products run through vpmaddwd, which is exact in int32 (the
+ * SIMD qgemm_w8a8: bitwise identical to the scalar body. On AVX2 each
+ * gathered tile is widened to sign-extended int16 row pairs so the dot
+ * products run through vpmaddwd, which is exact in int32 (the
  * saturating u8 x i8 vpmaddubsw path would not be). Falls back to the
- * scalar kernel when the SIMD tier is unavailable or disabled.
+ * scalar body when the SIMD tier is unavailable or disabled.
  */
-void qgemm_u8i8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::uint8_t *a, std::int64_t lda,
-                     std::int32_t a_zero_point, const std::int8_t *b,
-                     std::int64_t ldb, std::int32_t *c, std::int64_t ldc,
-                     std::int16_t *pack = nullptr);
-
-/** SIMD variant of qgemm_w8a8 (bitwise identical); same fallback and
- *  packing rules as qgemm_u8i8_simd. */
 void qgemm_w8a8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
                      const std::int8_t *w, std::int64_t ldw,
-                     const std::uint8_t *col, std::int64_t ldcol,
-                     std::int32_t *c, std::int64_t ldc,
-                     std::int16_t *pack = nullptr);
+                     const QWindow &b, std::int32_t *c, std::int64_t ldc,
+                     std::uint8_t *pack = nullptr);
 
-// Per-ISA entry points (defined in qgemm_avx2.cpp / qgemm_neon.cpp,
-// compiled with the matching ISA flags; referenced only when the
-// corresponding ORPHEUS_SIMD_* definition is set).
+// Per-ISA bodies (defined in qgemm_avx2.cpp / qgemm_neon.cpp, compiled
+// with the matching ISA flags; referenced only when the corresponding
+// ORPHEUS_SIMD_* definition is set). @p pack is non-null and 64-byte
+// aligned.
 #if defined(ORPHEUS_SIMD_X86)
-void qgemm_u8i8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::uint8_t *a, std::int64_t lda,
-                     std::int32_t a_zero_point, const std::int8_t *b,
-                     std::int64_t ldb, std::int32_t *c, std::int64_t ldc,
-                     std::int16_t *pack);
 void qgemm_w8a8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
                      const std::int8_t *w, std::int64_t ldw,
-                     const std::uint8_t *col, std::int64_t ldcol,
-                     std::int32_t *c, std::int64_t ldc,
-                     std::int16_t *pack);
+                     const QWindow &b, std::int32_t *c, std::int64_t ldc,
+                     std::uint8_t *pack);
 #endif
 #if defined(ORPHEUS_SIMD_NEON)
-void qgemm_u8i8_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::uint8_t *a, std::int64_t lda,
-                     std::int32_t a_zero_point, const std::int8_t *b,
-                     std::int64_t ldb, std::int32_t *c, std::int64_t ldc);
 void qgemm_w8a8_neon(std::int64_t m, std::int64_t n, std::int64_t k,
                      const std::int8_t *w, std::int64_t ldw,
-                     const std::uint8_t *col, std::int64_t ldcol,
-                     std::int32_t *c, std::int64_t ldc);
+                     const QWindow &b, std::int32_t *c, std::int64_t ldc,
+                     std::uint8_t *pack);
 #endif
 
 } // namespace orpheus

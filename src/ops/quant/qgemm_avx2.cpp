@@ -1,30 +1,29 @@
 /**
  * @file
- * AVX2 int8 GEMM kernels (compiled with -mavx2 -mfma per-file flags).
+ * AVX2 body of qgemm_w8a8 (compiled with -mavx2 -mfma per-file flags).
  *
- * Both kernels stream the wide operand (B for qgemm_u8i8, the im2col
- * columns for qgemm_w8a8) through a 32-column packed tile of
- * interleaved row pairs widened to int16, then broadcast the stationary
- * operand's row pairs and accumulate with vpmaddwd:
+ * Each gathered 32-column tile of the window is widened to int16 and
+ * interleaved into row pairs; the stationary weights' row pairs are then
+ * broadcast and accumulated with vpmaddwd:
  *
  *   acc32 += lo16 * pair0 + hi16 * pair1
  *
  * vpmaddwd is exact in int32 for these ranges (|u8 x i8| pair sums max
- * out at 255*128*2 = 65280), so the SIMD kernels are bitwise identical
- * to the scalar references — the obvious u8 x i8 vpmaddubsw shortcut is
- * NOT used because it saturates its int16 pair sums and silently
- * corrupts large products. Widening during the pack costs one pass over
- * the tile and is amortised over all m stationary rows.
+ * out at 255*128*2 = 65280), so the SIMD body is bitwise identical to
+ * the scalar one — the obvious u8 x i8 vpmaddubsw shortcut is NOT used
+ * because it saturates its int16 pair sums and silently corrupts large
+ * products. Widening costs one pass over the tile and is amortised over
+ * all m stationary rows.
  *
- * Only reached through the qgemm_*_simd dispatchers after the runtime
- * cpuid probe confirms AVX2.
+ * Only reached through qgemm_w8a8_simd after the runtime cpuid probe
+ * confirms AVX2.
  */
 #if defined(ORPHEUS_SIMD_X86)
 
 #include <immintrin.h>
 
-#include <memory>
-#include <vector>
+#include <algorithm>
+#include <cstring>
 
 #include "ops/quant/qgemm.hpp"
 
@@ -32,80 +31,26 @@ namespace orpheus {
 
 namespace {
 
-/** Columns per packed tile: four ymm int32 accumulators. */
-constexpr std::int64_t kTileN = 32;
-
-std::int16_t *
-aligned_pack_fallback(std::vector<std::int16_t> &storage, std::size_t i16s)
-{
-    storage.resize(i16s + 32);
-    void *p = storage.data();
-    std::size_t space = (i16s + 32) * sizeof(std::int16_t);
-    return static_cast<std::int16_t *>(
-        std::align(64, i16s * sizeof(std::int16_t), p, space));
-}
+constexpr std::int64_t kTileN = kQgemmTileN;
 
 /**
- * Interleaves two uint8 source rows (zero-extended) into one packed
- * pair: dst[2j] = r0[j], dst[2j+1] = r1[j] for j < kTileN, zero-padded
- * past @p jw. @p r1 may be null (odd-K tail), packing zeros.
+ * Interleaves two 32-byte tile rows (zero-extended) into one packed
+ * pair: dst[2j] = r0[j], dst[2j+1] = r1[j].
  */
 inline void
 pack_pair_u8(const std::uint8_t *r0, const std::uint8_t *r1,
-             std::int64_t jw, std::int16_t *dst)
-{
-    if (jw == kTileN && r1 != nullptr) {
-        for (int half = 0; half < 2; ++half) {
-            const __m128i a0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r0 + 16 * half));
-            const __m128i a1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r1 + 16 * half));
-            const __m128i il = _mm_unpacklo_epi8(a0, a1);
-            const __m128i ih = _mm_unpackhi_epi8(a0, a1);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(dst + 32 * half),
-                _mm256_cvtepu8_epi16(il));
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(dst + 32 * half + 16),
-                _mm256_cvtepu8_epi16(ih));
-        }
-        return;
-    }
-    for (std::int64_t j = 0; j < kTileN; ++j) {
-        dst[2 * j] = j < jw ? static_cast<std::int16_t>(r0[j]) : 0;
-        dst[2 * j + 1] =
-            (r1 != nullptr && j < jw) ? static_cast<std::int16_t>(r1[j])
-                                      : 0;
-    }
-}
-
-/** Sign-extending counterpart of pack_pair_u8 for int8 rows. */
-inline void
-pack_pair_i8(const std::int8_t *r0, const std::int8_t *r1, std::int64_t jw,
              std::int16_t *dst)
 {
-    if (jw == kTileN && r1 != nullptr) {
-        for (int half = 0; half < 2; ++half) {
-            const __m128i a0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r0 + 16 * half));
-            const __m128i a1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r1 + 16 * half));
-            const __m128i il = _mm_unpacklo_epi8(a0, a1);
-            const __m128i ih = _mm_unpackhi_epi8(a0, a1);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(dst + 32 * half),
-                _mm256_cvtepi8_epi16(il));
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(dst + 32 * half + 16),
-                _mm256_cvtepi8_epi16(ih));
-        }
-        return;
-    }
-    for (std::int64_t j = 0; j < kTileN; ++j) {
-        dst[2 * j] = j < jw ? static_cast<std::int16_t>(r0[j]) : 0;
-        dst[2 * j + 1] =
-            (r1 != nullptr && j < jw) ? static_cast<std::int16_t>(r1[j])
-                                      : 0;
+    for (int half = 0; half < 2; ++half) {
+        const __m128i a0 = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(r0 + 16 * half));
+        const __m128i a1 = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(r1 + 16 * half));
+        _mm256_store_si256(reinterpret_cast<__m256i *>(dst + 32 * half),
+                           _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(a0, a1)));
+        _mm256_store_si256(
+            reinterpret_cast<__m256i *>(dst + 32 * half + 16),
+            _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(a0, a1)));
     }
 }
 
@@ -145,85 +90,30 @@ store_tile(const __m256i acc[4], std::int32_t *c_row, std::int64_t jw)
     for (int q = 0; q < 4; ++q)
         _mm256_store_si256(reinterpret_cast<__m256i *>(tmp + 8 * q),
                            acc[q]);
-    for (std::int64_t j = 0; j < jw; ++j)
-        c_row[j] = tmp[j];
+    std::copy(tmp, tmp + jw, c_row);
 }
 
 } // namespace
 
 void
-qgemm_u8i8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t *a, std::int64_t lda,
-                std::int32_t a_zero_point, const std::int8_t *b,
-                std::int64_t ldb, std::int32_t *c, std::int64_t ldc,
-                std::int16_t *pack)
-{
-    std::vector<std::int16_t> pack_fallback;
-    if (pack == nullptr)
-        pack = aligned_pack_fallback(pack_fallback, qgemm_pack_i16s(k));
-
-    const std::int64_t pairs = (k + 1) / 2;
-    const __m256i ones = _mm256_set1_epi16(1);
-    const __m256i zp = _mm256_set1_epi32(a_zero_point);
-
-    for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-        const std::int64_t jw = std::min<std::int64_t>(kTileN, n - j0);
-        for (std::int64_t p2 = 0; p2 < pairs; ++p2) {
-            const std::int64_t p = 2 * p2;
-            pack_pair_i8(b + p * ldb + j0,
-                         p + 1 < k ? b + (p + 1) * ldb + j0 : nullptr, jw,
-                         pack + p2 * 64);
-        }
-
-        // Tile column sums for the zero-point correction: madd against
-        // all-ones sums each packed pair exactly.
-        __m256i colsum[4] = {_mm256_setzero_si256(),
-                             _mm256_setzero_si256(),
-                             _mm256_setzero_si256(),
-                             _mm256_setzero_si256()};
-        for (std::int64_t p2 = 0; p2 < pairs; ++p2)
-            madd_tile(pack + p2 * 64, ones, colsum);
-
-        for (std::int64_t i = 0; i < m; ++i) {
-            const std::uint8_t *a_row = a + i * lda;
-            __m256i acc[4] = {_mm256_setzero_si256(),
-                              _mm256_setzero_si256(),
-                              _mm256_setzero_si256(),
-                              _mm256_setzero_si256()};
-            for (std::int64_t p2 = 0; p2 < pairs; ++p2) {
-                const std::int64_t p = 2 * p2;
-                const std::int32_t a0 = a_row[p];
-                const std::int32_t a1 = p + 1 < k ? a_row[p + 1] : 0;
-                madd_tile(pack + p2 * 64, broadcast_pair(a0, a1), acc);
-            }
-            for (int q = 0; q < 4; ++q)
-                acc[q] = _mm256_sub_epi32(
-                    acc[q], _mm256_mullo_epi32(zp, colsum[q]));
-            store_tile(acc, c + i * ldc + j0, jw);
-        }
-    }
-}
-
-void
 qgemm_w8a8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::int8_t *w, std::int64_t ldw,
-                const std::uint8_t *col, std::int64_t ldcol,
-                std::int32_t *c, std::int64_t ldc, std::int16_t *pack)
+                const std::int8_t *w, std::int64_t ldw, const QWindow &b,
+                std::int32_t *c, std::int64_t ldc, std::uint8_t *pack)
 {
-    std::vector<std::int16_t> pack_fallback;
-    if (pack == nullptr)
-        pack = aligned_pack_fallback(pack_fallback, qgemm_pack_i16s(k));
-
     const std::int64_t pairs = (k + 1) / 2;
+    std::uint8_t *tile = pack;
+    auto *packed = reinterpret_cast<std::int16_t *>(pack + pairs * 2 * kTileN);
+    // An odd k leaves the tile's last row unwritten; its pair partner
+    // weight is 0, so any defined value will do.
+    if (k % 2 != 0)
+        std::memset(tile + k * kTileN, 0, kTileN);
 
     for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-        const std::int64_t jw = std::min<std::int64_t>(kTileN, n - j0);
-        for (std::int64_t p2 = 0; p2 < pairs; ++p2) {
-            const std::int64_t p = 2 * p2;
-            pack_pair_u8(col + p * ldcol + j0,
-                         p + 1 < k ? col + (p + 1) * ldcol + j0 : nullptr,
-                         jw, pack + p2 * 64);
-        }
+        const std::int64_t jw = std::min(kTileN, n - j0);
+        qgemm_gather_tile(b, k, j0, jw, tile);
+        for (std::int64_t p2 = 0; p2 < pairs; ++p2)
+            pack_pair_u8(tile + 2 * p2 * kTileN,
+                         tile + (2 * p2 + 1) * kTileN, packed + p2 * 64);
 
         for (std::int64_t i = 0; i < m; ++i) {
             const std::int8_t *w_row = w + i * ldw;
@@ -237,7 +127,7 @@ qgemm_w8a8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int32_t w1 = p + 1 < k ? w_row[p + 1] : 0;
                 if (w0 == 0 && w1 == 0)
                     continue;
-                madd_tile(pack + p2 * 64, broadcast_pair(w0, w1), acc);
+                madd_tile(packed + p2 * 64, broadcast_pair(w0, w1), acc);
             }
             store_tile(acc, c + i * ldc + j0, jw);
         }

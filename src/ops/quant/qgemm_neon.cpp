@@ -1,20 +1,18 @@
 /**
  * @file
- * NEON int8 GEMM kernels (AArch64; AdvSIMD is baseline, no per-file
- * flags). Structure: widen the streamed int8/uint8 row to int16 with
- * vmovl, broadcast the stationary element, and accumulate through
- * vmlal_s16 (s16 x s16 -> s32, exact) — so, like the AVX2 kernels,
- * results are bitwise identical to the scalar references. The streamed
- * rows are consumed in natural row-major order, so no packing stage is
- * needed (the pack buffer of the dispatcher signature goes unused on
- * this ISA).
+ * NEON body of qgemm_w8a8 (AArch64; AdvSIMD is baseline, no per-file
+ * flags). Structure: widen each gathered 32-column tile row to int16
+ * with vmovl, broadcast the stationary weight, and accumulate through
+ * vmlal_s16 (s16 x s16 -> s32, exact) — so, like the AVX2 body, results
+ * are bitwise identical to the scalar body. The tile rows are consumed
+ * in row-major order, so only the gathered tile part of the pack buffer
+ * is used on this ISA.
  */
 #if defined(ORPHEUS_SIMD_NEON)
 
 #include <arm_neon.h>
 
-#include <cstring>
-#include <vector>
+#include <algorithm>
 
 #include "ops/quant/qgemm.hpp"
 
@@ -35,88 +33,38 @@ mla_lanes(int32x4_t acc[4], int16x8_t lo, int16x8_t hi, int16x4_t scalar)
 } // namespace
 
 void
-qgemm_u8i8_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t *a, std::int64_t lda,
-                std::int32_t a_zero_point, const std::int8_t *b,
-                std::int64_t ldb, std::int32_t *c, std::int64_t ldc)
-{
-    // Same column-sum zero-point trick as the scalar kernel.
-    std::vector<std::int32_t> column_sums(static_cast<std::size_t>(n), 0);
-    for (std::int64_t p = 0; p < k; ++p) {
-        const std::int8_t *b_row = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j)
-            column_sums[static_cast<std::size_t>(j)] += b_row[j];
-    }
-
-    const std::int64_t n16 = n & ~std::int64_t{15};
-    for (std::int64_t i = 0; i < m; ++i) {
-        const std::uint8_t *a_row = a + i * lda;
-        std::int32_t *c_row = c + i * ldc;
-
-        for (std::int64_t j0 = 0; j0 < n16; j0 += 16) {
-            int32x4_t acc[4] = {vdupq_n_s32(0), vdupq_n_s32(0),
-                                vdupq_n_s32(0), vdupq_n_s32(0)};
-            for (std::int64_t p = 0; p < k; ++p) {
-                const int16x4_t av =
-                    vdup_n_s16(static_cast<std::int16_t>(a_row[p]));
-                const int8x16_t bv = vld1q_s8(b + p * ldb + j0);
-                mla_lanes(acc, vmovl_s8(vget_low_s8(bv)),
-                          vmovl_s8(vget_high_s8(bv)), av);
-            }
-            for (int q = 0; q < 4; ++q) {
-                const int32x4_t cs =
-                    vld1q_s32(column_sums.data() + j0 + 4 * q);
-                vst1q_s32(c_row + j0 + 4 * q,
-                          vmlsq_n_s32(acc[q], cs, a_zero_point));
-            }
-        }
-        for (std::int64_t j = n16; j < n; ++j) {
-            std::int32_t sum = 0;
-            for (std::int64_t p = 0; p < k; ++p)
-                sum += static_cast<std::int32_t>(a_row[p]) *
-                       static_cast<std::int32_t>(b[p * ldb + j]);
-            c_row[j] = sum - a_zero_point *
-                                 column_sums[static_cast<std::size_t>(j)];
-        }
-    }
-}
-
-void
 qgemm_w8a8_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::int8_t *w, std::int64_t ldw,
-                const std::uint8_t *col, std::int64_t ldcol,
-                std::int32_t *c, std::int64_t ldc)
+                const std::int8_t *w, std::int64_t ldw, const QWindow &b,
+                std::int32_t *c, std::int64_t ldc, std::uint8_t *pack)
 {
-    const std::int64_t n16 = n & ~std::int64_t{15};
-    for (std::int64_t i = 0; i < m; ++i) {
-        const std::int8_t *w_row = w + i * ldw;
-        std::int32_t *c_row = c + i * ldc;
-
-        for (std::int64_t j0 = 0; j0 < n16; j0 += 16) {
-            int32x4_t acc[4] = {vdupq_n_s32(0), vdupq_n_s32(0),
-                                vdupq_n_s32(0), vdupq_n_s32(0)};
+    for (std::int64_t j0 = 0; j0 < n; j0 += kQgemmTileN) {
+        const std::int64_t jw = std::min(kQgemmTileN, n - j0);
+        qgemm_gather_tile(b, k, j0, jw, pack);
+        for (std::int64_t i = 0; i < m; ++i) {
+            const std::int8_t *w_row = w + i * ldw;
+            int32x4_t acc[8];
+            for (int q = 0; q < 8; ++q)
+                acc[q] = vdupq_n_s32(0);
             for (std::int64_t p = 0; p < k; ++p) {
                 if (w_row[p] == 0)
                     continue;
                 const int16x4_t wv =
                     vdup_n_s16(static_cast<std::int16_t>(w_row[p]));
-                const uint8x16_t cv = vld1q_u8(col + p * ldcol + j0);
-                mla_lanes(acc,
-                          vreinterpretq_s16_u16(
-                              vmovl_u8(vget_low_u8(cv))),
-                          vreinterpretq_s16_u16(
-                              vmovl_u8(vget_high_u8(cv))),
-                          wv);
+                const std::uint8_t *b_row = pack + p * kQgemmTileN;
+                for (int half = 0; half < 2; ++half) {
+                    const uint8x16_t bv = vld1q_u8(b_row + 16 * half);
+                    mla_lanes(acc + 4 * half,
+                              vreinterpretq_s16_u16(
+                                  vmovl_u8(vget_low_u8(bv))),
+                              vreinterpretq_s16_u16(
+                                  vmovl_u8(vget_high_u8(bv))),
+                              wv);
+                }
             }
-            for (int q = 0; q < 4; ++q)
-                vst1q_s32(c_row + j0 + 4 * q, acc[q]);
-        }
-        for (std::int64_t j = n16; j < n; ++j) {
-            std::int32_t sum = 0;
-            for (std::int64_t p = 0; p < k; ++p)
-                sum += static_cast<std::int32_t>(w_row[p]) *
-                       static_cast<std::int32_t>(col[p * ldcol + j]);
-            c_row[j] = sum;
+            std::int32_t out[kQgemmTileN];
+            for (int q = 0; q < 8; ++q)
+                vst1q_s32(out + 4 * q, acc[q]);
+            std::copy(out, out + jw, c + i * ldc + j0);
         }
     }
 }

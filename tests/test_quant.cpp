@@ -194,54 +194,70 @@ TEST(Quantize, MinMaxHelper)
 
 // --- Quantized GEMM ---------------------------------------------------------
 
+/** Random [rows x cols] matrix of @p T drawn from [lo, hi]. */
+template <typename T>
+std::vector<T>
+random_matrix(Rng &rng, std::int64_t rows, std::int64_t cols, int lo, int hi)
+{
+    std::vector<T> values(static_cast<std::size_t>(rows * cols));
+    for (auto &value : values)
+        value = static_cast<T>(rng.uniform_int(lo, hi));
+    return values;
+}
+
 TEST(QGemm, MatchesNaiveReference)
 {
+    // n straddles two 32-column tiles and k is odd, so both the partial
+    // tile and the unpaired last row are exercised; zero weights take
+    // the skip.
     Rng rng(0x9a2);
-    const std::int64_t m = 7, n = 13, k = 21;
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-    for (auto &value : a)
-        value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    for (auto &value : b)
-        value = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    const std::int64_t m = 7, n = 45, k = 21;
+    auto w = random_matrix<std::int8_t>(rng, m, k, -128, 127);
+    const auto b = random_matrix<std::uint8_t>(rng, k, n, 0, 255);
+    w[5] = 0;
 
     std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
-    std::vector<std::int32_t> actual(static_cast<std::size_t>(m * n));
-    const std::int32_t zp = 77;
-    qgemm_u8i8_naive(m, n, k, a.data(), k, zp, b.data(), n,
-                     expected.data(), n);
-    qgemm_u8i8(m, n, k, a.data(), k, zp, b.data(), n, actual.data(), n);
+    for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j)
+            for (std::int64_t p = 0; p < k; ++p)
+                expected[i * n + j] += w[i * k + p] * b[p * n + j];
+
+    std::vector<std::int32_t> actual(expected.size(), -1);
+    qgemm_w8a8(m, n, k, w.data(), k, QWindow::row_major(b.data(), n),
+               actual.data(), n);
     EXPECT_EQ(actual, expected);
 }
 
 TEST(QGemm, AgreesWithFloatArithmetic)
 {
     // Integer GEMM on quantized data must equal float GEMM on the
-    // dequantized data (exactly, since both are sums of exact products).
+    // dequantized data (exactly, since both are sums of exact products),
+    // once the activation zero point comes off through the weight row
+    // sums as qconv2d takes it off.
     Rng rng(0x9a3);
     const std::int64_t m = 4, n = 6, k = 9;
-    const QuantParams a_params{0.02f, 128};
-    const QuantParams b_params{0.01f, 0};
-
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-    for (auto &value : a)
-        value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    for (auto &value : b)
-        value = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    const QuantParams w_params{0.01f, 0};
+    const QuantParams b_params{0.02f, 128};
+    const auto w = random_matrix<std::int8_t>(rng, m, k, -127, 127);
+    const auto b = random_matrix<std::uint8_t>(rng, k, n, 0, 255);
 
     std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
-    qgemm_u8i8(m, n, k, a.data(), k, a_params.zero_point, b.data(), n,
+    qgemm_w8a8(m, n, k, w.data(), k, QWindow::row_major(b.data(), n),
                acc.data(), n);
 
     for (std::int64_t i = 0; i < m; ++i) {
+        std::int32_t w_sum = 0;
+        for (std::int64_t p = 0; p < k; ++p)
+            w_sum += w[i * k + p];
         for (std::int64_t j = 0; j < n; ++j) {
             float expected = 0.0f;
             for (std::int64_t p = 0; p < k; ++p)
-                expected += a_params.dequantize(a[i * k + p]) *
+                expected += w_params.dequantize(w[i * k + p]) *
                             b_params.dequantize(b[p * n + j]);
-            const float actual = acc[i * n + j] * a_params.scale *
-                                 b_params.scale;
+            const float actual =
+                static_cast<float>(acc[i * n + j] -
+                                   b_params.zero_point * w_sum) *
+                w_params.scale * b_params.scale;
             EXPECT_NEAR(actual, expected, 1e-3f);
         }
     }

@@ -269,56 +269,28 @@ class SimdQgemmEquivalence : public ::testing::TestWithParam<GemmShape>
 {
 };
 
-TEST_P(SimdQgemmEquivalence, BitwiseEqualAcrossZeroPoints)
-{
-    if (!simd_enabled())
-        GTEST_SKIP() << "SIMD tier unavailable on this host";
-    const GemmShape s = GetParam();
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(s.m * s.k));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(s.k * s.n));
-    unsigned state = 0x51ce;
-    for (auto &v : a) {
-        state = state * 1664525u + 1013904223u;
-        v = static_cast<std::uint8_t>(state >> 16);
-    }
-    for (auto &v : b) {
-        state = state * 1664525u + 1013904223u;
-        v = static_cast<std::int8_t>(state >> 16);
-    }
-    std::vector<std::int32_t> c_scalar(static_cast<std::size_t>(s.m * s.n));
-    std::vector<std::int32_t> c_simd(c_scalar.size());
-    for (std::int32_t zp : {0, 7, 128, 255}) {
-        qgemm_u8i8(s.m, s.n, s.k, a.data(), s.k, zp, b.data(), s.n,
-                   c_scalar.data(), s.n);
-        qgemm_u8i8_simd(s.m, s.n, s.k, a.data(), s.k, zp, b.data(), s.n,
-                        c_simd.data(), s.n);
-        EXPECT_EQ(c_scalar, c_simd)
-            << "zp=" << zp << " m=" << s.m << " n=" << s.n << " k=" << s.k;
-    }
-}
-
 TEST_P(SimdQgemmEquivalence, WeightStationaryBitwiseEqual)
 {
     if (!simd_enabled())
         GTEST_SKIP() << "SIMD tier unavailable on this host";
     const GemmShape s = GetParam();
     std::vector<std::int8_t> w(static_cast<std::size_t>(s.m * s.k));
-    std::vector<std::uint8_t> col(static_cast<std::size_t>(s.k * s.n));
+    std::vector<std::uint8_t> b(static_cast<std::size_t>(s.k * s.n));
     unsigned state = 0x3817;
     for (auto &v : w) {
         state = state * 1664525u + 1013904223u;
         v = static_cast<std::int8_t>(state >> 16);
     }
-    for (auto &v : col) {
+    for (auto &v : b) {
         state = state * 1664525u + 1013904223u;
         v = static_cast<std::uint8_t>(state >> 16);
     }
+    const QWindow window = QWindow::row_major(b.data(), s.n);
     std::vector<std::int32_t> c_scalar(static_cast<std::size_t>(s.m * s.n));
     std::vector<std::int32_t> c_simd(c_scalar.size());
-    qgemm_w8a8(s.m, s.n, s.k, w.data(), s.k, col.data(), s.n,
-               c_scalar.data(), s.n);
-    qgemm_w8a8_simd(s.m, s.n, s.k, w.data(), s.k, col.data(), s.n,
-                    c_simd.data(), s.n);
+    qgemm_w8a8(s.m, s.n, s.k, w.data(), s.k, window, c_scalar.data(), s.n);
+    qgemm_w8a8_simd(s.m, s.n, s.k, w.data(), s.k, window, c_simd.data(),
+                    s.n);
     EXPECT_EQ(c_scalar, c_simd);
 }
 
@@ -334,56 +306,143 @@ INSTANTIATE_TEST_SUITE_P(
                "k" + std::to_string(s.k);
     });
 
-// --- quantized conv: SIMD accumulation path is bitwise identical ------------
+// --- quantized conv: scalar and SIMD bitwise equal, both fake-quant exact ---
 
-TEST(SimdQconv, SimdFlagProducesBitwiseIdenticalOutput)
+struct QconvCase {
+    std::string label;
+    std::int64_t batch, in_c, h, w, out_c, kernel_h, kernel_w, stride;
+    std::int64_t pad_top, pad_left, pad_bottom, pad_right, dilation, group;
+    bool relu;
+};
+
+/** Next value of the tests' 32-bit LCG. */
+unsigned
+lcg(unsigned &state)
 {
-    if (!simd_enabled())
-        GTEST_SKIP() << "SIMD tier unavailable on this host";
-    Tensor x_q(Shape({1, 6, 9, 9}), DataType::kUInt8);
-    Tensor w_q(Shape({8, 6, 3, 3}), DataType::kInt8);
-    Tensor bias(Shape({8}), DataType::kInt32);
-    unsigned state = 0x9c0;
-    for (std::int64_t i = 0; i < x_q.numel(); ++i) {
-        state = state * 1664525u + 1013904223u;
-        x_q.data<std::uint8_t>()[i] =
-            static_cast<std::uint8_t>(state >> 16);
-    }
-    for (std::int64_t i = 0; i < w_q.numel(); ++i) {
-        state = state * 1664525u + 1013904223u;
-        w_q.data<std::int8_t>()[i] = static_cast<std::int8_t>(state >> 16);
-    }
-    for (std::int64_t i = 0; i < bias.numel(); ++i) {
-        state = state * 1664525u + 1013904223u;
-        bias.data<std::int32_t>()[i] =
-            static_cast<std::int32_t>(state >> 12) - (1 << 18);
-    }
-
-    QConv2dArgs args;
-    args.input = &x_q;
-    args.input_params = {0.02f, 13};
-    args.weight = &w_q;
-    args.weight_params = {0.05f, 0};
-    args.bias = &bias;
-    args.output_params = {0.1f, 7};
-    args.params.kernel_h = args.params.kernel_w = 3;
-    args.params.pad_top = args.params.pad_left = 1;
-    args.params.pad_bottom = args.params.pad_right = 1;
-    args.activation = ActivationSpec::relu();
-
-    Tensor y_scalar(Shape({1, 8, 9, 9}), DataType::kUInt8);
-    Tensor y_simd(Shape({1, 8, 9, 9}), DataType::kUInt8);
-    args.output = &y_scalar;
-    args.simd = false;
-    qconv2d(args);
-    args.output = &y_simd;
-    args.simd = true;
-    qconv2d(args);
-    for (std::int64_t i = 0; i < y_scalar.numel(); ++i)
-        ASSERT_EQ(y_scalar.data<std::uint8_t>()[i],
-                  y_simd.data<std::uint8_t>()[i])
-            << "pixel " << i;
+    state = state * 1664525u + 1013904223u;
+    return state;
 }
+
+class SimdQconv : public ::testing::TestWithParam<QconvCase>
+{
+};
+
+/**
+ * qconv2d through the scalar accumulation (the im2col_qgemm impl) and
+ * the SIMD one (im2col_qgemm_<isa>) on every window shape the int8 conv
+ * reads: both must be bitwise equal, and both must equal the float conv
+ * of the dequantized tensors up to output rounding (half an output
+ * scale). Swept over the input zero points 0, 13 and 255, so padding
+ * reads the zero point at both ends of the uint8 range.
+ */
+TEST_P(SimdQconv, ScalarAndSimdBitwiseEqualAndMatchFakeQuant)
+{
+    const QconvCase &c = GetParam();
+    Conv2dParams p;
+    p.kernel_h = c.kernel_h;
+    p.kernel_w = c.kernel_w;
+    p.stride_h = p.stride_w = c.stride;
+    p.pad_top = c.pad_top;
+    p.pad_left = c.pad_left;
+    p.pad_bottom = c.pad_bottom;
+    p.pad_right = c.pad_right;
+    p.dilation_h = p.dilation_w = c.dilation;
+    p.group = c.group;
+    const Shape out_shape({c.batch, c.out_c, p.out_h(c.h), p.out_w(c.w)});
+
+    Tensor x_q(Shape({c.batch, c.in_c, c.h, c.w}), DataType::kUInt8);
+    Tensor w_q(Shape({c.out_c, c.in_c / c.group, c.kernel_h, c.kernel_w}),
+               DataType::kInt8);
+    Tensor bias(Shape({c.out_c}), DataType::kInt32);
+    unsigned state = 0x9c0;
+    for (std::int64_t i = 0; i < x_q.numel(); ++i)
+        x_q.data<std::uint8_t>()[i] =
+            static_cast<std::uint8_t>(lcg(state) >> 16);
+    for (std::int64_t i = 0; i < w_q.numel(); ++i)
+        w_q.data<std::int8_t>()[i] =
+            static_cast<std::int8_t>(lcg(state) >> 16);
+    for (std::int64_t i = 0; i < bias.numel(); ++i)
+        bias.data<std::int32_t>()[i] =
+            static_cast<std::int32_t>(lcg(state) >> 20) - (1 << 11);
+
+    for (const std::int32_t x_zp : {0, 13, 255}) {
+        const QuantParams x_params{0.02f, x_zp};
+        const QuantParams w_params{0.01f, 0};
+        const ActivationSpec act =
+            c.relu ? ActivationSpec::relu() : ActivationSpec::none();
+
+        // Fake-quant reference: fp32 conv over the dequantized tensors.
+        Tensor x_dq(x_q.shape()), w_dq(w_q.shape()), bias_dq(bias.shape());
+        dequantize_to_float(x_q, x_params, x_dq);
+        dequantize_to_float(w_q, w_params, w_dq);
+        for (std::int64_t i = 0; i < bias.numel(); ++i)
+            bias_dq.data<float>()[i] =
+                static_cast<float>(bias.data<std::int32_t>()[i]) *
+                x_params.scale * w_params.scale;
+        Tensor reference(out_shape);
+        conv2d(ConvAlgo::kDirect, x_dq, w_dq, &bias_dq, p, act, reference);
+        float y_min, y_max;
+        tensor_min_max(reference, y_min, y_max);
+        const QuantParams y_params = choose_uint8_params(y_min, y_max);
+
+        QConv2dArgs args;
+        args.input = &x_q;
+        args.input_params = x_params;
+        args.weight = &w_q;
+        args.weight_params = w_params;
+        args.bias = &bias;
+        args.output_params = y_params;
+        args.params = p;
+        args.activation = act;
+        Tensor y_scalar(out_shape, DataType::kUInt8);
+        Tensor y_simd(out_shape, DataType::kUInt8);
+        args.output = &y_scalar;
+        args.simd = false;
+        qconv2d(args);
+        args.output = &y_simd;
+        args.simd = true;
+        qconv2d(args);
+
+        EXPECT_EQ(std::memcmp(y_scalar.raw_data(), y_simd.raw_data(),
+                              static_cast<std::size_t>(y_scalar.numel())),
+                  0)
+            << c.label << " x_zp=" << x_zp;
+        Tensor y_dq(out_shape);
+        dequantize_to_float(y_scalar, y_params, y_dq);
+        EXPECT_LE(max_abs_diff(y_dq, reference),
+                  y_params.scale * 0.51f + 1e-5f)
+            << c.label << " x_zp=" << x_zp;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SimdQconv,
+    ::testing::Values(
+        // {label, batch, in_c, h, w, out_c, kh, kw, stride,
+        //  pad t/l/b/r, dilation, group, relu}
+        QconvCase{"s1_3x3_pad1_relu", 1, 6, 9, 9, 8, 3, 3, 1,
+                  1, 1, 1, 1, 1, 1, true},
+        QconvCase{"s2_asym_pads_batch2", 2, 5, 13, 11, 7, 3, 3, 2,
+                  0, 1, 2, 0, 1, 1, false},
+        QconvCase{"dilation2", 1, 4, 12, 12, 6, 3, 3, 1,
+                  2, 2, 2, 2, 2, 1, false},
+        QconvCase{"5x5_asym_pads", 1, 2, 11, 37, 5, 5, 5, 1,
+                  2, 1, 1, 2, 1, 1, true},
+        QconvCase{"group2", 1, 8, 10, 10, 6, 3, 3, 1,
+                  1, 1, 1, 1, 1, 2, false},
+        QconvCase{"depthwise_m2_batch2", 2, 6, 15, 15, 12, 3, 3, 1,
+                  1, 1, 1, 1, 1, 6, true},
+        QconvCase{"depthwise_m2_s2_same", 1, 8, 14, 14, 16, 3, 3, 2,
+                  0, 0, 1, 1, 1, 8, false},
+        QconvCase{"pointwise_w40", 1, 16, 7, 40, 24, 1, 1, 1,
+                  0, 0, 0, 0, 1, 1, false},
+        QconvCase{"s1_3x3_w70_batch2", 2, 3, 5, 70, 5, 3, 3, 1,
+                  1, 1, 1, 1, 1, 1, false},
+        QconvCase{"1x3_s2_w65", 1, 4, 3, 65, 9, 1, 3, 2,
+                  0, 1, 0, 1, 1, 1, false}),
+    [](const ::testing::TestParamInfo<QconvCase> &info) {
+        return info.param.label;
+    });
 
 // --- depthwise conv: direct vs SIMD -----------------------------------------
 
