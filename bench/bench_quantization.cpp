@@ -12,12 +12,13 @@
  *   - output drift (max |prob difference|) against the float model.
  *
  * The engine runs int8 convs as `im2col_qgemm_<isa>` (the SIMD integer
- * GEMM where the build has one), but that path still writes an explicit
- * column matrix per group, lowers depthwise to per-channel GEMMs and
- * never splits work across threads, while the fp32 conv packs its
- * windows straight into a register-blocked fp32 micro-kernel. So int8
- * is not expected to win on *time*; the footprint column is where
- * quantization pays on memory-constrained edge targets.
+ * GEMM where the build has one). Like the fp32 conv it gathers each
+ * im2col window straight from the input, but it lowers depthwise to
+ * per-channel GEMMs and never splits work across threads, while the
+ * fp32 conv has a direct depthwise kernel and a register-blocked fp32
+ * micro-kernel on every thread. So int8 is not expected to win on
+ * *time*; the footprint column is where quantization pays on
+ * memory-constrained edge targets.
  */
 #include "bench_util.hpp"
 
@@ -142,9 +143,9 @@ main(int argc, char **argv)
                     fp32_mib / int8_mib, drift.quantized_convs,
                     drift.max_drift);
     }
-    std::printf("\n(time: int8 convs run im2col_qgemm_<isa>, which writes "
-                "a column matrix per group and lowers depthwise to "
-                "per-channel GEMMs, against the fp32 packed-window GEMM; on "
+    std::printf("\n(time: int8 convs run im2col_qgemm_<isa>, which lowers "
+                "depthwise to per-channel GEMMs on one thread, against the "
+                "fp32 direct depthwise kernel and packed-window GEMM; on "
                 "edge targets the ~4x weight-footprint saving is the "
                 "win.)\n");
     print_csv("model", "precision");

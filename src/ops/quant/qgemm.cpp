@@ -22,23 +22,17 @@ aligned_pack_fallback(std::vector<std::uint8_t> &storage, std::int64_t k)
     return static_cast<std::uint8_t *>(std::align(64, bytes, p, space));
 }
 
-} // namespace
-
-std::size_t
-qgemm_pack_bytes(std::int64_t k)
-{
-    // ceil(k/2) row pairs: kQgemmTileN uint8 columns per row of the
-    // gathered tile (rows padded to an even count), then the same rows
-    // as int16 pairs.
-    const auto pairs = static_cast<std::size_t>((k + 1) / 2);
-    return pairs * 2 * kQgemmTileN * (sizeof(std::uint8_t) +
-                                      sizeof(std::int16_t));
-}
-
+/**
+ * Gathers columns [j0, j0 + jw) of rows [0, k) of @p b into @p tile:
+ * row p at tile + p * kQgemmTileN, lanes at and past @p jw set to the
+ * pad value.
+ */
 void
-qgemm_gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
-                  std::int64_t jw, std::uint8_t *tile)
+gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
+            std::int64_t jw, std::uint8_t *tile)
 {
+    if (k == 0)
+        return; // A zero-extent kernel has no rows, nor taps to divide by.
     const Conv2dParams &p = b.params;
     const std::int64_t channels = k / (p.kernel_h * p.kernel_w);
     const std::int64_t sw = p.stride_w;
@@ -86,15 +80,15 @@ qgemm_gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
                                iw0 + (tail - 1) * sw >= b.width)
                             --tail;
                     }
-                    const std::uint8_t *in_row = plane + ih * b.width;
+                    const std::int64_t at = ih * b.width + iw0;
                     for (std::int64_t t = 0; t < lead; ++t)
                         dst[t] = b.pad_value;
                     if (sw == 1 && tail - lead >= 16)
-                        std::memcpy(dst + lead, in_row + iw0 + lead,
+                        std::memcpy(dst + lead, plane + at + lead,
                                     static_cast<std::size_t>(tail - lead));
                     else
                         for (std::int64_t t = lead; t < tail; ++t)
-                            dst[t] = in_row[iw0 + t * sw];
+                            dst[t] = plane[at + t * sw];
                     for (std::int64_t t = tail; t < len; ++t)
                         dst[t] = b.pad_value;
                 }
@@ -106,32 +100,73 @@ qgemm_gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
     }
 }
 
+/** The scalar tile body, under the per-ISA tile bodies' contract
+ *  (qgemm.hpp). */
+void
+tile_scalar(std::int64_t m, std::int64_t k, const std::int8_t *w,
+            std::int64_t ldw, std::uint8_t *tile, std::int32_t *c,
+            std::int64_t ldc, std::int64_t jw)
+{
+    for (std::int64_t i = 0; i < m; ++i) {
+        const std::int8_t *w_row = w + i * ldw;
+        std::int32_t acc[kQgemmTileN] = {};
+        for (std::int64_t p = 0; p < k; ++p) {
+            const std::int32_t w_val = w_row[p];
+            if (w_val == 0)
+                continue;
+            const std::uint8_t *b_row = tile + p * kQgemmTileN;
+            for (std::int64_t j = 0; j < kQgemmTileN; ++j)
+                acc[j] += w_val * static_cast<std::int32_t>(b_row[j]);
+        }
+        std::copy(acc, acc + jw, c + i * ldc);
+    }
+}
+
+using TileBody = void (*)(std::int64_t m, std::int64_t k,
+                          const std::int8_t *w, std::int64_t ldw,
+                          std::uint8_t *tile, std::int32_t *c,
+                          std::int64_t ldc, std::int64_t jw);
+
+/** The loop every body shares: gather each 32-column tile of @p b into
+ *  the staging buffer, then run @p body over it. */
+void
+run_tiles(TileBody body, std::int64_t m, std::int64_t n, std::int64_t k,
+          const std::int8_t *w, std::int64_t ldw, const QWindow &b,
+          std::int32_t *c, std::int64_t ldc, std::uint8_t *pack)
+{
+    std::vector<std::uint8_t> pack_fallback;
+    if (pack == nullptr)
+        pack = aligned_pack_fallback(pack_fallback, k);
+    // The tile holds an even number of rows; an odd k's last one is
+    // never gathered and pairs with a zero weight, so any defined value
+    // will do.
+    if (k % 2 != 0)
+        std::memset(pack + k * kQgemmTileN, 0, kQgemmTileN);
+    for (std::int64_t j0 = 0; j0 < n; j0 += kQgemmTileN) {
+        const std::int64_t jw = std::min(kQgemmTileN, n - j0);
+        gather_tile(b, k, j0, jw, pack);
+        body(m, k, w, ldw, pack, c + j0, ldc, jw);
+    }
+}
+
+} // namespace
+
+std::size_t
+qgemm_pack_bytes(std::int64_t k)
+{
+    // ceil(k/2) row pairs: kQgemmTileN uint8 columns per row of the
+    // gathered tile, then the same rows as int16 pairs.
+    const auto pairs = static_cast<std::size_t>((k + 1) / 2);
+    return pairs * 2 * kQgemmTileN * (sizeof(std::uint8_t) +
+                                      sizeof(std::int16_t));
+}
+
 void
 qgemm_w8a8(std::int64_t m, std::int64_t n, std::int64_t k,
            const std::int8_t *w, std::int64_t ldw, const QWindow &b,
            std::int32_t *c, std::int64_t ldc, std::uint8_t *pack)
 {
-    std::vector<std::uint8_t> pack_fallback;
-    if (pack == nullptr)
-        pack = aligned_pack_fallback(pack_fallback, k);
-
-    for (std::int64_t j0 = 0; j0 < n; j0 += kQgemmTileN) {
-        const std::int64_t jw = std::min(kQgemmTileN, n - j0);
-        qgemm_gather_tile(b, k, j0, jw, pack);
-        for (std::int64_t i = 0; i < m; ++i) {
-            const std::int8_t *w_row = w + i * ldw;
-            std::int32_t acc[kQgemmTileN] = {};
-            for (std::int64_t p = 0; p < k; ++p) {
-                const std::int32_t w_val = w_row[p];
-                if (w_val == 0)
-                    continue;
-                const std::uint8_t *b_row = pack + p * kQgemmTileN;
-                for (std::int64_t j = 0; j < kQgemmTileN; ++j)
-                    acc[j] += w_val * static_cast<std::int32_t>(b_row[j]);
-            }
-            std::copy(acc, acc + jw, c + i * ldc + j0);
-        }
-    }
+    run_tiles(tile_scalar, m, n, k, w, ldw, b, c, ldc, pack);
 }
 
 bool
@@ -145,20 +180,15 @@ qgemm_w8a8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t *w, std::int64_t ldw, const QWindow &b,
                 std::int32_t *c, std::int64_t ldc, std::uint8_t *pack)
 {
-#if defined(ORPHEUS_SIMD_X86) || defined(ORPHEUS_SIMD_NEON)
-    if (simd_enabled()) {
-        std::vector<std::uint8_t> pack_fallback;
-        if (pack == nullptr)
-            pack = aligned_pack_fallback(pack_fallback, k);
 #if defined(ORPHEUS_SIMD_X86)
-        qgemm_w8a8_avx2(m, n, k, w, ldw, b, c, ldc, pack);
+    const TileBody body = qgemm_w8a8_tile_avx2;
+#elif defined(ORPHEUS_SIMD_NEON)
+    const TileBody body = qgemm_w8a8_tile_neon;
 #else
-        qgemm_w8a8_neon(m, n, k, w, ldw, b, c, ldc, pack);
+    const TileBody body = tile_scalar;
 #endif
-        return;
-    }
-#endif
-    qgemm_w8a8(m, n, k, w, ldw, b, c, ldc, pack);
+    run_tiles(simd_enabled() ? body : tile_scalar, m, n, k, w, ldw, b, c,
+              ldc, pack);
 }
 
 } // namespace orpheus

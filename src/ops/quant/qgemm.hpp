@@ -8,10 +8,11 @@
  * W (the weights) is row-major and stationary. B is the im2col view of
  * one uint8 input group (QWindow), streamed through 32-column tiles that
  * are gathered straight from the input, so no column matrix is ever
- * written. There is no zero-point term: B's zero point is folded in by
- * the caller through the weight row sums (the weights are symmetric).
- * Integer arithmetic is exact, so the scalar, AVX2 and NEON bodies are
- * bitwise identical.
+ * written. One loop gathers the tiles; the scalar, AVX2 and NEON bodies
+ * differ only in how they multiply a tile. There is no zero-point term:
+ * B's zero point is folded in by the caller through the weight row sums
+ * (the weights are symmetric). Integer arithmetic is exact, so every
+ * body gives bitwise identical results.
  */
 #pragma once
 
@@ -67,14 +68,6 @@ inline constexpr std::int64_t kQgemmTileN = 32;
 std::size_t qgemm_pack_bytes(std::int64_t k);
 
 /**
- * Gathers columns [j0, j0 + jw) of rows [0, k) of @p b into @p tile:
- * row p at tile + p * kQgemmTileN, lanes at and past @p jw set to the
- * pad value. Shared by every body of qgemm_w8a8.
- */
-void qgemm_gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
-                       std::int64_t jw, std::uint8_t *tile);
-
-/**
  * Weight-stationary accumulation, the scalar body:
  * C[i][j] = sum_p W[i][p] * B[p][j] over [m x k] int8 weights (row
  * stride @p ldw) and the window @p b, into C (row stride @p ldc).
@@ -101,21 +94,24 @@ void qgemm_w8a8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
                      const QWindow &b, std::int32_t *c, std::int64_t ldc,
                      std::uint8_t *pack = nullptr);
 
-// Per-ISA bodies (defined in qgemm_avx2.cpp / qgemm_neon.cpp, compiled
-// with the matching ISA flags; referenced only when the corresponding
-// ORPHEUS_SIMD_* definition is set). @p pack is non-null and 64-byte
-// aligned.
+// Per-ISA tile bodies (defined in qgemm_avx2.cpp / qgemm_neon.cpp,
+// compiled with the matching ISA flags; referenced only when the
+// corresponding ORPHEUS_SIMD_* definition is set). Each sets
+// C[i][j] = sum_p W[i][p] * tile[p][j] for i < m and j < jw, where
+// @p tile, the 64-byte-aligned start of the qgemm_pack_bytes(k) buffer,
+// holds the gathered tile: kQgemmTileN columns per row, k rows rounded
+// up to an even count. A body may use the rest of the buffer.
 #if defined(ORPHEUS_SIMD_X86)
-void qgemm_w8a8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::int8_t *w, std::int64_t ldw,
-                     const QWindow &b, std::int32_t *c, std::int64_t ldc,
-                     std::uint8_t *pack);
+void qgemm_w8a8_tile_avx2(std::int64_t m, std::int64_t k,
+                          const std::int8_t *w, std::int64_t ldw,
+                          std::uint8_t *tile, std::int32_t *c,
+                          std::int64_t ldc, std::int64_t jw);
 #endif
 #if defined(ORPHEUS_SIMD_NEON)
-void qgemm_w8a8_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::int8_t *w, std::int64_t ldw,
-                     const QWindow &b, std::int32_t *c, std::int64_t ldc,
-                     std::uint8_t *pack);
+void qgemm_w8a8_tile_neon(std::int64_t m, std::int64_t k,
+                          const std::int8_t *w, std::int64_t ldw,
+                          std::uint8_t *tile, std::int32_t *c,
+                          std::int64_t ldc, std::int64_t jw);
 #endif
 
 } // namespace orpheus

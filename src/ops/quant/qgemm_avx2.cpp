@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 body of qgemm_w8a8 (compiled with -mavx2 -mfma per-file flags).
+ * AVX2 tile body of qgemm_w8a8 (compiled with -mavx2 -mfma per-file flags).
  *
  * Each gathered 32-column tile of the window is widened to int16 and
  * interleaved into row pairs; the stationary weights' row pairs are then
@@ -16,14 +16,13 @@
  * all m stationary rows.
  *
  * Only reached through qgemm_w8a8_simd after the runtime cpuid probe
- * confirms AVX2.
+ * confirms AVX2; the shared loop in qgemm.cpp gathers each tile.
  */
 #if defined(ORPHEUS_SIMD_X86)
 
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "ops/quant/qgemm.hpp"
 
@@ -96,41 +95,30 @@ store_tile(const __m256i acc[4], std::int32_t *c_row, std::int64_t jw)
 } // namespace
 
 void
-qgemm_w8a8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::int8_t *w, std::int64_t ldw, const QWindow &b,
-                std::int32_t *c, std::int64_t ldc, std::uint8_t *pack)
+qgemm_w8a8_tile_avx2(std::int64_t m, std::int64_t k, const std::int8_t *w,
+                     std::int64_t ldw, std::uint8_t *tile, std::int32_t *c,
+                     std::int64_t ldc, std::int64_t jw)
 {
     const std::int64_t pairs = (k + 1) / 2;
-    std::uint8_t *tile = pack;
-    auto *packed = reinterpret_cast<std::int16_t *>(pack + pairs * 2 * kTileN);
-    // An odd k leaves the tile's last row unwritten; its pair partner
-    // weight is 0, so any defined value will do.
-    if (k % 2 != 0)
-        std::memset(tile + k * kTileN, 0, kTileN);
+    auto *packed =
+        reinterpret_cast<std::int16_t *>(tile + pairs * 2 * kTileN);
+    for (std::int64_t p2 = 0; p2 < pairs; ++p2)
+        pack_pair_u8(tile + 2 * p2 * kTileN, tile + (2 * p2 + 1) * kTileN,
+                     packed + p2 * 64);
 
-    for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-        const std::int64_t jw = std::min(kTileN, n - j0);
-        qgemm_gather_tile(b, k, j0, jw, tile);
-        for (std::int64_t p2 = 0; p2 < pairs; ++p2)
-            pack_pair_u8(tile + 2 * p2 * kTileN,
-                         tile + (2 * p2 + 1) * kTileN, packed + p2 * 64);
-
-        for (std::int64_t i = 0; i < m; ++i) {
-            const std::int8_t *w_row = w + i * ldw;
-            __m256i acc[4] = {_mm256_setzero_si256(),
-                              _mm256_setzero_si256(),
-                              _mm256_setzero_si256(),
-                              _mm256_setzero_si256()};
-            for (std::int64_t p2 = 0; p2 < pairs; ++p2) {
-                const std::int64_t p = 2 * p2;
-                const std::int32_t w0 = w_row[p];
-                const std::int32_t w1 = p + 1 < k ? w_row[p + 1] : 0;
-                if (w0 == 0 && w1 == 0)
-                    continue;
-                madd_tile(packed + p2 * 64, broadcast_pair(w0, w1), acc);
-            }
-            store_tile(acc, c + i * ldc + j0, jw);
+    for (std::int64_t i = 0; i < m; ++i) {
+        const std::int8_t *w_row = w + i * ldw;
+        __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                          _mm256_setzero_si256(), _mm256_setzero_si256()};
+        for (std::int64_t p2 = 0; p2 < pairs; ++p2) {
+            const std::int64_t p = 2 * p2;
+            const std::int32_t w0 = w_row[p];
+            const std::int32_t w1 = p + 1 < k ? w_row[p + 1] : 0;
+            if (w0 == 0 && w1 == 0)
+                continue;
+            madd_tile(packed + p2 * 64, broadcast_pair(w0, w1), acc);
         }
+        store_tile(acc, c + i * ldc, jw);
     }
 }
 

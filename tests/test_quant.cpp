@@ -339,6 +339,30 @@ TEST(QConv, FusedReluClampsAtZero)
         EXPECT_EQ(y_q.data<std::uint8_t>()[i], 10);
 }
 
+TEST(QConv, ZeroExtentKernelReadsNothing)
+{
+    // A 0x0 kernel reduces over nothing: every output is the requantized
+    // (absent) bias, the output zero point, through either body.
+    Tensor x_q(Shape({1, 2, 3, 3}), DataType::kUInt8);
+    Tensor w_q(Shape({4, 2, 0, 0}), DataType::kInt8);
+    QConv2dArgs args;
+    args.input = &x_q;
+    args.input_params = {0.1f, 3};
+    args.weight = &w_q;
+    args.weight_params = {0.1f, 0};
+    args.output_params = {0.1f, 5};
+    args.params.kernel_h = args.params.kernel_w = 0;
+    Tensor y_q(Shape({1, 4, args.params.out_h(3), args.params.out_w(3)}),
+               DataType::kUInt8);
+    args.output = &y_q;
+    for (const bool simd : {false, true}) {
+        args.simd = simd;
+        qconv2d(args);
+        for (std::int64_t i = 0; i < y_q.numel(); ++i)
+            ASSERT_EQ(y_q.data<std::uint8_t>()[i], 5) << "simd=" << simd;
+    }
+}
+
 TEST(QConv, RejectsAsymmetricWeights)
 {
     Tensor x_q(Shape({1, 1, 2, 2}), DataType::kUInt8);

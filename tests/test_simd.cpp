@@ -315,6 +315,13 @@ struct QconvCase {
     bool relu;
 };
 
+/** Names a failing case by its label, not its bytes. */
+void
+PrintTo(const QconvCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 /** Next value of the tests' 32-bit LCG. */
 unsigned
 lcg(unsigned &state)
