@@ -127,8 +127,7 @@ qconv2d(const QConv2dArgs &args, const QConv2dScratch *scratch)
 
     // Both bodies are exact integer arithmetic, so outputs are bitwise
     // identical whichever runs.
-    const auto accumulate =
-        args.simd && qgemm_simd_available() ? qgemm_w8a8_simd : qgemm_w8a8;
+    const auto accumulate = args.simd ? qgemm_w8a8_simd : qgemm_w8a8;
 
     for (std::int64_t n = 0; n < batch; ++n) {
         for (std::int64_t g = 0; g < p.group; ++g) {
@@ -139,9 +138,10 @@ qconv2d(const QConv2dArgs &args, const QConv2dScratch *scratch)
                        weight + g * group_out_c * gemm_k, gemm_k, window,
                        acc, gemm_n, pack);
 
-            // acc[oc][pixel] = sum_k W[oc][k] * col[k][pixel]; the input
-            // zero point comes off as one subtraction per output via the
-            // row sum of W: sum_k W * (col - x_zp) = acc - x_zp * sum_k W.
+            // acc[oc][pixel] = sum_k W[oc][k] * B[k][pixel] over the
+            // window B; the input zero point comes off as one subtraction
+            // per output via the row sum of W:
+            // sum_k W * (B - x_zp) = acc - x_zp * sum_k W.
             for (std::int64_t oc = 0; oc < group_out_c; ++oc) {
                 const std::int8_t *w_row =
                     weight + (g * group_out_c + oc) * gemm_k;
