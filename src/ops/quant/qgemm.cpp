@@ -22,6 +22,13 @@ aligned_pack_fallback(std::vector<std::uint8_t> &storage, std::int64_t k)
     return static_cast<std::uint8_t *>(std::align(64, bytes, p, space));
 }
 
+/** ceil(@p a / @p b) for @p b > 0, and 0 for @p a <= 0. */
+std::int64_t
+ceil_div_positive(std::int64_t a, std::int64_t b)
+{
+    return a <= 0 ? 0 : (a + b - 1) / b;
+}
+
 /**
  * Gathers columns [j0, j0 + jw) of rows [0, k) of @p b into @p tile:
  * row p at tile + p * kQgemmTileN, lanes at and past @p jw set to the
@@ -39,17 +46,16 @@ gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
 
     // The tile's columns fall into runs along output rows: run r covers
     // lanes [lane[r], lane[r + 1]) of output row oh[r], from column
-    // ow[r]. In one run a tap reads one input row at stride sw.
+    // ow[r]. In one run a tap reads one input row at stride sw. Each run
+    // holds at least one lane, so there are at most kQgemmTileN runs.
     std::int64_t lane[kQgemmTileN + 1], oh[kQgemmTileN], ow[kQgemmTileN];
     std::int64_t runs = 0;
     lane[0] = 0;
-    oh[0] = j0 / b.out_w;
-    ow[0] = j0 % b.out_w;
     while (lane[runs] < jw) {
-        lane[runs + 1] =
-            std::min(jw, lane[runs] + b.out_w - ow[runs]);
-        oh[runs + 1] = oh[runs] + 1;
-        ow[runs + 1] = 0;
+        const std::int64_t j = j0 + lane[runs];
+        oh[runs] = j / b.out_w;
+        ow[runs] = j % b.out_w;
+        lane[runs + 1] = std::min(jw, lane[runs] + b.out_w - ow[runs]);
         ++runs;
     }
 
@@ -67,28 +73,17 @@ gather_tile(const QWindow &b, std::int64_t k, std::int64_t j0,
                     // the input row; the others are padding.
                     const std::int64_t iw0 =
                         ow[r] * sw - p.pad_left + kw * p.dilation_w;
-                    std::int64_t lead = 0;
-                    std::int64_t tail = ih >= 0 && ih < b.height ? len : 0;
-                    if (sw == 1) {
-                        lead = std::clamp<std::int64_t>(-iw0, 0, tail);
-                        tail = std::clamp<std::int64_t>(b.width - iw0, lead,
-                                                        tail);
-                    } else {
-                        while (lead < tail && iw0 + lead * sw < 0)
-                            ++lead;
-                        while (tail > lead &&
-                               iw0 + (tail - 1) * sw >= b.width)
-                            --tail;
-                    }
+                    const std::int64_t in_row =
+                        ih >= 0 && ih < b.height ? len : 0;
+                    const std::int64_t lead =
+                        std::min(ceil_div_positive(-iw0, sw), in_row);
+                    const std::int64_t tail = std::clamp(
+                        ceil_div_positive(b.width - iw0, sw), lead, in_row);
                     const std::int64_t at = ih * b.width + iw0;
                     for (std::int64_t t = 0; t < lead; ++t)
                         dst[t] = b.pad_value;
-                    if (sw == 1 && tail - lead >= 16)
-                        std::memcpy(dst + lead, plane + at + lead,
-                                    static_cast<std::size_t>(tail - lead));
-                    else
-                        for (std::int64_t t = lead; t < tail; ++t)
-                            dst[t] = plane[at + t * sw];
+                    for (std::int64_t t = lead; t < tail; ++t)
+                        dst[t] = plane[at + t * sw];
                     for (std::int64_t t = tail; t < len; ++t)
                         dst[t] = b.pad_value;
                 }

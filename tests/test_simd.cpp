@@ -299,7 +299,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GemmShape{1, 1, 1}, GemmShape{3, 31, 3},
                       GemmShape{4, 32, 64}, GemmShape{5, 33, 17},
                       GemmShape{7, 16, 257}, GemmShape{8, 65, 9},
-                      GemmShape{16, 40, 27}),
+                      GemmShape{16, 40, 27}, GemmShape{9, 1, 40}),
     [](const ::testing::TestParamInfo<GemmShape> &info) {
         const GemmShape &s = info.param;
         return "m" + std::to_string(s.m) + "n" + std::to_string(s.n) +
@@ -446,7 +446,15 @@ INSTANTIATE_TEST_SUITE_P(
         QconvCase{"s1_3x3_w70_batch2", 2, 3, 5, 70, 5, 3, 3, 1,
                   1, 1, 1, 1, 1, 1, false},
         QconvCase{"1x3_s2_w65", 1, 4, 3, 65, 9, 1, 3, 2,
-                  0, 1, 0, 1, 1, 1, false}),
+                  0, 1, 0, 1, 1, 1, false},
+        // Output width 1: every output column is a run of its own, so a
+        // full 32-column tile spans 32 output rows.
+        QconvCase{"pointwise_w1_h40", 1, 4, 40, 1, 5, 1, 1, 1,
+                  0, 0, 0, 0, 1, 1, false},
+        QconvCase{"3x3_w3_h40_vpad", 1, 3, 40, 3, 4, 3, 3, 1,
+                  1, 0, 1, 0, 1, 1, true},
+        QconvCase{"3x3_s2_w3_h70", 2, 2, 70, 3, 3, 3, 3, 2,
+                  0, 0, 0, 0, 1, 1, false}),
     [](const ::testing::TestParamInfo<QconvCase> &info) {
         return info.param.label;
     });
